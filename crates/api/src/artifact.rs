@@ -18,6 +18,7 @@
 //! reproduces the in-memory artifact bit for bit. The version is checked
 //! on load; changing a payload shape means bumping [`ARTIFACT_VERSION`].
 
+use std::io::Write;
 use std::path::Path;
 
 /// Current version of every artifact format; part of the header line.
@@ -102,11 +103,11 @@ pub struct Artifact {
     pub payload: String,
 }
 
-/// Render the full artifact file text: header (magic, version, algorithm)
-/// plus the payload.
-pub fn encode_artifact(kind: ArtifactKind, algorithm: &str, payload: &str) -> String {
+/// The two header lines (magic and version, then the algorithm) every
+/// artifact file opens with.
+fn header(kind: ArtifactKind, algorithm: &str) -> String {
     format!(
-        "{} {ARTIFACT_VERSION}\nalgorithm {algorithm}\n{payload}",
+        "{} {ARTIFACT_VERSION}\nalgorithm {algorithm}\n",
         kind.magic()
     )
 }
@@ -146,6 +147,19 @@ pub fn decode_artifact(kind: ArtifactKind, text: &str) -> Result<Artifact, Artif
     Ok(Artifact { algorithm, payload })
 }
 
+/// Create `path` and write the header, then the payload: two writes, so a
+/// payload that runs to megabytes is never copied into a concatenation.
+fn write_artifact(
+    path: &Path,
+    kind: ArtifactKind,
+    algorithm: &str,
+    payload: &str,
+) -> std::io::Result<()> {
+    let mut file = std::fs::File::create(path)?;
+    file.write_all(header(kind, algorithm).as_bytes())?;
+    file.write_all(payload.as_bytes())
+}
+
 /// Write an artifact file in one shot.
 pub fn save_artifact(
     path: &Path,
@@ -153,7 +167,7 @@ pub fn save_artifact(
     algorithm: &str,
     payload: &str,
 ) -> Result<(), ArtifactError> {
-    std::fs::write(path, encode_artifact(kind, algorithm, payload))
+    write_artifact(path, kind, algorithm, payload)
         .map_err(|error| ArtifactError::Io { kind, error })
 }
 
@@ -171,7 +185,7 @@ pub fn save_artifact_atomic(
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, encode_artifact(kind, algorithm, payload)).map_err(io)?;
+    write_artifact(&tmp, kind, algorithm, payload).map_err(io)?;
     std::fs::rename(&tmp, path).map_err(io)
 }
 
@@ -185,6 +199,28 @@ pub fn load_artifact(path: &Path, kind: ArtifactKind) -> Result<Artifact, Artifa
 /// bit-exact float encoding every artifact payload uses.
 pub fn f64_to_hex(value: f64) -> String {
     format!("{:016x}", value.to_bits())
+}
+
+/// Append the `digits` low-order hex digits of `value`, zero-padded and
+/// lowercase: what `format!("{value:0digits$x}")` writes for a value
+/// below `16^digits`, without the allocation. Payloads write every grid
+/// key as 32 digits and every float's bits as 16 ([`f64_to_hex`]).
+///
+/// ```
+/// use adawave_api::{f64_to_hex, push_hex};
+///
+/// let mut out = String::new();
+/// push_hex(&mut out, 0xbeef, 32);
+/// push_hex(&mut out, u128::from(1.5f64.to_bits()), 16);
+/// assert_eq!(out, format!("{:032x}{}", 0xbeef, f64_to_hex(1.5)));
+/// ```
+pub fn push_hex(out: &mut String, value: u128, digits: u32) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.extend(
+        (0..digits)
+            .rev()
+            .map(|i| char::from(HEX[(value >> (4 * i)) as usize & 0xf])),
+    );
 }
 
 /// Parse an [`f64_to_hex`]-encoded float back, bit for bit.
@@ -338,7 +374,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trips_both_kinds() {
         for kind in [ArtifactKind::Model, ArtifactKind::Accumulator] {
-            let text = encode_artifact(kind, "adawave", "dims 2\npayload body\n");
+            let text = header(kind, "adawave") + "dims 2\npayload body\n";
             assert!(text.starts_with(&format!("{} v1\nalgorithm adawave\n", kind.magic())));
             let artifact = decode_artifact(kind, &text).unwrap();
             assert_eq!(artifact.algorithm, "adawave");

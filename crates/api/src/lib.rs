@@ -29,6 +29,12 @@
 //!   [`ArtifactKind::Accumulator`] for streaming accumulators), one header
 //!   writer/parser, the [`PayloadReader`] line parser and the bit-exact
 //!   [`f64_to_hex`] float encoding.
+//! * [`scan_row`] — the one allocation-free CSV row scanner behind every
+//!   CSV reader (dataset files and serve's predict-batch bodies), with
+//!   [`PointMatrix::push_csv_row`] parsing a line straight into a matrix.
+//! * [`render_labels`] — the one per-point label renderer
+//!   ([`LabelFormat::Csv`] / [`LabelFormat::Json`]) the CLI and the serve
+//!   daemon share.
 //! * [`AlgorithmRegistry`] — maps algorithm names to parameter-validated
 //!   constructors of boxed [`Clusterer`]s; `adawave-core` and
 //!   `adawave-baselines` register themselves into it, and the umbrella
@@ -107,9 +113,11 @@ pub mod model;
 pub mod params;
 pub mod points;
 pub mod registry;
+pub mod render;
+pub mod scan;
 
 pub use artifact::{
-    decode_artifact, encode_artifact, f64_from_hex, f64_to_hex, load_artifact, save_artifact,
+    decode_artifact, f64_from_hex, f64_to_hex, load_artifact, push_hex, save_artifact,
     save_artifact_atomic, Artifact, ArtifactError, ArtifactKind, PayloadReader, ARTIFACT_VERSION,
 };
 pub use clusterer::{closest_matches, validate_fit_input, ClusterError, Clusterer};
@@ -118,6 +126,8 @@ pub use model::{compact_remap, validate_predict_input, FitOutcome, Model, Predic
 pub use params::{AlgorithmSpec, Params, Precision};
 pub use points::{PointMatrix, PointsView, Rows};
 pub use registry::{AlgorithmEntry, AlgorithmRegistry, ParamSpec};
+pub use render::{render_labels, LabelFormat};
+pub use scan::{scan_row, BadField};
 
 /// Convenience alias for results in this API.
 pub type Result<T> = std::result::Result<T, ClusterError>;

@@ -202,6 +202,35 @@ impl PointMatrix {
         self.len += 1;
     }
 
+    /// Parse one CSV line straight into a new last row with
+    /// [`scan_row`](crate::scan_row) and return the line's field count.
+    /// An empty *dimensionless* matrix adopts that count as its width, as
+    /// in [`append`](Self::append). A line of any other width than
+    /// [`dims`](Self::dims), or with a field that is not a number, leaves
+    /// the matrix unchanged.
+    ///
+    /// ```
+    /// use adawave_api::PointMatrix;
+    ///
+    /// let mut m = PointMatrix::new(0);
+    /// assert_eq!(m.push_csv_row("1.5, 2"), Ok(2));
+    /// assert_eq!(m.push_csv_row("3"), Ok(1)); // wrong width: not kept
+    /// assert!(m.push_csv_row("3,x").is_err());
+    /// assert_eq!((m.len(), m.dims()), (1, 2));
+    /// ```
+    pub fn push_csv_row<'a>(&mut self, line: &'a str) -> Result<usize, crate::BadField<'a>> {
+        let found = crate::scan_row(line, &mut self.data)?;
+        if self.len == 0 && self.dims == 0 {
+            self.dims = found;
+        }
+        if found == self.dims {
+            self.len += 1;
+        } else {
+            self.data.truncate(self.data.len() - found);
+        }
+        Ok(found)
+    }
+
     /// Append every row of `other`. An empty *dimensionless* matrix
     /// (`dims == 0`, no rows — e.g. `from_rows(vec![])`) adopts the
     /// other's dimensionality; an empty matrix with a declared width keeps

@@ -442,13 +442,7 @@ fn run_clustering_impl(
 // ---------------------------------------------------------------------------
 
 /// Per-point label output format selected by `--output`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutputFormat {
-    /// One label per line; noise points are empty lines.
-    Csv,
-    /// A JSON document with a `labels` array; noise points are `null`.
-    Json,
-}
+pub use adawave_api::LabelFormat as OutputFormat;
 
 /// Parse the `--output` option (`None` = the default summary/labels-file
 /// behavior).
@@ -466,47 +460,12 @@ pub fn output_format(args: &ParsedArgs) -> CliResult<Option<OutputFormat>> {
 }
 
 /// Render per-point labels in the selected format — the one writer shared
-/// by `cluster`, `stream` and `predict`. Noise is an empty field in CSV
-/// and `null` in JSON.
+/// by `cluster`, `stream` and `predict` (and, through
+/// [`adawave_api::render_labels`], by the serve daemon's batch replies).
+/// Noise is an empty field in CSV and `null` in JSON.
 pub fn render_labels(labels: &[usize], format: OutputFormat) -> String {
-    match format {
-        OutputFormat::Csv => {
-            let mut out = String::with_capacity(labels.len() * 4 + 6);
-            out.push_str("label\n");
-            for &l in labels {
-                if l != NOISE_LABEL {
-                    out.push_str(&l.to_string());
-                }
-                out.push('\n');
-            }
-            out
-        }
-        OutputFormat::Json => {
-            let clusters = labels
-                .iter()
-                .filter(|&&l| l != NOISE_LABEL)
-                .max()
-                .map_or(0, |&m| m + 1);
-            let noise = labels.iter().filter(|&&l| l == NOISE_LABEL).count();
-            let mut out = String::with_capacity(labels.len() * 6 + 64);
-            out.push_str(&format!(
-                "{{\n  \"points\": {},\n  \"clusters\": {clusters},\n  \"noise_points\": {noise},\n  \"labels\": [",
-                labels.len()
-            ));
-            for (i, &l) in labels.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                if l == NOISE_LABEL {
-                    out.push_str("null");
-                } else {
-                    out.push_str(&l.to_string());
-                }
-            }
-            out.push_str("]\n}\n");
-            out
-        }
-    }
+    let labels = labels.iter().map(|&l| (l != NOISE_LABEL).then_some(l));
+    adawave_api::render_labels(labels, format)
 }
 
 /// Route per-point labels to where the flags say: with `--output`, the

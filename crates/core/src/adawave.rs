@@ -265,16 +265,11 @@ impl GridModel {
 
     /// Cluster of an *original-space* cell key: downsample its coordinates
     /// through [`levels`](Self::levels) halvings and look the transformed
-    /// cell up. `None` means the cell was removed as noise. Beyond 31
-    /// levels every u32 coordinate has collapsed to 0, so the shift
-    /// saturates instead of overflowing.
+    /// cell up ([`KeyCodec::remap`]). `None` means the cell was removed as
+    /// noise.
     pub fn cluster_of_cell(&self, original_codec: &KeyCodec, cell: u128) -> Option<usize> {
-        let coords = original_codec.unpack(cell);
-        let down: Vec<u32> = coords
-            .iter()
-            .map(|&c| c.checked_shr(self.levels).unwrap_or(0))
-            .collect();
-        self.labels.cluster_of(self.codec.pack(&down))
+        let key = original_codec.remap(cell, &self.codec, self.levels, None);
+        self.labels.cluster_of(key)
     }
 
     /// Finish the pipeline: combine the model with a per-point assignment

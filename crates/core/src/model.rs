@@ -179,25 +179,17 @@ impl Model for AdaWaveModel {
         if !self.quantizer.bounds().contains(point) {
             return None;
         }
-        // Allocation-free downsampling: stream each coordinate out of the
-        // original-space key, shift it through the decomposition levels
-        // (saturating past 31, matching the fit path) and pack it straight
-        // into the transformed-space key. The key is computed through the
-        // same numeric lane as training, so serving never straddles a cell
-        // boundary the fit did not.
+        // The key is computed through the same numeric lane as training,
+        // so serving never straddles a cell boundary the fit did not, and
+        // downsampled by the fit path's own re-encode.
         let key = match &self.lane {
             None => self.quantizer.cell_key(point),
             Some(lane) => self.quantizer.cell_key_f32(lane, point),
         };
-        let codec = self.quantizer.codec();
-        let mut down_key = 0u128;
-        for j in 0..codec.dims() {
-            let c = codec
-                .coordinate(key, j)
-                .checked_shr(self.levels)
-                .unwrap_or(0);
-            down_key |= self.down_codec.pack_coord(j, c);
-        }
+        let down_key = self
+            .quantizer
+            .codec()
+            .remap(key, &self.down_codec, self.levels, None);
         self.cells.get(&down_key).copied()
     }
 

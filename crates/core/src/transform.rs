@@ -43,6 +43,9 @@ pub fn sparse_lowpass_dimension(
     let mut out = SparseGrid::with_capacity(grid.occupied_cells());
     for (key, density) in entries {
         let c = codec.coordinate(key, dim) as isize;
+        // Every other coordinate carries over unchanged, so re-encode the
+        // key once with `dim` at 0 and OR each tap's output coordinate in.
+        let base = codec.remap(key, &new_codec, 0, Some((dim, 0)));
         // Input index c appears at kernel tap t of output i when
         // 2i - offset + t = c  =>  i = (c + offset - t) / 2.
         for (t, &h) in kernel.iter().enumerate() {
@@ -64,8 +67,7 @@ pub fn sparse_lowpass_dimension(
                 }
                 let i = (wrapped / 2) as u32;
                 debug_assert!(i < new_m);
-                let new_key = remap_key(codec, &new_codec, key, dim, i);
-                out.add(new_key, h * density);
+                out.add(base | new_codec.pack_coord(dim, i), h * density);
                 continue;
             }
             // Zero boundary handling: out-of-range contributions (negative,
@@ -77,33 +79,10 @@ pub fn sparse_lowpass_dimension(
             if i >= new_m as isize {
                 continue;
             }
-            let new_key = remap_key(codec, &new_codec, key, dim, i as u32);
-            out.add(new_key, h * density);
+            out.add(base | new_codec.pack_coord(dim, i as u32), h * density);
         }
     }
     Ok((out, new_codec))
-}
-
-/// Re-encode a key from `old_codec` to `new_codec` with dimension `dim`
-/// replaced by `new_coord` (all other coordinates are copied).
-fn remap_key(
-    old_codec: &KeyCodec,
-    new_codec: &KeyCodec,
-    key: u128,
-    dim: usize,
-    new_coord: u32,
-) -> u128 {
-    let mut coords = old_codec.unpack(key);
-    coords[dim] = new_coord;
-    // Clamp other coordinates in case the new codec is narrower (it never
-    // is for dimensions other than `dim`, but stay defensive).
-    for (j, c) in coords.iter_mut().enumerate() {
-        let m = new_codec.intervals(j);
-        if *c >= m {
-            *c = m - 1;
-        }
-    }
-    new_codec.pack(&coords)
 }
 
 /// One full decomposition level: smooth and halve every dimension in turn

@@ -160,6 +160,44 @@ impl KeyCodec {
         (key & !(mask << self.offsets[j])) | ((coord as u128) << self.offsets[j])
     }
 
+    /// Re-encode `key` into `target`'s layout without allocating: the one
+    /// coordinate-by-coordinate re-encode behind point labeling, model
+    /// lookups and the sparse transform's scatter. Every coordinate is
+    /// shifted right by `levels` (saturating to 0 past 31 levels, by when
+    /// every u32 coordinate has collapsed), coordinate `set.0` is then
+    /// replaced by `set.1` when given, and each coordinate is clamped to
+    /// `target`'s interval count.
+    ///
+    /// ```
+    /// use adawave_grid::KeyCodec;
+    ///
+    /// let codec = KeyCodec::new(&[16, 10]).unwrap();
+    /// let half = codec.downsampled(1).unwrap();
+    /// let key = codec.pack(&[13, 9]);
+    /// assert_eq!(half.unpack(codec.remap(key, &half, 1, None)), [6, 4]);
+    /// assert_eq!(half.unpack(codec.remap(key, &half, 1, Some((0, 2)))), [2, 4]);
+    /// assert_eq!(half.unpack(codec.remap(key, &half, 0, None)), [7, 4]); // clamped
+    /// ```
+    #[inline]
+    pub fn remap(
+        &self,
+        key: u128,
+        target: &KeyCodec,
+        levels: u32,
+        set: Option<(usize, u32)>,
+    ) -> u128 {
+        debug_assert_eq!(self.dims(), target.dims(), "remap: dimensionality mismatch");
+        let mut out = 0u128;
+        for j in 0..self.dims() {
+            let c = match set {
+                Some((dim, c)) if dim == j => c,
+                _ => self.coordinate(key, j).checked_shr(levels).unwrap_or(0),
+            };
+            out |= u128::from(c.min(target.intervals[j] - 1)) << target.offsets[j];
+        }
+        out
+    }
+
     /// Append the codec to an artifact payload as one `intervals <m...>`
     /// line. The bit layout (and therefore every packed key) is a pure
     /// function of the interval counts, so this is the codec's entire

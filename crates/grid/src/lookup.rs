@@ -57,19 +57,8 @@ impl LookupTable {
     /// Key of the cell a point falls into after `levels` decompositions,
     /// in the coordinate system of `transformed_codec(levels)`.
     pub fn transformed_cell(&self, point: usize, levels: u32, transformed: &KeyCodec) -> u128 {
-        self.downsample_key(self.point_cells[point], levels, transformed)
-    }
-
-    /// Map the coordinates of an original-space cell key down `levels`.
-    /// Beyond 31 levels every u32 coordinate has collapsed to 0, so the
-    /// shift saturates instead of overflowing.
-    pub fn downsample_key(&self, key: u128, levels: u32, transformed: &KeyCodec) -> u128 {
-        let coords = self.original_codec.unpack(key);
-        let down: Vec<u32> = coords
-            .iter()
-            .map(|&c| c.checked_shr(levels).unwrap_or(0))
-            .collect();
-        transformed.pack(&down)
+        self.original_codec
+            .remap(self.point_cells[point], transformed, levels, None)
     }
 
     /// Assign every point the cluster id of its transformed-space cell.
@@ -81,9 +70,10 @@ impl LookupTable {
         levels: u32,
         transformed: &KeyCodec,
     ) -> Vec<Option<usize>> {
+        let codec = &self.original_codec;
         self.point_cells
             .iter()
-            .map(|&cell| labels.cluster_of(self.downsample_key(cell, levels, transformed)))
+            .map(|&cell| labels.cluster_of(codec.remap(cell, transformed, levels, None)))
             .collect()
     }
 }
@@ -164,7 +154,7 @@ mod tests {
         let down_codec = table.transformed_codec(1).unwrap();
         let mut down_grid = SparseGrid::new();
         for &cell in &assignment {
-            down_grid.increment(table.downsample_key(cell, 1, &down_codec));
+            down_grid.increment(quantizer.codec().remap(cell, &down_codec, 1, None));
         }
         let labels = connected_components(&down_grid, &down_codec, Connectivity::Face);
         let point_labels = table.assign_points(&labels, 1, &down_codec);

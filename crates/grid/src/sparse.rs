@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use adawave_api::{f64_from_hex, f64_to_hex, PayloadReader};
+use adawave_api::{f64_from_hex, push_hex, PayloadReader};
 
 /// A sparse grid: packed cell key → density (or smoothed coefficient).
 ///
@@ -61,13 +61,24 @@ impl SparseGrid {
     /// map iteration order — and the hex densities make the round trip
     /// bit-exact.
     pub fn serialize_into(&self, out: &mut String) {
-        // audit:allow(nondeterministic-iteration) keys are collected and sorted on the next line
-        let mut sorted_keys: Vec<u128> = self.cells.keys().copied().collect();
-        sorted_keys.sort_unstable();
-        out.push_str(&format!("cells {}\n", sorted_keys.len()));
-        for key in sorted_keys {
-            out.push_str(&format!("{key:032x} {}\n", f64_to_hex(self.cells[&key])));
+        // audit:allow(nondeterministic-iteration) cells are collected and sorted on the next line
+        let mut sorted: Vec<(u128, f64)> = self.cells.iter().map(|(&k, &v)| (k, v)).collect();
+        sorted.sort_unstable_by_key(|&(key, _)| key);
+        out.reserve(self.serialized_len());
+        out.push_str(&format!("cells {}\n", sorted.len()));
+        for (key, density) in sorted {
+            push_hex(out, key, 32);
+            out.push(' ');
+            push_hex(out, u128::from(density.to_bits()), 16);
+            out.push('\n');
         }
+    }
+
+    /// An upper bound on the bytes [`serialize_into`](Self::serialize_into)
+    /// appends: the `cells N` line plus 50 bytes per cell, so a caller can
+    /// size its payload buffer once.
+    pub fn serialized_len(&self) -> usize {
+        32 + 50 * self.cells.len()
     }
 
     /// The canonical payload text of [`serialize_into`](Self::serialize_into)

@@ -272,3 +272,71 @@ proptest! {
         prop_assert!(small_grid.occupied_cells() <= large_grid.occupied_cells());
     }
 }
+
+/// [`KeyCodec::remap`] spelled out the allocating way: unpack, shift,
+/// replace, clamp, pack.
+fn remap_reference(
+    from: &KeyCodec,
+    key: u128,
+    to: &KeyCodec,
+    levels: u32,
+    set: Option<(usize, u32)>,
+) -> u128 {
+    let mut coords: Vec<u32> = from
+        .unpack(key)
+        .iter()
+        .map(|&c| c.checked_shr(levels).unwrap_or(0))
+        .collect();
+    if let Some((dim, c)) = set {
+        coords[dim] = c;
+    }
+    for (j, c) in coords.iter_mut().enumerate() {
+        *c = (*c).min(to.intervals(j) - 1);
+    }
+    to.pack(&coords)
+}
+
+/// A codec of 1–4 dimensions with interval counts of every bit width up
+/// to 32, plus one cell key in it.
+fn codec_and_key() -> impl Strategy<Value = (KeyCodec, u128)> {
+    prop::collection::vec((0u32..32, 1u32..u32::MAX, 0u32..u32::MAX), 1..5).prop_map(|dims| {
+        let intervals: Vec<u32> = dims.iter().map(|&(s, m, _)| (m >> s).max(1)).collect();
+        let codec = KeyCodec::new(&intervals).expect("at most 4 x 32 bits");
+        let coords: Vec<u32> = dims
+            .iter()
+            .zip(&intervals)
+            .map(|(&(_, _, c), &m)| c % m)
+            .collect();
+        let key = codec.pack(&coords);
+        (codec, key)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn remap_equals_unpack_map_pack(
+        (codec, key) in codec_and_key(),
+        (other, _) in codec_and_key(),
+        levels in 0u32..41,
+        set in prop::option::weighted(0.4, (0usize..4, 0u32..u32::MAX)),
+    ) {
+        let set = set.map(|(dim, c)| (dim % codec.dims(), c));
+        // Into the downsampled space (how labeling uses it)...
+        let down = codec.downsampled(levels).unwrap();
+        prop_assert_eq!(
+            codec.remap(key, &down, levels, set),
+            remap_reference(&codec, key, &down, levels, set)
+        );
+        // ...and into any codec of the same width, where the clamp bites.
+        let widths: Vec<u32> = (0..codec.dims())
+            .map(|j| other.intervals(j % other.dims()))
+            .collect();
+        let target = KeyCodec::new(&widths).unwrap();
+        prop_assert_eq!(
+            codec.remap(key, &target, levels, set),
+            remap_reference(&codec, key, &target, levels, set)
+        );
+    }
+}

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use adawave_api::{closest_matches, PointMatrix};
+use adawave_api::{closest_matches, render_labels, LabelFormat, PointMatrix};
 use adawave_runtime::Runtime;
 
 use crate::http::{read_request, write_response, HttpError, Request, Response};
@@ -398,19 +398,17 @@ fn predict_batch(entry: &crate::store::ModelEntry, request: &Request) -> Respons
     let csv = request
         .header("content-type")
         .is_some_and(|t| t.to_ascii_lowercase().contains("csv"));
-    let rows = if csv {
+    let points = if csv {
         parse_csv_rows(body)
     } else {
         parse_json_rows(body)
     };
-    let rows = match rows {
-        Ok(rows) => rows,
+    let mut points = match points {
+        Ok(points) => points,
         Err(context) => return Response::error(400, &context),
     };
-    let dims = rows.first().map_or(entry.model.dims(), Vec::len);
-    let mut points = PointMatrix::new(dims);
-    for row in &rows {
-        points.push_row(row);
+    if points.is_empty() {
+        points = PointMatrix::new(entry.model.dims());
     }
     // The InvalidInput contract covers empty / zero-dim / wrong-dims
     // batches — all requests the client got wrong, hence 400.
@@ -418,16 +416,17 @@ fn predict_batch(entry: &crate::store::ModelEntry, request: &Request) -> Respons
         Ok(clustering) => clustering,
         Err(e) => return Response::error(400, &e.to_string()),
     };
+    let labels = clustering.assignment().iter().copied();
     if csv {
-        Response::csv(render_labels_csv(clustering.assignment()))
+        Response::csv(render_labels(labels, LabelFormat::Csv))
     } else {
-        Response::json(render_labels_json(clustering.assignment()))
+        Response::json(render_labels(labels, LabelFormat::Json))
     }
 }
 
-/// Parse a JSON batch body `{"rows": [[numbers], ...]}` into equal-arity
+/// Parse a JSON batch body `{"rows": [[numbers], ...]}` of equal-arity
 /// rows.
-fn parse_json_rows(body: &str) -> Result<Vec<Vec<f64>>, String> {
+fn parse_json_rows(body: &str) -> Result<PointMatrix, String> {
     let doc = Json::parse(body).map_err(|context| format!("bad JSON body: {context}"))?;
     let raw = doc
         .get("rows")
@@ -451,81 +450,37 @@ fn parse_json_rows(body: &str) -> Result<Vec<Vec<f64>>, String> {
         }
         rows.push(values);
     }
-    Ok(rows)
+    PointMatrix::from_rows(rows).map_err(|e| e.to_string())
 }
 
-/// Parse a CSV batch body: one comma-separated row of coordinates per
-/// line. Blank lines and `#` comments are skipped, one leading header
-/// line is tolerated, and non-finite spellings (`nan`, `inf`) are
-/// *accepted* — CSV can express them, and non-finite coordinates take
-/// the documented noise path instead of erroring.
-fn parse_csv_rows(body: &str) -> Result<Vec<Vec<f64>>, String> {
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut seen_data = false;
+/// Parse a CSV batch body straight into a point matrix: one
+/// comma-separated row of coordinates per line. Blank lines and `#`
+/// comments are skipped, non-numeric lines before the first numeric one
+/// are taken for a header, and non-finite spellings (`nan`, `inf`) are
+/// *accepted* — CSV can express them, and non-finite coordinates take the
+/// documented noise path instead of erroring.
+fn parse_csv_rows(body: &str) -> Result<PointMatrix, String> {
+    let mut points = PointMatrix::new(0);
     for (line_no, raw) in body.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let parsed: Result<Vec<f64>, _> =
-            line.split(',').map(|field| field.trim().parse()).collect();
-        let values = match parsed {
-            Ok(values) => values,
-            // Only the first content line may be non-numeric (a header).
-            Err(_) if !seen_data => continue,
-            Err(_) => return Err(format!("csv line {}: '{line}' is not numeric", line_no + 1)),
-        };
-        if let Some(first) = rows.first() {
-            let arity = Vec::len(first);
-            if values.len() != arity {
+        match points.push_csv_row(line) {
+            Ok(found) if found != points.dims() => {
                 return Err(format!(
-                    "csv line {}: {} fields, expected {arity}",
+                    "csv line {}: {found} fields, expected {}",
                     line_no + 1,
-                    values.len()
-                ));
+                    points.dims()
+                ))
             }
-        }
-        seen_data = true;
-        rows.push(values);
-    }
-    Ok(rows)
-}
-
-/// Labels as CSV, byte-identical to the CLI's `--output csv`: a `label`
-/// header, one label per line, noise as an empty line.
-fn render_labels_csv(assignment: &[Option<usize>]) -> String {
-    let mut out = String::with_capacity(assignment.len() * 4 + 6);
-    out.push_str("label\n");
-    for label in assignment {
-        if let Some(l) = label {
-            out.push_str(&l.to_string());
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Labels as the CLI's `--output json` document, byte-identical: counts
-/// plus a `labels` array with `null` for noise.
-fn render_labels_json(assignment: &[Option<usize>]) -> String {
-    let clusters = assignment.iter().flatten().max().map_or(0, |&m| m + 1);
-    let noise = assignment.iter().filter(|l| l.is_none()).count();
-    let mut out = String::with_capacity(assignment.len() * 6 + 64);
-    out.push_str(&format!(
-        "{{\n  \"points\": {},\n  \"clusters\": {clusters},\n  \"noise_points\": {noise},\n  \"labels\": [",
-        assignment.len()
-    ));
-    for (i, label) in assignment.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        match label {
-            Some(l) => out.push_str(&l.to_string()),
-            None => out.push_str("null"),
+            Ok(_) => {}
+            // Lines before the first numeric one are a header.
+            Err(_) if points.is_empty() => {}
+            Err(_) => return Err(format!("csv line {}: '{line}' is not numeric", line_no + 1)),
         }
     }
-    out.push_str("]\n}\n");
-    out
+    Ok(points)
 }
 
 #[cfg(test)]
@@ -675,6 +630,7 @@ mod tests {
             ("text/csv", "x,y\n1.0,2.0\n3.0\n", "csv line 3"),
             ("text/csv", "1.0,2.0\nbanana,2.0\n", "csv line 2"),
             ("text/csv", "1.0,2.0,3.0\n", "invalid input"),
+            ("text/csv", "x,y\n", "invalid input"),
         ] {
             let response = post(&store, "/models/quads/predict-batch", content_type, body);
             assert_eq!(response.status, 400, "{body:?} -> {}", response.body);
@@ -682,6 +638,37 @@ mod tests {
                 response.body.contains(needle),
                 "{body:?} -> {}",
                 response.body
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_csv_batches_keep_their_exact_400_texts() {
+        let store = test_store();
+        for (body, error) in [
+            // Non-numeric lines before the first numeric one are a header.
+            (
+                "x,y\n# units\n\nlat,lon\n1.0,2.0\n  a, 2\r\n",
+                "csv line 6: 'a, 2' is not numeric",
+            ),
+            (
+                "1.0,2.0\n\n3.0, 4.0, 5.0\n",
+                "csv line 3: 3 fields, expected 2",
+            ),
+            ("1.0,2.0\n3.0\n", "csv line 2: 1 fields, expected 2"),
+            // A bad value is reported before a wrong arity.
+            ("1.0,2.0\n3.0,x,y\n", "csv line 2: '3.0,x,y' is not numeric"),
+            (
+                "h\n1\n3\n",
+                "invalid input: predict input has 1 dimensions but the model was trained on 2",
+            ),
+        ] {
+            let response = post(&store, "/models/quads/predict-batch", "text/csv", body);
+            assert_eq!(response.status, 400, "{body:?}");
+            assert_eq!(
+                response.body,
+                Json::Object(vec![("error".to_string(), Json::String(error.to_string()))]).render(),
+                "{body:?}"
             );
         }
     }

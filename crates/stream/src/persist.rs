@@ -23,8 +23,8 @@
 use std::path::{Path, PathBuf};
 
 use adawave_api::{
-    f64_from_hex, f64_to_hex, load_artifact, save_artifact, save_artifact_atomic, ArtifactError,
-    ArtifactKind, PayloadReader,
+    f64_from_hex, f64_to_hex, load_artifact, push_hex, save_artifact, save_artifact_atomic,
+    ArtifactError, ArtifactKind, PayloadReader,
 };
 use adawave_core::{AdaWave, AdaWaveConfig, ThresholdStrategy};
 use adawave_grid::{Connectivity, Quantizer, SparseGrid};
@@ -190,7 +190,12 @@ impl StreamingAdaWave {
     ///
     /// [`restore`]: Self::restore
     pub fn snapshot(&self) -> String {
-        let mut out = String::new();
+        // Sized once for the point keys and the grid dump together: a
+        // `String` regrown mid-dump would briefly hold two copies.
+        let grid = self.frozen.as_ref().map_or(0, |f| f.grid.serialized_len());
+        let quantizer = 64 + 40 * self.dims.unwrap_or(0);
+        let points = 33 * self.point_cells.len();
+        let mut out = String::with_capacity(1024 + quantizer + points + grid);
         serialize_config(self.adawave.config(), &mut out);
         match self.dims {
             None => out.push_str("dims none\n"),
@@ -200,7 +205,10 @@ impl StreamingAdaWave {
         out.push_str(&format!("points {}\n", self.point_cells.len()));
         for cell in &self.point_cells {
             match cell {
-                Some(key) => out.push_str(&format!("{key:032x}\n")),
+                Some(key) => {
+                    push_hex(&mut out, *key, 32);
+                    out.push('\n');
+                }
                 None => out.push_str("-\n"),
             }
         }
