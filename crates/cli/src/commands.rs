@@ -924,10 +924,13 @@ pub fn run_stream_checkpointed(
     // the same first-appearance numbering as the `cluster` command —
     // `stream --prescan` and `cluster` then agree label for label, not
     // just partition for partition.
-    let labels = result.to_clustering().to_labels(NOISE_LABEL);
+    // The cluster count comes from the same clustering: the model's
+    // component count also includes components no point falls in.
+    let clustering = result.to_clustering();
+    let labels = clustering.to_labels(NOISE_LABEL);
     Ok(StreamOutcome {
         noise_points: labels.iter().filter(|&&l| l == NOISE_LABEL).count(),
-        clusters: result.cluster_count(),
+        clusters: clustering.cluster_count(),
         outliers,
         batches,
         points: labels.len(),
@@ -1153,10 +1156,10 @@ fn merge_accumulators(args: &ParsedArgs) -> CliResult<String> {
             Some(line),
         )
     } else {
-        let result = stream.refit().map_err(refit_err)?;
+        let clustering = stream.refit().map_err(refit_err)?.to_clustering();
         (
-            result.to_clustering().to_labels(NOISE_LABEL),
-            result.cluster_count(),
+            clustering.to_labels(NOISE_LABEL),
+            clustering.cluster_count(),
             None,
         )
     };
@@ -1621,25 +1624,47 @@ mod tests {
         path
     }
 
+    /// The toy blobs at scale 32, and the 7-d seeds surrogate at scale 16,
+    /// whose transformed grid holds components no point falls in — so a
+    /// component count and the labels' cluster count differ there.
+    fn toy_and_seeds() -> Vec<(&'static str, PointMatrix, Vec<usize>, &'static str)> {
+        let (points, truth) = toy_points();
+        let seeds = uci::seeds(42);
+        vec![
+            ("toy", points, truth, "32"),
+            ("seeds", seeds.points, seeds.labels, "16"),
+        ]
+    }
+
+    /// The cluster count in a `cluster` or `merge-accumulators` summary.
+    fn reported_clusters(report: &str) -> usize {
+        let head = report.split(" clusters").next().unwrap();
+        head.rsplit(' ').next().unwrap().parse().unwrap()
+    }
+
     #[test]
     fn stream_with_prescan_matches_the_one_shot_cluster_command() {
-        let (points, truth) = toy_points();
-        let path = save_temp_dataset("adawave_cli_stream_prescan", &points, &truth);
+        for (name, points, truth, scale) in toy_and_seeds() {
+            let path = save_temp_dataset(
+                &format!("adawave_cli_stream_prescan_{name}"),
+                &points,
+                &truth,
+            );
+            let config =
+                adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", scale]).unwrap())
+                    .unwrap();
+            // Small batches force many ingest/merge rounds.
+            let outcome = run_stream(&path, 37, true, config).unwrap();
+            assert_eq!(outcome.points, points.len());
+            assert_eq!(outcome.outliers, 0, "prescan domain covers everything");
+            assert!(outcome.batches > 5);
 
-        let config =
-            adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", "32"]).unwrap())
-                .unwrap();
-        // Small batches force many ingest/merge rounds.
-        let outcome = run_stream(&path, 37, true, config).unwrap();
-        assert_eq!(outcome.points, points.len());
-        assert_eq!(outcome.outliers, 0, "prescan domain covers everything");
-        assert!(outcome.batches > 5);
-
-        let args = ParsedArgs::parse(["cluster", "--scale", "32"]).unwrap();
-        let one_shot = run_clustering("adawave", points.view(), &args, 2).unwrap();
-        assert_eq!(outcome.labels, one_shot.labels);
-        assert_eq!(outcome.clusters, one_shot.clusters);
-        std::fs::remove_file(&path).ok();
+            let args = ParsedArgs::parse(["cluster", "--scale", scale]).unwrap();
+            let one_shot = run_clustering("adawave", points.view(), &args, 2).unwrap();
+            assert_eq!(outcome.labels, one_shot.labels, "{name}");
+            assert_eq!(outcome.clusters, one_shot.clusters, "{name}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -2408,17 +2433,27 @@ mod tests {
 
     #[test]
     fn shard_ingest_and_merge_match_the_one_shot_cluster_command() {
-        let (points, truth) = toy_points();
-        let data = save_temp_dataset("adawave_cli_shard_merge", &points, &truth);
+        for (name, points, truth, scale) in toy_and_seeds() {
+            shard_ingest_and_merge_match_cluster(name, &points, &truth, scale);
+        }
+    }
+
+    fn shard_ingest_and_merge_match_cluster(
+        name: &str,
+        points: &PointMatrix,
+        truth: &[usize],
+        scale: &str,
+    ) {
+        let data = save_temp_dataset(&format!("adawave_cli_shard_merge_{name}"), points, truth);
         let dir = std::env::temp_dir();
-        let fit_out = dir.join("adawave_cli_shard_fit.csv");
-        dispatch(
+        let fit_out = dir.join(format!("adawave_cli_shard_fit_{name}.csv"));
+        let fit_report = dispatch(
             &ParsedArgs::parse([
                 "cluster",
                 "--input",
                 data.to_str().unwrap(),
                 "--scale",
-                "32",
+                scale,
                 "--out",
                 fit_out.to_str().unwrap(),
                 "--quiet",
@@ -2431,7 +2466,7 @@ mod tests {
             let mut argv: Vec<String> = vec!["merge-accumulators".into()];
             let mut files = Vec::new();
             for i in 1..=shards {
-                let acc = dir.join(format!("adawave_cli_shard_{shards}_{i}.awa"));
+                let acc = dir.join(format!("adawave_cli_shard_{name}_{shards}_{i}.awa"));
                 let report = dispatch(
                     &ParsedArgs::parse([
                         "shard-ingest",
@@ -2440,7 +2475,7 @@ mod tests {
                         "--shard",
                         &format!("{i}/{shards}"),
                         "--scale",
-                        "32",
+                        scale,
                         "--batch-rows",
                         "64",
                         "--out",
@@ -2454,28 +2489,34 @@ mod tests {
                 argv.push(acc.to_str().unwrap().into());
                 files.push(acc);
             }
-            let merged_out = dir.join(format!("adawave_cli_shard_merged_{shards}.csv"));
-            let model_path = dir.join(format!("adawave_cli_shard_model_{shards}.awm"));
-            argv.extend([
-                "--out".into(),
-                merged_out.to_str().unwrap().into(),
-                "--save-model".into(),
-                model_path.to_str().unwrap().into(),
-            ]);
-            let report = dispatch(&ParsedArgs::parse(argv).unwrap()).unwrap();
-            assert!(
-                report.contains(&format!("merged {shards} accumulator(s)")),
-                "{report}"
-            );
-            assert!(report.contains("saved model"), "{report}");
-            // The distributed labels are byte-identical to the one-shot fit.
-            assert_eq!(
-                std::fs::read_to_string(&merged_out).unwrap(),
-                std::fs::read_to_string(&fit_out).unwrap(),
-                "{shards} shard(s)"
-            );
+            let merged_out = dir.join(format!("adawave_cli_shard_merged_{name}_{shards}.csv"));
+            let model_path = dir.join(format!("adawave_cli_shard_model_{name}_{shards}.awm"));
+            argv.extend(["--out".into(), merged_out.to_str().unwrap().into()]);
+            // Both merge paths, the plain refit and the one that also
+            // saves the serving model, report the `cluster` summary's
+            // cluster count and write byte-identical labels.
+            let plain = argv.clone();
+            argv.extend(["--save-model".into(), model_path.to_str().unwrap().into()]);
+            for (argv, saves_model) in [(plain, false), (argv, true)] {
+                let report = dispatch(&ParsedArgs::parse(argv).unwrap()).unwrap();
+                assert!(
+                    report.contains(&format!("merged {shards} accumulator(s)")),
+                    "{report}"
+                );
+                assert_eq!(report.contains("saved model"), saves_model, "{report}");
+                assert_eq!(
+                    reported_clusters(&report),
+                    reported_clusters(&fit_report),
+                    "{name}, {shards} shard(s): {report}"
+                );
+                assert_eq!(
+                    std::fs::read_to_string(&merged_out).unwrap(),
+                    std::fs::read_to_string(&fit_out).unwrap(),
+                    "{name}, {shards} shard(s)"
+                );
+            }
             // And the saved model re-predicts the same labels file.
-            let pred_out = dir.join(format!("adawave_cli_shard_pred_{shards}.csv"));
+            let pred_out = dir.join(format!("adawave_cli_shard_pred_{name}_{shards}.csv"));
             dispatch(
                 &ParsedArgs::parse([
                     "predict",
@@ -2493,7 +2534,7 @@ mod tests {
             assert_eq!(
                 std::fs::read_to_string(&pred_out).unwrap(),
                 std::fs::read_to_string(&fit_out).unwrap(),
-                "{shards} shard(s)"
+                "{name}, {shards} shard(s)"
             );
             for f in files {
                 std::fs::remove_file(f).ok();

@@ -72,10 +72,7 @@ pub use config::{AdaWaveConfig, AdaWaveConfigBuilder};
 pub use model::AdaWaveModel;
 pub use result::{AdaWaveResult, GridStats};
 pub use threshold::ThresholdStrategy;
-pub use transform::{
-    sparse_wavelet_level, sparse_wavelet_level_budgeted, sparse_wavelet_smooth,
-    sparse_wavelet_smooth_budgeted,
-};
+pub use transform::{sparse_wavelet_smooth, sparse_wavelet_smooth_budgeted};
 
 /// Errors produced by the AdaWave pipeline.
 #[derive(Debug, Clone, PartialEq)]

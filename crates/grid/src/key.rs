@@ -125,6 +125,23 @@ impl KeyCodec {
         (c as u128) << self.offsets[j]
     }
 
+    /// The bit positions dimension `j` occupies in a packed key: the
+    /// coordinate is `(key >> start) & ((1 << len) - 1)`. Dimension 0 holds
+    /// the lowest bits and each later dimension sits directly above the
+    /// previous one.
+    ///
+    /// ```
+    /// use adawave_grid::KeyCodec;
+    ///
+    /// let codec = KeyCodec::new(&[16, 10, 1]).unwrap();
+    /// assert_eq!(codec.bit_range(0), 0..4);
+    /// assert_eq!(codec.bit_range(1), 4..8);
+    /// assert_eq!(codec.bit_range(2), 8..9);
+    /// ```
+    pub fn bit_range(&self, j: usize) -> std::ops::Range<u32> {
+        self.offsets[j]..self.offsets[j] + self.bits[j]
+    }
+
     /// Unpack a key into per-dimension coordinates.
     pub fn unpack(&self, key: u128) -> Vec<u32> {
         let mut coords = Vec::with_capacity(self.dims());

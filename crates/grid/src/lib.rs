@@ -17,6 +17,8 @@
 //!   into a `u128` key.
 //! * [`Quantizer`] — maps points to cells (Algorithm 2 of the paper).
 //! * [`SparseGrid`] — the `{key: density}` map with mass/density statistics.
+//! * [`prune_to_top`] — the cell budget of the sparse wavelet transform,
+//!   applied to a grid's cells as a flat `(key, density)` vector.
 //! * [`Connectivity`] and [`connected_components`] — grouping of adjacent
 //!   cells into clusters (step 4 of Algorithm 1) via union-find.
 //! * [`LookupTable`] — mapping points ↔ cells across decomposition levels
@@ -57,7 +59,7 @@ pub use key::KeyCodec;
 pub use lookup::LookupTable;
 pub use neighbors::Connectivity;
 pub use quantizer::{F32Lane, Quantizer};
-pub use sparse::SparseGrid;
+pub use sparse::{prune_to_top, SparseGrid};
 
 /// Errors produced by grid construction.
 #[derive(Debug, Clone, PartialEq)]

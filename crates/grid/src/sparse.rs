@@ -203,59 +203,6 @@ impl SparseGrid {
     pub fn retain_keys(&mut self, keys: &std::collections::HashSet<u128>) {
         self.cells.retain(|k, _| keys.contains(k));
     }
-
-    /// Keep only the `budget` cells with the highest |density|, removing the
-    /// rest; returns the number of removed cells.
-    ///
-    /// This is the memory guard used by the sparse per-dimension wavelet
-    /// transform: in high dimensions the scatter of the smoothing kernel can
-    /// otherwise multiply the number of occupied cells by the kernel support
-    /// once per dimension. Pruning keeps the densest cells, which is exactly
-    /// the part of the feature space the clustering step cares about.
-    pub fn prune_to_top(&mut self, budget: usize) -> usize {
-        if self.cells.len() <= budget {
-            return 0;
-        }
-        if budget == 0 {
-            let removed = self.cells.len();
-            self.cells.clear();
-            return removed;
-        }
-        // audit:allow(nondeterministic-iteration) only the select_nth cut-off value is used; it is the same for any collection order
-        let mut magnitudes: Vec<f64> = self.cells.values().map(|v| v.abs()).collect();
-        // The cut-off is the budget-th largest magnitude.
-        let cut_index = magnitudes.len() - budget;
-        let (_, cutoff, _) = magnitudes.select_nth_unstable_by(cut_index, |a, b| a.total_cmp(b));
-        let cutoff = *cutoff;
-        let before = self.cells.len();
-        // Keep everything strictly above the cut-off, then fill the remaining
-        // slots with ties so exactly `budget` cells survive regardless of how
-        // many cells share the cut-off magnitude. Ties are resolved by key
-        // (smallest first) rather than map iteration order, so the surviving
-        // set is a pure function of the grid content.
-        let mut slots_for_ties = budget;
-        // audit:allow(nondeterministic-iteration) counting predicate matches is order-insensitive
-        for v in self.cells.values() {
-            if v.abs() > cutoff {
-                slots_for_ties -= 1;
-            }
-        }
-        let mut tie_keys: Vec<u128> = self
-            // audit:allow(nondeterministic-iteration) tie keys are collected then sorted below
-            .cells
-            .iter()
-            .filter(|(_, v)| v.abs() == cutoff)
-            .map(|(&k, _)| k)
-            .collect();
-        tie_keys.sort_unstable();
-        tie_keys.truncate(slots_for_ties);
-        let kept_ties: std::collections::HashSet<u128> = tie_keys.into_iter().collect();
-        self.cells.retain(|k, v| {
-            let mag = v.abs();
-            mag > cutoff || (mag == cutoff && kept_ties.contains(k))
-        });
-        before - self.cells.len()
-    }
 }
 
 impl FromIterator<(u128, f64)> for SparseGrid {
@@ -267,6 +214,35 @@ impl FromIterator<(u128, f64)> for SparseGrid {
         }
         grid
     }
+}
+
+/// Keep only the `budget` cells with the highest |density|, removing the
+/// rest; returns the number of removed cells.
+///
+/// `cells` holds a sparse grid's `(key, density)` pairs with distinct keys,
+/// in any order; the survivors are left in unspecified order. Ties at the
+/// cut-off magnitude are resolved by key (smallest first), so the surviving
+/// set is a pure function of the cells, not of their order.
+///
+/// This is the memory guard of the sparse per-dimension wavelet transform:
+/// in high dimensions the scatter of the smoothing kernel can otherwise
+/// multiply the number of occupied cells by the kernel support once per
+/// dimension. Pruning keeps the densest cells, which is exactly the part of
+/// the feature space the clustering step cares about.
+pub fn prune_to_top(cells: &mut Vec<(u128, f64)>, budget: usize) -> usize {
+    let removed = cells.len().saturating_sub(budget);
+    if removed == 0 {
+        return 0;
+    }
+    if budget > 0 {
+        // Largest magnitude first, then ascending key: a total order over
+        // distinct keys, so the first `budget` cells are well defined.
+        cells.select_nth_unstable_by(budget - 1, |a, b| {
+            b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0))
+        });
+    }
+    cells.truncate(budget);
+    removed
 }
 
 #[cfg(test)]
@@ -444,51 +420,50 @@ mod tests {
         }
     }
 
+    /// The surviving keys of a pruned cell vector, ascending.
+    fn kept_keys(cells: &[(u128, f64)]) -> Vec<u128> {
+        let mut keys: Vec<u128> = cells.iter().map(|&(k, _)| k).collect();
+        keys.sort_unstable();
+        keys
+    }
+
     #[test]
     fn prune_to_top_keeps_the_densest_cells() {
-        let mut g: SparseGrid = (0u128..100).map(|k| (k, k as f64)).collect();
-        let removed = g.prune_to_top(10);
+        let mut cells: Vec<(u128, f64)> = (0u128..100).map(|k| (k, k as f64)).collect();
+        let removed = prune_to_top(&mut cells, 10);
         assert_eq!(removed, 90);
-        assert_eq!(g.occupied_cells(), 10);
-        for k in 90u128..100 {
-            assert!(g.contains(k), "cell {k} should survive");
-        }
+        assert_eq!(kept_keys(&cells), (90u128..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn prune_to_top_is_a_noop_within_budget() {
-        let mut g: SparseGrid = [(1u128, 1.0), (2, 2.0)].into_iter().collect();
-        assert_eq!(g.prune_to_top(5), 0);
-        assert_eq!(g.occupied_cells(), 2);
+        let mut cells = vec![(1u128, 1.0), (2, 2.0)];
+        assert_eq!(prune_to_top(&mut cells, 5), 0);
+        assert_eq!(prune_to_top(&mut cells, 2), 0);
+        assert_eq!(cells, [(1u128, 1.0), (2, 2.0)]);
     }
 
     #[test]
     fn prune_to_top_handles_ties_exactly() {
         // 20 cells of identical density: exactly `budget` must survive,
         // and which ones is determined by key order (smallest first), not
-        // by hash-map iteration order.
-        let mut g: SparseGrid = (0u128..20).map(|k| (k, 1.0)).collect();
-        assert_eq!(g.prune_to_top(7), 13);
-        assert_eq!(g.occupied_cells(), 7);
-        for k in 0u128..7 {
-            assert!(g.contains(k), "tie {k} should survive deterministically");
-        }
+        // by the order the cells arrive in.
+        let mut cells: Vec<(u128, f64)> = (0u128..20).rev().map(|k| (k, 1.0)).collect();
+        assert_eq!(prune_to_top(&mut cells, 7), 13);
+        assert_eq!(kept_keys(&cells), (0u128..7).collect::<Vec<_>>());
     }
 
     #[test]
     fn prune_to_top_uses_magnitude_for_negative_coefficients() {
-        let mut g: SparseGrid = [(1u128, -5.0), (2, 0.1), (3, 4.0), (4, -0.2)]
-            .into_iter()
-            .collect();
-        g.prune_to_top(2);
-        assert!(g.contains(1));
-        assert!(g.contains(3));
+        let mut cells = vec![(1u128, -5.0), (2, 0.1), (3, 4.0), (4, -0.2)];
+        prune_to_top(&mut cells, 2);
+        assert_eq!(kept_keys(&cells), [1, 3]);
     }
 
     #[test]
     fn prune_to_top_zero_budget_clears() {
-        let mut g: SparseGrid = [(1u128, 1.0), (2, 2.0)].into_iter().collect();
-        assert_eq!(g.prune_to_top(0), 2);
-        assert!(g.is_empty());
+        let mut cells = vec![(1u128, 1.0), (2, 2.0)];
+        assert_eq!(prune_to_top(&mut cells, 0), 2);
+        assert!(cells.is_empty());
     }
 }

@@ -2,7 +2,7 @@
 
 use adawave_api::PointMatrix;
 use adawave_grid::{
-    connected_components, Connectivity, KeyCodec, Quantizer, SparseGrid, UnionFind,
+    connected_components, prune_to_top, Connectivity, KeyCodec, Quantizer, SparseGrid, UnionFind,
 };
 use adawave_runtime::Runtime;
 use proptest::prelude::*;
@@ -214,29 +214,39 @@ proptest! {
     }
 }
 
+/// Generated `(key, density)` pairs with duplicate keys summed, the
+/// distinct-key cell vector [`prune_to_top`] expects.
+fn distinct(cells: Vec<(u128, f64)>) -> Vec<(u128, f64)> {
+    let grid: SparseGrid = cells.into_iter().collect();
+    let mut cells: Vec<(u128, f64)> = grid.iter().collect();
+    cells.sort_unstable_by_key(|&(key, _)| key);
+    cells
+}
+
+/// Densities in descending order.
+fn densities(cells: &[(u128, f64)]) -> Vec<f64> {
+    let mut d: Vec<f64> = cells.iter().map(|&(_, v)| v).collect();
+    d.sort_by(|a, b| b.total_cmp(a));
+    d
+}
+
 proptest! {
     #[test]
     fn prune_to_top_never_exceeds_the_budget_and_keeps_the_max(
         cells in prop::collection::vec((0u128..10_000, -50.0f64..50.0), 1..200),
         budget in 1usize..64,
     ) {
-        let mut grid: SparseGrid = cells.into_iter().collect();
-        let max_before = grid
-            .iter()
-            .map(|(_, d)| d.abs())
-            .fold(0.0f64, f64::max);
-        let before = grid.occupied_cells();
-        let removed = grid.prune_to_top(budget);
-        prop_assert_eq!(before - grid.occupied_cells(), removed);
-        prop_assert!(grid.occupied_cells() <= budget.min(before));
+        let mut cells = distinct(cells);
+        let max_before = cells.iter().map(|(_, d)| d.abs()).fold(0.0f64, f64::max);
+        let before = cells.len();
+        let removed = prune_to_top(&mut cells, budget);
+        prop_assert_eq!(before - cells.len(), removed);
+        prop_assert!(cells.len() <= budget.min(before));
         if before > budget {
-            prop_assert_eq!(grid.occupied_cells(), budget);
+            prop_assert_eq!(cells.len(), budget);
         }
         // The highest-magnitude cell always survives.
-        let max_after = grid
-            .iter()
-            .map(|(_, d)| d.abs())
-            .fold(0.0f64, f64::max);
+        let max_after = cells.iter().map(|(_, d)| d.abs()).fold(0.0f64, f64::max);
         prop_assert!((max_after - max_before).abs() < 1e-12);
     }
 
@@ -245,11 +255,13 @@ proptest! {
         cells in prop::collection::vec((0u128..10_000, 0.0f64..50.0), 1..200),
         budget in 1usize..64,
     ) {
-        let mut grid: SparseGrid = cells.into_iter().collect();
-        grid.prune_to_top(budget);
-        let snapshot = grid.clone();
-        grid.prune_to_top(budget);
-        prop_assert_eq!(grid, snapshot);
+        let mut cells = distinct(cells);
+        prune_to_top(&mut cells, budget);
+        cells.sort_unstable_by_key(|&(key, _)| key);
+        let snapshot = cells.clone();
+        prop_assert_eq!(prune_to_top(&mut cells, budget), 0);
+        cells.sort_unstable_by_key(|&(key, _)| key);
+        prop_assert_eq!(cells, snapshot);
     }
 
     #[test]
@@ -258,18 +270,22 @@ proptest! {
         small in 1usize..20,
         extra in 0usize..20,
     ) {
-        let grid: SparseGrid = cells.into_iter().collect();
-        let mut small_grid = grid.clone();
-        small_grid.prune_to_top(small);
-        let mut large_grid = grid.clone();
-        large_grid.prune_to_top(small + extra);
-        // Cells can tie in density, so compare by density multiset: the
-        // smallest density kept by the small budget is >= the smallest kept
-        // by the large budget.
-        let small_min = small_grid.sorted_densities().last().copied().unwrap_or(0.0);
-        let large_min = large_grid.sorted_densities().last().copied().unwrap_or(0.0);
+        let cells = distinct(cells);
+        let mut small_cells = cells.clone();
+        prune_to_top(&mut small_cells, small);
+        let mut large_cells = cells;
+        large_cells.reverse();
+        prune_to_top(&mut large_cells, small + extra);
+        // Ties by key make the survivors nested exactly: every cell the
+        // small budget keeps, the large budget keeps too, whatever order
+        // the cells arrive in.
+        prop_assert!(small_cells.len() <= large_cells.len());
+        for cell in &small_cells {
+            prop_assert!(large_cells.contains(cell), "{:?} dropped", cell);
+        }
+        let small_min = densities(&small_cells).last().copied().unwrap_or(0.0);
+        let large_min = densities(&large_cells).last().copied().unwrap_or(0.0);
         prop_assert!(small_min >= large_min - 1e-12);
-        prop_assert!(small_grid.occupied_cells() <= large_grid.occupied_cells());
     }
 }
 

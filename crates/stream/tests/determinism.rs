@@ -8,7 +8,7 @@ use adawave_core::{AdaWave, AdaWaveConfig};
 use adawave_data::{shapes, Rng};
 use adawave_grid::BoundingBox;
 use adawave_stream::StreamingAdaWave;
-use adawave_wavelet::Wavelet;
+use adawave_wavelet::{BoundaryMode, Wavelet};
 
 /// Two blobs plus uniform noise — the paper's running-example shape, sized
 /// for a fast debug-mode suite.
@@ -179,17 +179,34 @@ fn merged_shards_match_a_single_session_and_one_shot_fit() {
     );
 }
 
+/// Three 4-d blobs plus uniform noise: every per-dimension pass of the
+/// transform runs on lines of a sparser grid than the 2-d workload's.
+fn workload_4d(seed: u64) -> PointMatrix {
+    let mut rng = Rng::new(seed);
+    let mut points = PointMatrix::new(4);
+    for center in [
+        [0.2, 0.3, 0.7, 0.4],
+        [0.7, 0.6, 0.2, 0.5],
+        [0.5, 0.8, 0.5, 0.2],
+    ] {
+        shapes::gaussian_blob(&mut points, &mut rng, &center, &[0.04; 4], 300);
+    }
+    shapes::uniform_box(&mut points, &mut rng, &[0.0; 4], &[1.0; 4], 300);
+    points
+}
+
 #[test]
 fn refit_agrees_with_fit_across_configurations() {
     // The shared cluster_grid stage must keep streaming and batch in lock
-    // step for non-default levels (including the honest level 0) and for
-    // other wavelets — including db2, whose irrational taps make the
-    // transform's summation order observable: the sorted-key scatter in
-    // `sparse_lowpass_dimension` is what keeps the freshly quantized and
+    // step for non-default levels (including the honest level 0), other
+    // wavelets and the periodic boundary — including db2/db3, whose
+    // irrational taps make the transform's summation order observable. The
+    // transform adds each output cell's contributions in an order fixed by
+    // the grid content alone (ascending input coordinate along the line,
+    // then ascending tap), which is what keeps the freshly quantized and
     // the stream-accumulated grids (different hash maps, same content)
     // bit-identical through the pipeline.
-    let points = workload(13);
-    for config in [
+    let configs = [
         AdaWaveConfig::builder().scale(32).levels(0).build(),
         AdaWaveConfig::builder().scale(64).levels(2).build(),
         AdaWaveConfig::builder()
@@ -200,12 +217,23 @@ fn refit_agrees_with_fit_across_configurations() {
             .scale(32)
             .wavelet(Wavelet::Daubechies2)
             .build(),
-    ] {
-        let stream = stream_in_batches(&config, &points, 123);
-        assert_eq!(
-            stream.refit().unwrap(),
-            AdaWave::new(config).fit(points.view()).unwrap()
-        );
+        AdaWaveConfig::builder()
+            .scale(32)
+            .boundary(BoundaryMode::Periodic)
+            .wavelet(Wavelet::Daubechies3)
+            .levels(2)
+            .build(),
+    ];
+    for points in [workload(13), workload_4d(13)] {
+        for config in &configs {
+            let stream = stream_in_batches(config, &points, 123);
+            assert_eq!(
+                stream.refit().unwrap(),
+                AdaWave::new(config.clone()).fit(points.view()).unwrap(),
+                "{}-d, {config:?}",
+                points.dims()
+            );
+        }
     }
 }
 

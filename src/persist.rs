@@ -153,8 +153,17 @@ mod tests {
         points
     }
 
+    /// A model file no other call shares: tests run on parallel threads,
+    /// and two of them save the same algorithm, so a name-only path let
+    /// one test delete the file the other was about to load.
     fn temp_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("adawave_persist_{name}_{}.awm", std::process::id()))
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static SERIAL: AtomicUsize = AtomicUsize::new(0);
+        let serial = SERIAL.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!(
+            "adawave_persist_{name}_{}_{serial}.awm",
+            std::process::id()
+        ))
     }
 
     #[test]
