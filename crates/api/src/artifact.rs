@@ -114,8 +114,10 @@ fn header(kind: ArtifactKind, algorithm: &str) -> String {
 
 /// Split an artifact file's text into its algorithm name and payload,
 /// validating the magic and version. The error contexts name the exact
-/// missing or mismatched piece.
-pub fn decode_artifact(kind: ArtifactKind, text: &str) -> Result<Artifact, ArtifactError> {
+/// missing or mismatched piece. The payload is the tail of `text` with
+/// the two header lines stripped in place, so a payload that runs to
+/// megabytes is never copied into a second string.
+pub fn decode_artifact(kind: ArtifactKind, mut text: String) -> Result<Artifact, ArtifactError> {
     let format = |context: String| ArtifactError::Format { kind, context };
     let mut lines = text.lines();
     let header = lines.next().ok_or_else(|| format("empty file".into()))?;
@@ -139,12 +141,16 @@ pub fn decode_artifact(kind: ArtifactKind, text: &str) -> Result<Artifact, Artif
         .and_then(|line| line.strip_prefix("algorithm "))
         .ok_or_else(|| format("missing 'algorithm <name>' line".into()))?
         .to_string();
-    let payload = text
+    let payload_len = text
         .splitn(3, '\n')
         .nth(2)
         .ok_or_else(|| format("missing payload".into()))?
-        .to_string();
-    Ok(Artifact { algorithm, payload })
+        .len();
+    text.drain(..text.len() - payload_len);
+    Ok(Artifact {
+        algorithm,
+        payload: text,
+    })
 }
 
 /// Create `path` and write the header, then the payload: two writes, so a
@@ -192,7 +198,7 @@ pub fn save_artifact_atomic(
 /// Read and decode an artifact file of the given kind.
 pub fn load_artifact(path: &Path, kind: ArtifactKind) -> Result<Artifact, ArtifactError> {
     let text = std::fs::read_to_string(path).map_err(|error| ArtifactError::Io { kind, error })?;
-    decode_artifact(kind, &text)
+    decode_artifact(kind, text)
 }
 
 /// Render an `f64` as the 16-digit hex of its IEEE-754 bits — the
@@ -204,7 +210,11 @@ pub fn f64_to_hex(value: f64) -> String {
 /// Append the `digits` low-order hex digits of `value`, zero-padded and
 /// lowercase: what `format!("{value:0digits$x}")` writes for a value
 /// below `16^digits`, without the allocation. Payloads write every grid
-/// key as 32 digits and every float's bits as 16 ([`f64_to_hex`]).
+/// key as 32 digits and every float's bits as 16 ([`f64_to_hex`]). The
+/// digits are formed in a stack buffer and appended with one `push_str`.
+///
+/// # Panics
+/// Panics if `digits` exceeds 32, the width of a `u128`.
 ///
 /// ```
 /// use adawave_api::{f64_to_hex, push_hex};
@@ -216,11 +226,13 @@ pub fn f64_to_hex(value: f64) -> String {
 /// ```
 pub fn push_hex(out: &mut String, value: u128, digits: u32) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.extend(
-        (0..digits)
-            .rev()
-            .map(|i| char::from(HEX[(value >> (4 * i)) as usize & 0xf])),
-    );
+    let mut buf = [0u8; 32];
+    let buf = &mut buf[..digits as usize];
+    for (i, byte) in buf.iter_mut().rev().enumerate() {
+        *byte = HEX[(value >> (4 * i)) as usize & 0xf];
+    }
+    // Hex digits are ASCII, so the conversion never falls back.
+    out.push_str(std::str::from_utf8(buf).unwrap_or_default());
 }
 
 /// Parse an [`f64_to_hex`]-encoded float back, bit for bit.
@@ -376,7 +388,7 @@ mod tests {
         for kind in [ArtifactKind::Model, ArtifactKind::Accumulator] {
             let text = header(kind, "adawave") + "dims 2\npayload body\n";
             assert!(text.starts_with(&format!("{} v1\nalgorithm adawave\n", kind.magic())));
-            let artifact = decode_artifact(kind, &text).unwrap();
+            let artifact = decode_artifact(kind, text).unwrap();
             assert_eq!(artifact.algorithm, "adawave");
             assert_eq!(artifact.payload, "dims 2\npayload body\n");
         }
@@ -393,7 +405,7 @@ mod tests {
             ("adawave-accumulator v1\nno-algo\n", "algorithm"),
             ("adawave-accumulator v1\nalgorithm adawave", "payload"),
         ] {
-            let err = decode_artifact(kind, text).unwrap_err();
+            let err = decode_artifact(kind, text.to_string()).unwrap_err();
             assert!(err.to_string().contains(needle), "{text:?} -> {err}");
             assert!(err.to_string().contains("accumulator"), "{err}");
         }

@@ -19,21 +19,14 @@ impl Clustering {
     /// compacted to `0..k` in order of first appearance, preserving the
     /// partition; ids may be arbitrary (non-contiguous, interleaved with
     /// noise) on input.
-    pub fn new(assignment: Vec<Option<usize>>) -> Self {
+    pub fn new(mut assignment: Vec<Option<usize>>) -> Self {
         let mut mapping = std::collections::HashMap::new();
-        let mut compact = Vec::with_capacity(assignment.len());
-        for a in &assignment {
-            compact.push(a.map(|id| match mapping.get(&id) {
-                Some(&compacted) => compacted,
-                None => {
-                    let next = mapping.len();
-                    mapping.insert(id, next);
-                    next
-                }
-            }));
+        for id in assignment.iter_mut().flatten() {
+            let next = mapping.len();
+            *id = *mapping.entry(*id).or_insert(next);
         }
         Self {
-            assignment: compact,
+            assignment,
             cluster_count: mapping.len(),
         }
     }

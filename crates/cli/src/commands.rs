@@ -329,7 +329,9 @@ pub struct ClusterOutcome {
 /// algorithm declares; flags the user did not give are left out so the
 /// registry defaults shown by `list-algorithms` apply. The one exception
 /// is `k`, which defaults to the dataset's class count (the paper's
-/// protocol for the centroid/model-based algorithms). Compact-spec params
+/// protocol for the centroid/model-based algorithms); `true_k` is called
+/// only when the algorithm takes `k` and `--k` was not given, since
+/// counting classes is a pass over every label. Compact-spec params
 /// and explicit `--param key=value` pairs are validated strictly against
 /// the algorithm's parameter list so typos are caught. On key collision,
 /// precedence is shorthand flag < compact spec < `--param` — the dedicated
@@ -339,12 +341,16 @@ pub struct ClusterOutcome {
 pub fn build_spec(
     base: AlgorithmSpec,
     args: &ParsedArgs,
-    true_k: usize,
+    true_k: impl FnOnce() -> usize,
     entry: &AlgorithmEntry,
 ) -> CliResult<AlgorithmSpec> {
     entry.validate_keys(&base.params)?;
-    let mut spec =
-        AlgorithmSpec::new(base.name.clone()).with("k", args.parse_or("k", true_k.max(1))?);
+    let default_k = if args.get("k").is_none() && entry.accepted_keys().contains(&"k") {
+        true_k().max(1)
+    } else {
+        1
+    };
+    let mut spec = AlgorithmSpec::new(base.name.clone()).with("k", args.parse_or("k", default_k)?);
     for key in [
         "seed",
         "eps",
@@ -373,14 +379,14 @@ pub fn build_spec(
 /// Cluster a point set with the algorithm and options from the command
 /// line, resolving the algorithm by name through the standard registry.
 /// `algorithm` accepts the bare name or the compact spec form
-/// `name:key=value,...`; `true_k` is the number of ground-truth classes,
-/// used as `k` by the centroid/model-based algorithms when `--k` is not
-/// given.
+/// `name:key=value,...`; `true_k` counts the ground-truth classes, used
+/// as `k` by the centroid/model-based algorithms when `--k` is not given
+/// (and called only then).
 pub fn run_clustering(
     algorithm: &str,
     points: PointsView<'_>,
     args: &ParsedArgs,
-    true_k: usize,
+    true_k: impl FnOnce() -> usize,
 ) -> CliResult<ClusterOutcome> {
     Ok(run_clustering_impl(algorithm, points, args, true_k, false)?.0)
 }
@@ -391,7 +397,7 @@ pub fn run_clustering_with_model(
     algorithm: &str,
     points: PointsView<'_>,
     args: &ParsedArgs,
-    true_k: usize,
+    true_k: impl FnOnce() -> usize,
 ) -> CliResult<(ClusterOutcome, Box<dyn Model>)> {
     let (outcome, model) = run_clustering_impl(algorithm, points, args, true_k, true)?;
     Ok((outcome, model.expect("requested above")))
@@ -402,7 +408,7 @@ fn run_clustering_impl(
     algorithm: &str,
     points: PointsView<'_>,
     args: &ParsedArgs,
-    true_k: usize,
+    true_k: impl FnOnce() -> usize,
     want_model: bool,
 ) -> CliResult<(ClusterOutcome, Option<Box<dyn Model>>)> {
     let registry = standard_registry();
@@ -545,13 +551,13 @@ fn cluster(args: &ParsedArgs) -> CliResult<String> {
     // clustering keeps the cheaper label-only path.
     let (outcome, model) = if let Some(model_path) = args.get("save-model") {
         let (outcome, model) =
-            run_clustering_with_model(algorithm, ds.view(), args, ds.cluster_count())?;
+            run_clustering_with_model(algorithm, ds.view(), args, || ds.cluster_count())?;
         save_model(Path::new(model_path), model.as_ref())
             .map_err(|e| CliError::Message(format!("saving model to {model_path}: {e}")))?;
         (outcome, Some(model))
     } else {
         (
-            run_clustering(algorithm, ds.view(), args, ds.cluster_count())?,
+            run_clustering(algorithm, ds.view(), args, || ds.cluster_count())?,
             None,
         )
     };
@@ -596,7 +602,7 @@ fn predict_model(args: &ParsedArgs) -> CliResult<Box<dyn Model>> {
                 .or_else(|| args.get("algo"))
                 .unwrap_or("adawave");
             let (_, model) =
-                run_clustering_with_model(algorithm, train.view(), args, train.cluster_count())?;
+                run_clustering_with_model(algorithm, train.view(), args, || train.cluster_count())?;
             Ok(model)
         }
         (Some(_), Some(_)) => Err(CliError::Message(
@@ -926,7 +932,7 @@ pub fn run_stream_checkpointed(
     // just partition for partition.
     // The cluster count comes from the same clustering: the model's
     // component count also includes components no point falls in.
-    let clustering = result.to_clustering();
+    let clustering = result.into_clustering();
     let labels = clustering.to_labels(NOISE_LABEL);
     Ok(StreamOutcome {
         noise_points: labels.iter().filter(|&&l| l == NOISE_LABEL).count(),
@@ -1156,7 +1162,7 @@ fn merge_accumulators(args: &ParsedArgs) -> CliResult<String> {
             Some(line),
         )
     } else {
-        let clustering = stream.refit().map_err(refit_err)?.to_clustering();
+        let clustering = stream.refit().map_err(refit_err)?.into_clustering();
         (
             clustering.to_labels(NOISE_LABEL),
             clustering.cluster_count(),
@@ -1300,7 +1306,7 @@ pub fn run_sweep(
         let mut scores = Vec::new();
         for algo in algorithms {
             let args = ParsedArgs::parse(["cluster", "--scale", &scale_arg]).expect("static args");
-            let outcome = match run_clustering(algo, ds.view(), &args, ds.cluster_count()) {
+            let outcome = match run_clustering(algo, ds.view(), &args, || ds.cluster_count()) {
                 Ok(o) => o,
                 Err(_) => continue,
             };
@@ -1501,7 +1507,7 @@ mod tests {
             "sting",
             "clique",
         ] {
-            let outcome = run_clustering(algo, points.view(), &args, 2)
+            let outcome = run_clustering(algo, points.view(), &args, || 2)
                 .unwrap_or_else(|e| panic!("{algo}: {e}"));
             assert_eq!(outcome.labels.len(), points.len(), "{algo}");
         }
@@ -1511,7 +1517,7 @@ mod tests {
     fn unknown_algorithm_is_rejected() {
         let (points, _) = toy_points();
         let args = ParsedArgs::parse(["cluster"]).unwrap();
-        let err = run_clustering("definitely-not-real", points.view(), &args, 2).unwrap_err();
+        let err = run_clustering("definitely-not-real", points.view(), &args, || 2).unwrap_err();
         // The registry error names the known algorithms.
         assert!(err.to_string().contains("adawave"), "{err}");
     }
@@ -1521,18 +1527,18 @@ mod tests {
         let (points, _) = toy_points();
         // `--param k=3` overrides the k inferred from the dataset.
         let args = ParsedArgs::parse(["cluster", "--param", "k=3", "--param", "seed=11"]).unwrap();
-        let outcome = run_clustering("kmeans", points.view(), &args, 2).unwrap();
+        let outcome = run_clustering("kmeans", points.view(), &args, || 2).unwrap();
         assert_eq!(outcome.clusters, 3);
         // A typo'd key is rejected with the accepted keys listed...
         let args = ParsedArgs::parse(["cluster", "--param", "kk=3"]).unwrap();
-        let err = run_clustering("kmeans", points.view(), &args, 2).unwrap_err();
+        let err = run_clustering("kmeans", points.view(), &args, || 2).unwrap_err();
         assert!(err.to_string().contains("kk"), "{err}");
         assert!(err.to_string().contains("seed"), "{err}");
         // ...as is a malformed pair and a bad value.
         let args = ParsedArgs::parse(["cluster", "--param", "k"]).unwrap();
-        assert!(run_clustering("kmeans", points.view(), &args, 2).is_err());
+        assert!(run_clustering("kmeans", points.view(), &args, || 2).is_err());
         let args = ParsedArgs::parse(["cluster", "--param", "k=banana"]).unwrap();
-        assert!(run_clustering("kmeans", points.view(), &args, 2).is_err());
+        assert!(run_clustering("kmeans", points.view(), &args, || 2).is_err());
     }
 
     #[test]
@@ -1540,19 +1546,19 @@ mod tests {
         let (points, _) = toy_points();
         // `--algo name:key=value,...` carries params inline.
         let args = ParsedArgs::parse(["cluster"]).unwrap();
-        let outcome = run_clustering("kmeans:k=4,seed=3", points.view(), &args, 2).unwrap();
+        let outcome = run_clustering("kmeans:k=4,seed=3", points.view(), &args, || 2).unwrap();
         assert_eq!(outcome.clusters, 4);
         // Typos in the compact form are caught like --param typos.
-        let err = run_clustering("kmeans:kk=4", points.view(), &args, 2).unwrap_err();
+        let err = run_clustering("kmeans:kk=4", points.view(), &args, || 2).unwrap_err();
         assert!(err.to_string().contains("kk"), "{err}");
         // `--param` wins over the compact form on collision.
         let args = ParsedArgs::parse(["cluster", "--param", "k=5"]).unwrap();
-        let outcome = run_clustering("kmeans:k=2,seed=3", points.view(), &args, 2).unwrap();
+        let outcome = run_clustering("kmeans:k=2,seed=3", points.view(), &args, || 2).unwrap();
         assert_eq!(outcome.clusters, 5);
         // The documented stsc default (eigengap auto-k) is expressible even
         // though the CLI injects a numeric k by default.
         let args = ParsedArgs::parse(["cluster", "--param", "k=auto"]).unwrap();
-        let outcome = run_clustering("stsc", points.view(), &args, 2).unwrap();
+        let outcome = run_clustering("stsc", points.view(), &args, || 2).unwrap();
         assert!(outcome.clusters >= 1);
     }
 
@@ -1593,8 +1599,8 @@ mod tests {
         for algo in ["adawave", "kmeans", "dbscan", "meanshift"] {
             let one = ParsedArgs::parse(["cluster", "--scale", "32", "--threads", "1"]).unwrap();
             let four = ParsedArgs::parse(["cluster", "--scale", "32", "--threads", "4"]).unwrap();
-            let a = run_clustering(algo, points.view(), &one, 2).unwrap();
-            let b = run_clustering(algo, points.view(), &four, 2).unwrap();
+            let a = run_clustering(algo, points.view(), &one, || 2).unwrap();
+            let b = run_clustering(algo, points.view(), &four, || 2).unwrap();
             assert_eq!(a.labels, b.labels, "{algo}");
         }
     }
@@ -1603,7 +1609,7 @@ mod tests {
     fn adawave_separates_the_toy_blobs() {
         let (points, truth) = toy_points();
         let args = ParsedArgs::parse(["cluster", "--scale", "32"]).unwrap();
-        let outcome = run_clustering("adawave", points.view(), &args, 2).unwrap();
+        let outcome = run_clustering("adawave", points.view(), &args, || 2).unwrap();
         assert!(outcome.clusters >= 2);
         let score = ami_ignoring_noise(&truth, &outcome.labels, 2);
         assert!(score > 0.8, "AMI {score}");
@@ -1613,7 +1619,7 @@ mod tests {
     fn reassign_noise_flag_removes_noise_points() {
         let (points, _) = toy_points();
         let args = ParsedArgs::parse(["cluster", "--scale", "32", "--reassign-noise"]).unwrap();
-        let outcome = run_clustering("adawave", points.view(), &args, 2).unwrap();
+        let outcome = run_clustering("adawave", points.view(), &args, || 2).unwrap();
         assert_eq!(outcome.noise_points, 0);
     }
 
@@ -1622,6 +1628,22 @@ mod tests {
         let path = std::env::temp_dir().join(format!("{name}.csv"));
         csv::save_csv(&ds, &path).unwrap();
         path
+    }
+
+    #[test]
+    fn cluster_defaults_k_to_the_class_count_of_the_input() {
+        // toy_points holds three classes: two blobs and the uniform noise.
+        let (points, truth) = toy_points();
+        let path = save_temp_dataset("adawave_cli_default_k", &points, &truth);
+        let input = path.to_str().unwrap();
+        let run = |extra: &[&str]| {
+            let mut argv = vec!["cluster", "--input", input, "--algo", "kmeans", "--quiet"];
+            argv.extend_from_slice(extra);
+            reported_clusters(&dispatch(&ParsedArgs::parse(argv).unwrap()).unwrap())
+        };
+        assert_eq!(run(&[]), 3);
+        assert_eq!(run(&["--k", "2"]), 2);
+        std::fs::remove_file(&path).ok();
     }
 
     /// The toy blobs at scale 32, and the 7-d seeds surrogate at scale 16,
@@ -1660,7 +1682,7 @@ mod tests {
             assert!(outcome.batches > 5);
 
             let args = ParsedArgs::parse(["cluster", "--scale", scale]).unwrap();
-            let one_shot = run_clustering("adawave", points.view(), &args, 2).unwrap();
+            let one_shot = run_clustering("adawave", points.view(), &args, || 2).unwrap();
             assert_eq!(outcome.labels, one_shot.labels, "{name}");
             assert_eq!(outcome.clusters, one_shot.clusters, "{name}");
             std::fs::remove_file(&path).ok();
@@ -1780,7 +1802,7 @@ mod tests {
         let train = save_temp_dataset("adawave_cli_predict_train", &points, &truth);
         // Fit labels via `cluster`...
         let args = ParsedArgs::parse(["cluster", "--scale", "32"]).unwrap();
-        let fit = run_clustering("adawave", points.view(), &args, 2).unwrap();
+        let fit = run_clustering("adawave", points.view(), &args, || 2).unwrap();
         // ...and via `predict --train` on the same file: the model predicts
         // the training batch identically.
         let out = std::env::temp_dir().join("adawave_cli_predict_labels.csv");
@@ -2029,11 +2051,11 @@ mod tests {
     fn unknown_algorithm_suggests_the_closest_name() {
         let (points, _) = toy_points();
         let args = ParsedArgs::parse(["cluster"]).unwrap();
-        let err = run_clustering("kmean", points.view(), &args, 2).unwrap_err();
+        let err = run_clustering("kmean", points.view(), &args, || 2).unwrap_err();
         assert!(err.to_string().contains("did you mean kmeans?"), "{err}");
         // Unknown --param keys reuse the same suggestion path.
         let args = ParsedArgs::parse(["cluster", "--param", "bandwith=0.2"]).unwrap();
-        let err = run_clustering("meanshift", points.view(), &args, 2).unwrap_err();
+        let err = run_clustering("meanshift", points.view(), &args, || 2).unwrap_err();
         assert!(err.to_string().contains("did you mean bandwidth?"), "{err}");
     }
 
@@ -2079,7 +2101,7 @@ mod tests {
     fn evaluation_report_contains_all_metrics() {
         let (points, truth) = toy_points();
         let args = ParsedArgs::parse(["cluster", "--scale", "32"]).unwrap();
-        let outcome = run_clustering("kmeans", points.view(), &args, 2).unwrap();
+        let outcome = run_clustering("kmeans", points.view(), &args, || 2).unwrap();
         let report = evaluation_report(points.view(), &truth, &outcome.labels, None).unwrap();
         for needle in ["AMI", "NMI", "ARI", "V-measure", "purity", "silhouette"] {
             assert!(report.contains(needle), "missing {needle}:\n{report}");

@@ -43,7 +43,7 @@ impl Clusterer for AdaWave {
     fn fit_model(&self, points: PointsView<'_>) -> Result<FitOutcome, ClusterError> {
         let (result, model) = self.fit_with_model(points)?;
         Ok(FitOutcome {
-            clustering: result.to_clustering(),
+            clustering: result.into_clustering(),
             model: Box::new(model),
         })
     }
@@ -54,7 +54,7 @@ impl Clusterer for AdaWave {
     /// the Fig. 6 density curve) are needed; this trait method is the
     /// uniform surface the registry, the CLI and the sweeps go through.
     fn fit(&self, points: PointsView<'_>) -> Result<Clustering, ClusterError> {
-        Ok(AdaWave::fit(self, points)?.to_clustering())
+        Ok(AdaWave::fit(self, points)?.into_clustering())
     }
 }
 

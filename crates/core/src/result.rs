@@ -113,6 +113,12 @@ impl AdaWaveResult {
         adawave_api::Clustering::new(self.assignment.clone())
     }
 
+    /// [`to_clustering`](Self::to_clustering) for a caller that owns the
+    /// result: the assignment is compacted in place instead of cloned.
+    pub fn into_clustering(self) -> adawave_api::Clustering {
+        adawave_api::Clustering::new(self.assignment)
+    }
+
     /// Grid pipeline statistics.
     pub fn stats(&self) -> &GridStats {
         &self.stats

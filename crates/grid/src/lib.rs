@@ -15,7 +15,8 @@
 //! * [`BoundingBox`] — axis-aligned bounds of a dataset.
 //! * [`KeyCodec`] — packing/unpacking of per-dimension cell coordinates
 //!   into a `u128` key.
-//! * [`Quantizer`] — maps points to cells (Algorithm 2 of the paper).
+//! * [`Quantizer`] — maps points to cells (Algorithm 2 of the paper);
+//!   [`fill_row_keys`] is its parallel one-key-per-row pass.
 //! * [`SparseGrid`] — the `{key: density}` map with mass/density statistics.
 //! * [`prune_to_top`] — the cell budget of the sparse wavelet transform,
 //!   applied to a grid's cells as a flat `(key, density)` vector.
@@ -58,7 +59,7 @@ pub use components::{connected_components, ComponentLabels, UnionFind};
 pub use key::KeyCodec;
 pub use lookup::LookupTable;
 pub use neighbors::Connectivity;
-pub use quantizer::{F32Lane, Quantizer};
+pub use quantizer::{fill_row_keys, F32Lane, Quantizer};
 pub use sparse::{prune_to_top, SparseGrid};
 
 /// Errors produced by grid construction.

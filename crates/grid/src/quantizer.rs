@@ -6,10 +6,32 @@ use adawave_runtime::Runtime;
 
 use crate::{BoundingBox, GridError, KeyCodec, Result, SparseGrid};
 
-/// Rows per parallel shard of [`Quantizer::quantize_with`]. Fixed (never
-/// derived from the thread count) so shard boundaries — and therefore the
-/// merged result — are identical for every [`Runtime`].
+/// Rows per task of [`fill_row_keys`]. Every key depends only on its own
+/// row, so the chunk size bounds the work in one task and cannot change
+/// any result.
 const QUANTIZE_CHUNK_ROWS: usize = 8_192;
+
+/// Write `key(row i)` into `out[i]` for every row of `points`, in fixed
+/// 8192-row chunks fanned out over `runtime`: the one key pass behind
+/// both quantization lanes and streaming ingestion. Each slot depends
+/// only on its own row, so `out` is identical for every thread count.
+///
+/// # Panics
+/// Panics if `out` and `points` differ in length.
+pub fn fill_row_keys<T: Send>(
+    points: PointsView<'_>,
+    runtime: Runtime,
+    out: &mut [T],
+    key: impl Fn(&[f64]) -> T + Sync,
+) {
+    assert_eq!(out.len(), points.len(), "fill_row_keys: length mismatch");
+    runtime.par_chunks_mut(out, QUANTIZE_CHUNK_ROWS, |chunk, slots| {
+        let first = chunk * QUANTIZE_CHUNK_ROWS;
+        for (i, slot) in slots.iter_mut().enumerate() {
+            *slot = key(points.row(first + i));
+        }
+    });
+}
 
 /// Precomputed state for the opt-in single-precision quantization lane:
 /// per-dimension lower bounds and inverse interval widths, both narrowed
@@ -225,93 +247,44 @@ impl Quantizer {
     }
 
     /// [`quantize_with`](Self::quantize_with) through the opt-in f32 lane:
-    /// same fixed-shard fan-out and shard-order merge, but every cell
-    /// assignment uses [`cell_key_f32`](Self::cell_key_f32). Deterministic
-    /// across thread counts (each point's cell is independent of the
-    /// sharding), but *not* bit-comparable to the f64 lane.
+    /// every cell assignment uses [`cell_key_f32`](Self::cell_key_f32).
+    /// Deterministic across thread counts, but *not* bit-comparable to the
+    /// f64 lane.
     pub fn quantize_f32_with(
         &self,
         points: PointsView<'_>,
         runtime: Runtime,
     ) -> (SparseGrid, Vec<u128>) {
-        let dims = points.dims();
         let lane = self.f32_lane();
-        if runtime.is_sequential() || dims == 0 || points.len() <= QUANTIZE_CHUNK_ROWS {
-            let mut grid = SparseGrid::with_capacity(points.len().min(1 << 16));
-            let mut assignment = Vec::with_capacity(points.len());
-            for p in points.rows() {
-                let key = self.cell_key_f32(&lane, p);
-                grid.increment(key);
-                assignment.push(key);
-            }
-            return (grid, assignment);
-        }
-        let shards: Vec<(SparseGrid, Vec<u128>)> = runtime.par_chunks(
-            points.as_slice(),
-            QUANTIZE_CHUNK_ROWS * dims,
-            |_, coords| {
-                let mut grid = SparseGrid::with_capacity(QUANTIZE_CHUNK_ROWS.min(1 << 12));
-                let mut keys = Vec::with_capacity(coords.len() / dims);
-                for p in coords.chunks_exact(dims) {
-                    let key = self.cell_key_f32(&lane, p);
-                    grid.increment(key);
-                    keys.push(key);
-                }
-                (grid, keys)
-            },
-        );
-        let mut grid = SparseGrid::with_capacity(points.len().min(1 << 16));
-        let mut assignment = Vec::with_capacity(points.len());
-        for (shard, keys) in shards {
-            grid.merge(&shard);
-            assignment.extend_from_slice(&keys);
-        }
-        (grid, assignment)
+        count_keys(points, runtime, |p| self.cell_key_f32(&lane, p))
     }
 
-    /// [`quantize`](Self::quantize) fanned out over `runtime`: the view is
-    /// partitioned into fixed row shards, every shard builds its own sparse
-    /// cell-count map plus key slice, and the shards are merged in shard
-    /// order. Cell counts are small integers (exact in `f64`), so the merge
-    /// is bit-identical to the sequential pass for every thread count.
+    /// [`quantize`](Self::quantize) fanned out over `runtime`: the keys are
+    /// computed in parallel straight into the returned vector
+    /// ([`fill_row_keys`]), then counted into the grid in one sequential
+    /// pass. The result is identical for every thread count.
     pub fn quantize_with(
         &self,
         points: PointsView<'_>,
         runtime: Runtime,
     ) -> (SparseGrid, Vec<u128>) {
-        let dims = points.dims();
-        if runtime.is_sequential() || dims == 0 || points.len() <= QUANTIZE_CHUNK_ROWS {
-            let mut grid = SparseGrid::with_capacity(points.len().min(1 << 16));
-            let mut assignment = Vec::with_capacity(points.len());
-            for p in points.rows() {
-                let key = self.cell_key(p);
-                grid.increment(key);
-                assignment.push(key);
-            }
-            return (grid, assignment);
-        }
-        let shards: Vec<(SparseGrid, Vec<u128>)> = runtime.par_chunks(
-            points.as_slice(),
-            QUANTIZE_CHUNK_ROWS * dims,
-            |_, coords| {
-                let mut grid = SparseGrid::with_capacity(QUANTIZE_CHUNK_ROWS.min(1 << 12));
-                let mut keys = Vec::with_capacity(coords.len() / dims);
-                for p in coords.chunks_exact(dims) {
-                    let key = self.cell_key(p);
-                    grid.increment(key);
-                    keys.push(key);
-                }
-                (grid, keys)
-            },
-        );
-        let mut grid = SparseGrid::with_capacity(points.len().min(1 << 16));
-        let mut assignment = Vec::with_capacity(points.len());
-        for (shard, keys) in shards {
-            grid.merge(&shard);
-            assignment.extend_from_slice(&keys);
-        }
-        (grid, assignment)
+        count_keys(points, runtime, |p| self.cell_key(p))
     }
+}
+
+/// Keys first, count once: one key per row, then one hash update per key.
+fn count_keys(
+    points: PointsView<'_>,
+    runtime: Runtime,
+    key: impl Fn(&[f64]) -> u128 + Sync,
+) -> (SparseGrid, Vec<u128>) {
+    let mut keys = vec![0; points.len()];
+    fill_row_keys(points, runtime, &mut keys, key);
+    let mut grid = SparseGrid::with_capacity(points.len().min(1 << 16));
+    for &key in &keys {
+        grid.increment(key);
+    }
+    (grid, keys)
 }
 
 #[cfg(test)]
@@ -418,7 +391,7 @@ mod tests {
 
     #[test]
     fn parallel_quantize_matches_sequential() {
-        // Enough rows to cross the shard size so the parallel path is
+        // Enough rows to cross the chunk size so the parallel path is
         // actually exercised.
         let mut pts = PointMatrix::new(2);
         let mut x = 0.123_f64;
@@ -469,7 +442,7 @@ mod tests {
         assert!(Quantizer::deserialize_from(&mut reader).is_err());
     }
 
-    /// A pseudo-random point cloud large enough to cross the shard size.
+    /// A pseudo-random point cloud large enough to cross the chunk size.
     fn lcg_points(rows: usize) -> PointMatrix {
         let mut pts = PointMatrix::new(2);
         let mut x = 0.123_f64;
@@ -490,6 +463,44 @@ mod tests {
                 q.quantize_f32_with(pts.view(), Runtime::with_threads(threads));
             assert_eq!(grid_seq, grid_par, "threads = {threads}");
             assert_eq!(keys_seq, keys_par, "threads = {threads}");
+        }
+    }
+
+    /// Every key must be its own row's key and the grid a per-row tally.
+    fn assert_keys_match_rows(
+        pts: &PointMatrix,
+        (grid, keys): (SparseGrid, Vec<u128>),
+        key_of: impl Fn(&[f64]) -> u128,
+        context: &str,
+    ) {
+        assert_eq!(keys.len(), pts.len(), "{context}");
+        let mut tally = SparseGrid::new();
+        for (i, (p, &key)) in pts.rows().zip(&keys).enumerate() {
+            assert_eq!(key, key_of(p), "{context}: row {i}");
+            tally.increment(key);
+        }
+        assert_eq!(grid, tally, "{context}");
+    }
+
+    #[test]
+    fn every_key_matches_its_own_row_across_chunk_boundaries() {
+        // A sequential runtime runs the same chunk closure as a parallel
+        // one, so comparing the two cannot catch a wrong chunk offset;
+        // every key is checked against its own row instead.
+        let bounds = BoundingBox::from_bounds(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let q = Quantizer::with_bounds(bounds, &[64, 64]).unwrap();
+        let lane = q.f32_lane();
+        let chunk = QUANTIZE_CHUNK_ROWS;
+        for rows in [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5] {
+            let pts = lcg_points(rows);
+            for threads in [1, 4] {
+                let rt = Runtime::with_threads(threads);
+                let context = format!("{rows} rows, {threads} threads");
+                let f64_lane = q.quantize_with(pts.view(), rt);
+                assert_keys_match_rows(&pts, f64_lane, |p| q.cell_key(p), &context);
+                let f32_lane = q.quantize_f32_with(pts.view(), rt);
+                assert_keys_match_rows(&pts, f32_lane, |p| q.cell_key_f32(&lane, p), &context);
+            }
         }
     }
 

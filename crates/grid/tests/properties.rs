@@ -79,8 +79,8 @@ proptest! {
         threads in 1usize..9,
         tile in 1usize..3,
     ) {
-        // Tile the random rows so some cases cross the parallel shard size
-        // while others stay on the inline path — both must agree with the
+        // Tile the random rows so some cases cross the parallel chunk size
+        // while others fit in one chunk — both must agree with the
         // sequential runtime exactly.
         let mut tiled = PointMatrix::new(2);
         for rep in 0..(tile * 200) {

@@ -9,9 +9,10 @@
 //! [`StreamingAdaWave`] exploits that:
 //!
 //! * [`ingest`](StreamingAdaWave::ingest) quantizes one batch at a time
-//!   into a retained [`SparseGrid`] (plus one cell key per point), fanning
-//!   the per-batch pass out over the configured
-//!   [`Runtime`](adawave_runtime::Runtime) in fixed row shards;
+//!   into a retained [`SparseGrid`] (plus one cell key per point): the
+//!   keys are computed on the configured
+//!   [`Runtime`](adawave_runtime::Runtime) straight into the per-point
+//!   table, then counted into the grid with one hash update per point;
 //! * [`merge`](StreamingAdaWave::merge) combines the accumulators of two
 //!   independently-fed sessions (e.g. shards of a partitioned data set);
 //! * [`refit_model`](StreamingAdaWave::refit_model) re-runs the
@@ -82,17 +83,11 @@ use adawave_api::{compact_remap, FitOutcome, PointsView, Precision};
 use adawave_core::{
     cluster_grid, AdaWave, AdaWaveConfig, AdaWaveError, AdaWaveModel, AdaWaveResult, GridModel,
 };
-use adawave_grid::{BoundingBox, F32Lane, Quantizer, SparseGrid};
+use adawave_grid::{fill_row_keys, BoundingBox, Quantizer, SparseGrid};
 
 pub mod persist;
 
 pub use persist::{load_accumulator, save_accumulator, save_accumulator_atomic, Checkpointer};
-
-/// Rows per parallel ingestion shard. Fixed (never derived from the thread
-/// count) so shard boundaries — and therefore the merged accumulator — are
-/// identical for every [`Runtime`](adawave_runtime::Runtime), matching the
-/// workspace-wide fixed-chunk determinism contract.
-const INGEST_CHUNK_ROWS: usize = 8_192;
 
 /// Errors produced by the streaming layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -269,13 +264,15 @@ impl StreamingAdaWave {
     /// Quantize a batch into the accumulator (Algorithm 2, incrementally).
     ///
     /// The first batch with finite rows freezes the domain if none was
-    /// given. The batch is split into fixed row shards quantized in
-    /// parallel on the configured runtime and merged in shard order, so
-    /// the accumulator is identical for every thread count and every way
-    /// of partitioning the same points into batches. Points outside the
-    /// frozen domain — and non-finite points wherever they appear — are
-    /// recorded as outliers (labelled noise by [`refit`](Self::refit)),
-    /// never clamped.
+    /// given. Every row's cell key (or `None` for an outlier) is computed
+    /// in parallel on the configured runtime straight into its own slot of
+    /// the per-point table, and the new slots are then counted into the
+    /// grid in one sequential pass. A key depends only on its own row and
+    /// counts are small integers, so the accumulator is identical for
+    /// every thread count and every way of partitioning the same points
+    /// into batches. Points outside the frozen domain — and non-finite
+    /// points wherever they appear — are recorded as outliers (labelled
+    /// noise by [`refit`](Self::refit)), never clamped.
     ///
     /// ```
     /// use adawave_api::PointMatrix;
@@ -337,29 +334,30 @@ impl StreamingAdaWave {
         }
         let frozen = self.frozen.as_mut().expect("frozen above");
 
-        let runtime = self.adawave.config().runtime;
         let quantizer = &frozen.quantizer;
         // The configured numeric lane applies to streaming ingestion too:
-        // the f32 lane state is built once per batch, never per point.
+        // the f32 lane state is built once per batch, never per point. The
+        // membership test stays in f64 either way, so the outlier contract
+        // is lane-independent.
         let lane = match self.adawave.config().precision {
             Precision::F64 => None,
             Precision::F32 => Some(quantizer.f32_lane()),
         };
-        let lane = lane.as_ref();
-        let shards: Vec<(SparseGrid, Vec<Option<u128>>, usize)> =
-            if runtime.is_sequential() || batch.len() <= INGEST_CHUNK_ROWS {
-                vec![ingest_shard(quantizer, lane, batch.as_slice(), dims)]
-            } else {
-                runtime.par_chunks(batch.as_slice(), INGEST_CHUNK_ROWS * dims, |_, coords| {
-                    ingest_shard(quantizer, lane, coords, dims)
-                })
-            };
-
+        let start = self.point_cells.len();
+        self.point_cells.resize(start + batch.len(), None);
+        let cells = &mut self.point_cells[start..];
+        fill_row_keys(batch, self.adawave.config().runtime, cells, |p| {
+            quantizer.bounds().contains(p).then(|| match &lane {
+                None => quantizer.cell_key(p),
+                Some(lane) => quantizer.cell_key_f32(lane, p),
+            })
+        });
         let mut outliers = 0;
-        for (shard_grid, cells, shard_outliers) in shards {
-            frozen.grid.merge(&shard_grid);
-            self.point_cells.extend_from_slice(&cells);
-            outliers += shard_outliers;
+        for cell in cells.iter() {
+            match cell {
+                Some(key) => frozen.grid.increment(*key),
+                None => outliers += 1,
+            }
         }
         self.outliers += outliers;
         Ok(IngestReport {
@@ -492,7 +490,7 @@ impl StreamingAdaWave {
             self.adawave.config().precision,
         );
         Ok(FitOutcome {
-            clustering: grid_model.into_result(assignment).to_clustering(),
+            clustering: grid_model.into_result(assignment).into_clustering(),
             model: Box::new(serving),
         })
     }
@@ -537,37 +535,6 @@ pub fn finite_bounds(batch: PointsView<'_>) -> Option<BoundingBox> {
         }
     }
     any_finite.then(|| BoundingBox::from_bounds(min, max))
-}
-
-/// Quantize one shard of rows: per-shard grid, per-point cell keys
-/// (`None` = out of domain) and the outlier count. `lane` selects the
-/// numeric lane: `None` is the bit-exact f64 path, `Some` the opt-in f32
-/// path (the membership test stays in f64 either way, so the outlier
-/// contract is lane-independent).
-fn ingest_shard(
-    quantizer: &Quantizer,
-    lane: Option<&F32Lane>,
-    coords: &[f64],
-    dims: usize,
-) -> (SparseGrid, Vec<Option<u128>>, usize) {
-    let rows = coords.len() / dims;
-    let mut grid = SparseGrid::with_capacity(rows.min(1 << 12));
-    let mut cells = Vec::with_capacity(rows);
-    let mut outliers = 0;
-    for p in coords.chunks_exact(dims) {
-        if quantizer.bounds().contains(p) {
-            let key = match lane {
-                None => quantizer.cell_key(p),
-                Some(lane) => quantizer.cell_key_f32(lane, p),
-            };
-            grid.increment(key);
-            cells.push(Some(key));
-        } else {
-            outliers += 1;
-            cells.push(None);
-        }
-    }
-    (grid, cells, outliers)
 }
 
 #[cfg(test)]
@@ -792,6 +759,37 @@ mod tests {
         assert_eq!(outcome.model.predict(all.view()).unwrap(), refit);
         assert_eq!(outcome.model.predict_one(&[40.0, 40.0]), None);
         assert_eq!(outcome.model.algorithm(), "adawave");
+    }
+
+    #[test]
+    fn every_cell_matches_its_own_row_across_chunk_boundaries() {
+        // Outliers planted at the last row of the first key chunk, the
+        // first row of the second and the last row of the second.
+        let planted = [8191, 8192, 16383];
+        let mut batch = PointMatrix::new(2);
+        let mut x = 0.123_f64;
+        for i in 0..20_000 {
+            x = (x * 97.0 + 0.31).fract();
+            match i {
+                8191 => batch.push_row(&[f64::NAN, x]),
+                8192 => batch.push_row(&[2.0, x]),
+                16383 => batch.push_row(&[x, f64::NEG_INFINITY]),
+                _ => batch.push_row(&[x, (x * 13.0).fract()]),
+            }
+        }
+        let domain = BoundingBox::from_bounds(vec![0.0, 0.0], vec![1.0, 1.0]);
+        for threads in [1, 4] {
+            let config = AdaWaveConfig::builder().scale(64).threads(threads).build();
+            let mut stream = StreamingAdaWave::with_domain(config, domain.clone()).unwrap();
+            stream.ingest(batch.view()).unwrap();
+            assert_eq!(stream.outlier_count(), planted.len(), "threads {threads}");
+            let quantizer = &stream.frozen.as_ref().unwrap().quantizer;
+            assert_eq!(stream.point_cells.len(), batch.len());
+            for (i, (p, cell)) in batch.rows().zip(&stream.point_cells).enumerate() {
+                let expected = (!planted.contains(&i)).then(|| quantizer.cell_key(p));
+                assert_eq!(*cell, expected, "row {i}, threads {threads}");
+            }
+        }
     }
 
     #[test]

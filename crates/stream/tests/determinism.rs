@@ -126,10 +126,10 @@ fn thread_counts_produce_identical_accumulators_and_labels() {
 
 #[test]
 fn batches_beyond_the_shard_size_drive_the_parallel_ingest_path() {
-    // `ingest` only fans out when a batch exceeds its fixed 8192-row shard
-    // size AND the runtime is parallel; feed 20k-row batches so the
-    // `par_chunks` branch actually runs, and pin it against the sequential
-    // path and the one-shot fit.
+    // `ingest` only fans out when a batch spans more than one 8192-row key
+    // chunk AND the runtime is parallel; feed 20k-row batches so several
+    // workers actually run, and pin it against the sequential path and the
+    // one-shot fit.
     let mut points = PointMatrix::new(2);
     let mut state = 7u64;
     for _ in 0..25_000 {

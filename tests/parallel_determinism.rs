@@ -109,7 +109,7 @@ proptest! {
         tile in 1usize..4,
     ) {
         // Tile the random rows (with jitter) so larger cases cross the
-        // parallel shard boundary while small ones stay inline.
+        // parallel chunk boundary while small ones fit in one chunk.
         let mut tiled = PointMatrix::new(points.dims());
         let mut jitter = 0.0;
         for _ in 0..(tile * 120) {
