@@ -202,7 +202,7 @@ members = [
         assert!(crates.iter().any(|c| c.name == "adawave-audit"));
         assert!(crates.iter().any(|c| c.name == "adawave-grid"));
         // vendor stand-ins are excluded from the audit.
-        assert!(!crates.iter().any(|c| c.name == "criterion"));
+        assert!(!crates.iter().any(|c| c.name == "proptest"));
         // Every listed source exists and is a file under the root.
         for c in &crates {
             for s in &c.sources {

@@ -15,32 +15,16 @@
 //! `--smoke` for a seconds-long variant that still runs every parity
 //! assertion — the mode CI drives under multiple thread counts.
 
-use std::time::Instant;
-
 use adawave_api::{Model as _, PointsView, Precision};
 use adawave_baselines::{dbscan, KdTree, NearestTrainingModel};
+use adawave_bench::harness::{best_of, Bench, Row};
 use adawave_core::{AdaWave, AdaWaveConfig};
-use adawave_data::synthetic::synthetic_benchmark;
 use adawave_grid::{BoundingBox, Quantizer};
 use adawave_linalg::{nearest_row, squared_distance};
 use adawave_runtime::Runtime;
 use adawave_wavelet::{dwt1d_lowpass, BoundaryMode, DenseGrid, Wavelet};
 
 const REPEATS: usize = 7;
-
-/// Best-of-`repeats` wall-clock seconds of `f`, with a sink guard so the
-/// optimizer cannot delete the work.
-fn best_of<F: FnMut() -> usize>(repeats: usize, mut f: F) -> f64 {
-    let mut best = f64::MAX;
-    let mut sink = 0usize;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        sink = sink.wrapping_add(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    assert!(sink < usize::MAX);
-    best
-}
 
 /// The pre-optimization scalar Euclidean distance (the deleted local
 /// `euclidean` of `optics.rs` / `metrics::internal`): a generic fold with
@@ -68,29 +52,33 @@ fn scalar_squared(a: &[f64], b: &[f64]) -> f64 {
         .sum::<f64>()
 }
 
-struct Row {
-    kernel: &'static str,
-    reference: &'static str,
+/// One timed kernel against the scalar path it replaced.
+fn kernel_row(
+    kernel: &str,
+    reference: &str,
     ref_seconds: f64,
     new_seconds: f64,
-    parity: &'static str,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.ref_seconds / self.new_seconds
-    }
+    parity: &str,
+) -> Row {
+    Row::new()
+        .text("kernel", kernel)
+        .text("reference", reference)
+        .num("reference_seconds", ref_seconds)
+        .num("optimized_seconds", new_seconds)
+        .num("speedup", ref_seconds / new_seconds)
+        .text("parity", parity)
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (per_cluster, repeats) = if smoke { (250, 2) } else { (5_000, REPEATS) };
-    // 5 clusters x per_cluster points + 75% noise: the same 100k-point
-    // 2-d workload as the other BENCH_*.json files (smaller under --smoke).
-    let ds = synthetic_benchmark(75.0, per_cluster, 42);
-    let points = ds.view();
+    let bench = Bench::from_args("kernels", 5_000);
+    let repeats = bench.pick(REPEATS, 2);
+    let points = bench.points();
     let n = points.len();
-    let mut rows: Vec<Row> = Vec::new();
+    let mut report = bench.report(
+        "each optimized kernel is timed against an embedded copy of the scalar path it replaced, and a parity assertion gates every timed claim: f64 kernels are bit-identical to their references, accelerated neighbor paths are label-identical, and the opt-in f32 lane is deterministic across thread counts with near-total cell agreement",
+        "asserted in-process before timing: each row's parity check, plus full f64 and f32 AdaWave fits identical at 1, 2 and 4 threads",
+        Row::new().int("repeats", repeats).text("timing", "best-of"),
+    );
 
     // ---- kernel 1: farthest-point scan with the root deferred ------------
     // The dunn-index / OPTICS core-distance rewrite: order statistics of
@@ -126,18 +114,24 @@ fn main() {
             );
         }
         let ref_seconds = best_of(repeats, || {
-            queries.iter().map(|&q| reference(q) as usize).sum()
+            queries
+                .iter()
+                .map(|&q| reference(q) as usize)
+                .sum::<usize>()
         });
         let new_seconds = best_of(repeats, || {
-            queries.iter().map(|&q| optimized(q) as usize).sum()
+            queries
+                .iter()
+                .map(|&q| optimized(q) as usize)
+                .sum::<usize>()
         });
-        rows.push(Row {
-            kernel: "distance-scan-sqrt-deferred",
-            reference: "scalar euclidean with sqrt per pair",
+        report.row(kernel_row(
+            "distance-scan-sqrt-deferred",
+            "scalar euclidean with sqrt per pair",
             ref_seconds,
             new_seconds,
-            parity: "bit-identical maxima on 8 query points",
-        });
+            "bit-identical maxima on 8 query points",
+        ));
     }
 
     // ---- kernel 2: k-means assignment argmin ------------------------------
@@ -181,13 +175,13 @@ fn main() {
         );
         let ref_seconds = best_of(repeats, || reference().len());
         let new_seconds = best_of(repeats, || optimized().len());
-        rows.push(Row {
-            kernel: "kmeans-assign-argmin",
-            reference: "scalar per-centroid fold + caller argmin",
+        report.row(kernel_row(
+            "kmeans-assign-argmin",
+            "scalar per-centroid fold + caller argmin",
             ref_seconds,
             new_seconds,
-            parity: "identical assignment over all points (k=16)",
-        });
+            "identical assignment over all points (k=16)",
+        ));
     }
 
     // ---- kernel 3: f32 quantization lane ---------------------------------
@@ -231,13 +225,13 @@ fn main() {
                 .map(|p| quantizer.cell_key_f32(&lane, p) as usize)
                 .fold(0usize, usize::wrapping_add)
         });
-        rows.push(Row {
-            kernel: "quantize-cell-key-f32-lane",
-            reference: "f64 lane (per-coordinate division)",
+        report.row(kernel_row(
+            "quantize-cell-key-f32-lane",
+            "f64 lane (per-coordinate division)",
             ref_seconds,
             new_seconds,
-            parity: "thread-count deterministic; <0.1% boundary cells differ from f64",
-        });
+            "thread-count deterministic; <0.1% boundary cells differ from f64",
+        ));
     }
 
     // ---- kernel 4: radius neighbor queries -------------------------------
@@ -245,7 +239,7 @@ fn main() {
     // the accelerated meanshift/sync/DBSCAN/spectral paths query.
     {
         let radius = 0.02f64;
-        let query_count = if smoke { 64 } else { 512 };
+        let query_count = bench.pick(512, 64);
         let tree = KdTree::build(points);
         let reference = |q: &[f64]| {
             let r2 = radius * radius;
@@ -266,7 +260,7 @@ fn main() {
         let ref_seconds = best_of(repeats, || {
             (0..query_count)
                 .map(|i| reference(points.row(i * (n / query_count))).len())
-                .sum()
+                .sum::<usize>()
         });
         let new_seconds = best_of(repeats, || {
             (0..query_count)
@@ -274,15 +268,15 @@ fn main() {
                     tree.within_radius(points.row(i * (n / query_count)), radius)
                         .len()
                 })
-                .sum()
+                .sum::<usize>()
         });
-        rows.push(Row {
-            kernel: "radius-neighbor-query",
-            reference: "linear scan over all points",
+        report.row(kernel_row(
+            "radius-neighbor-query",
+            "linear scan over all points",
             ref_seconds,
             new_seconds,
-            parity: "identical (sorted) neighbor sets on every query",
-        });
+            "identical (sorted) neighbor sets on every query",
+        ));
     }
 
     // ---- kernel 5: cached kd-index serving -------------------------------
@@ -295,7 +289,7 @@ fn main() {
             .expect("prefix view");
         let clustering = dbscan(training, &adawave_baselines::DbscanConfig::new(0.02, 5));
         let model = NearestTrainingModel::new("dbscan", training, &clustering);
-        let query_count = if smoke { 32 } else { 200 };
+        let query_count = bench.pick(200, 32);
         let queries: Vec<&[f64]> = (0..query_count)
             .map(|i| points.row(n - 1 - i * (n / query_count - 1)))
             .collect();
@@ -322,20 +316,20 @@ fn main() {
                 .filter(|&&q| model.predict_one(q).is_some())
                 .count()
         });
-        rows.push(Row {
-            kernel: "predict-cached-kd-index",
-            reference: "kd-tree rebuilt per query (pre-PR serving path)",
+        report.row(kernel_row(
+            "predict-cached-kd-index",
+            "kd-tree rebuilt per query (pre-PR serving path)",
             ref_seconds,
             new_seconds,
-            parity: "identical labels on every query (10k training rows)",
-        });
+            "identical labels on every query (10k training rows)",
+        ));
     }
 
     // ---- kernel 6: contiguous wavelet lanes ------------------------------
     // The dense transform's innermost axis now hands the 1-D kernel a
     // direct slice instead of gathering each lane through the stride.
     {
-        let side = if smoke { 128 } else { 512 };
+        let side = bench.pick(512, 128);
         let mut grid = DenseGrid::zeros(&[side, side]);
         let mut x = 0.37f64;
         for v in grid.as_mut_slice() {
@@ -376,13 +370,13 @@ fn main() {
         }
         let ref_seconds = best_of(repeats, || reference().len());
         let new_seconds = best_of(repeats, || optimized().len());
-        rows.push(Row {
-            kernel: "wavelet-lowpass-contiguous-lane",
-            reference: "per-lane gather + element-wise scatter",
+        report.row(kernel_row(
+            "wavelet-lowpass-contiguous-lane",
+            "per-lane gather + element-wise scatter",
             ref_seconds,
             new_seconds,
-            parity: "bit-identical coefficients on a 512x512 grid",
-        });
+            "bit-identical coefficients on a 512x512 grid",
+        ));
     }
 
     // ---- end-to-end sanity: the fixed-chunk determinism contract ----------
@@ -413,49 +407,5 @@ fn main() {
         }
     }
 
-    println!(
-        "kernel microbenchmarks on the {n}-point workload (best of {repeats}, smoke={smoke}):"
-    );
-    for r in &rows {
-        println!(
-            "  {:32} {:>9.4}s -> {:>9.4}s  ({:>6.2}x)  [{}]",
-            r.kernel,
-            r.ref_seconds,
-            r.new_seconds,
-            r.speedup(),
-            r.parity,
-        );
-    }
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"workload\": {{ \"points\": {n}, \"dims\": 2, \"noise_percent\": 75.0, \"seed\": 42, \"repeats\": {repeats}, \"timing\": \"best-of\", \"smoke\": {smoke} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"single-core container; every kernel here is timed sequentially, so the ratios transfer but absolute times are host-dependent\" }},\n"
-    ));
-    json.push_str("  \"claim\": \"each optimized kernel is timed against an embedded copy of the scalar path it replaced, and a parity assertion gates every timed claim: f64 kernels are bit-identical to their references, accelerated neighbor paths are label-identical, and the opt-in f32 lane is deterministic across thread counts with near-total cell agreement\",\n");
-    json.push_str("  \"kernels\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"reference\": \"{}\", \"reference_seconds\": {:.6}, \"optimized_seconds\": {:.6}, \"speedup\": {:.3}, \"parity\": \"{}\" }}{}\n",
-            r.kernel,
-            r.reference,
-            r.ref_seconds,
-            r.new_seconds,
-            r.speedup(),
-            r.parity,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if !smoke {
-        std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
-        println!("wrote BENCH_kernels.json (host cores: {host_cpus})");
-    } else {
-        println!("smoke mode: parity assertions passed, BENCH_kernels.json not rewritten");
-    }
+    report.finish();
 }

@@ -5,32 +5,17 @@
 //!
 //! Run with `cargo run --release -p adawave-bench --bin layout_bench`;
 //! writes `BENCH_layout.json` into the current directory and prints the
-//! table. The nested variants reimplement the seed's access pattern (one
-//! heap allocation + one pointer indirection per point) so the comparison
-//! isolates the memory layout, not the algorithm.
-
-use std::time::Instant;
+//! table (`--smoke`: a small workload, nothing written). The nested
+//! variants reimplement the seed's access pattern (one heap allocation +
+//! one pointer indirection per point) so the comparison isolates the
+//! memory layout, not the algorithm.
 
 use adawave_api::PointMatrix;
-use adawave_bench::report::format_table;
-use adawave_data::synthetic::synthetic_benchmark;
+use adawave_bench::harness::{best_of, Bench, Row};
 use adawave_grid::{Quantizer, SparseGrid};
 use adawave_linalg::squared_distance;
 
 const REPEATS: usize = 7;
-
-/// Best-of-`REPEATS` wall-clock seconds of `f`, with a `sink` guard so the
-/// optimizer cannot delete the work.
-fn best_of<F: FnMut() -> f64>(mut f: F) -> (f64, f64) {
-    let mut best = f64::MAX;
-    let mut sink = 0.0;
-    for _ in 0..REPEATS {
-        let start = Instant::now();
-        sink += f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, sink)
-}
 
 /// The seed's nested quantization loop: one pointer chase per point.
 fn quantize_nested(quantizer: &Quantizer, nested: &[Vec<f64>]) -> f64 {
@@ -89,9 +74,9 @@ fn assign_flat(points: &PointMatrix, centroids: &PointMatrix) -> f64 {
 
 fn main() {
     // 5 clusters x 5000 points + 75% noise = 100_000 points.
-    let ds = synthetic_benchmark(75.0, 5_000, 42);
-    assert_eq!(ds.len(), 100_000, "workload size changed");
-    let mut flat = ds.points.clone();
+    let bench = Bench::from_args("layout", 5_000);
+    let repeats = bench.pick(REPEATS, 2);
+    let mut flat = bench.points().to_matrix();
     let mut nested: Vec<Vec<f64>> = flat.to_rows();
 
     // Shuffle both layouts with the same permutation, the way every real
@@ -113,58 +98,42 @@ fn main() {
     let flat_centroids = flat.view().select(&centroid_idx);
     let nested_centroids: Vec<Vec<f64>> = flat_centroids.to_rows();
 
-    let (q_nested, s1) = best_of(|| quantize_nested(&quantizer, &nested));
-    let (q_flat, s2) = best_of(|| quantize_flat(&quantizer, &flat));
-    let (a_nested, s3) = best_of(|| assign_nested(&nested, &nested_centroids));
-    let (a_flat, s4) = best_of(|| assign_flat(&flat, &flat_centroids));
     // Equal work on both layouts, by construction.
-    assert_eq!(s1, s2, "quantization paths disagree");
-    assert_eq!(s3, s4, "assignment paths disagree");
-
-    let rows = [
-        ("quantize_100k", q_nested, q_flat),
-        ("kmeans_assign_100k_k16", a_nested, a_flat),
-    ];
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|(name, nested_s, flat_s)| {
-            vec![
-                name.to_string(),
-                format!("{:.6}", nested_s),
-                format!("{:.6}", flat_s),
-                format!("{:.2}x", nested_s / flat_s),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "kernel",
-                "nested Vec<Vec<f64>> (s)",
-                "flat PointMatrix (s)",
-                "speedup"
-            ],
-            &table,
-        )
+    assert_eq!(
+        quantize_nested(&quantizer, &nested),
+        quantize_flat(&quantizer, &flat),
+        "quantization paths disagree"
+    );
+    assert_eq!(
+        assign_nested(&nested, &nested_centroids),
+        assign_flat(&flat, &flat_centroids),
+        "assignment paths disagree"
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"workload\": {{ \"points\": {}, \"dims\": {}, \"noise_percent\": 75.0, \"seed\": 42, \"repeats\": {}, \"timing\": \"best-of\" }},\n",
-        flat.len(),
-        flat.dims(),
-        REPEATS
-    ));
-    json.push_str("  \"kernels\": {\n");
-    for (i, (name, nested_s, flat_s)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{name}\": {{ \"nested_vec_seconds\": {nested_s:.6}, \"flat_matrix_seconds\": {flat_s:.6}, \"speedup\": {:.3} }}{}\n",
-            nested_s / flat_s,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    let mut report = bench.report(
+        "the flat row-major PointMatrix runs the quantization and k-means assignment kernels faster than the seed's nested Vec<Vec<f64>> layout after a shuffle, with the per-point work unchanged",
+        "asserted in-process before timing: both layouts give the identical grid mass and assignment inertia",
+        Row::new().int("repeats", repeats).text("timing", "best-of"),
+    );
+    for (kernel, nested_seconds, flat_seconds) in [
+        (
+            "quantize",
+            best_of(repeats, || quantize_nested(&quantizer, &nested)),
+            best_of(repeats, || quantize_flat(&quantizer, &flat)),
+        ),
+        (
+            "kmeans_assign_k16",
+            best_of(repeats, || assign_nested(&nested, &nested_centroids)),
+            best_of(repeats, || assign_flat(&flat, &flat_centroids)),
+        ),
+    ] {
+        report.row(
+            Row::new()
+                .text("kernel", kernel)
+                .num("nested_vec_seconds", nested_seconds)
+                .num("flat_matrix_seconds", flat_seconds)
+                .num("speedup", nested_seconds / flat_seconds),
+        );
     }
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_layout.json", &json).expect("write BENCH_layout.json");
-    println!("wrote BENCH_layout.json");
+    report.finish();
 }

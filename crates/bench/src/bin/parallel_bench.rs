@@ -5,16 +5,14 @@
 //!
 //! Run with `cargo run --release -p adawave-bench --bin parallel_bench`;
 //! writes `BENCH_parallel.json` into the current directory and prints the
-//! table. The kernels are the *same code path* at every thread count
-//! (fixed chunk boundaries, in-order merges), so besides the timings the
-//! binary asserts that every parallel result is identical to the
-//! sequential one — the determinism half of the contract is checked in
-//! the same process that produces the performance half.
+//! table (`--smoke`: a small workload, nothing written). The kernels are
+//! the *same code path* at every thread count (fixed chunk boundaries,
+//! in-order merges), so besides the timings the binary asserts that
+//! every parallel result is identical to the sequential one — the
+//! determinism half of the contract is checked in the same process that
+//! produces the performance half.
 
-use std::time::Instant;
-
-use adawave_bench::report::format_table;
-use adawave_data::synthetic::synthetic_benchmark;
+use adawave_bench::harness::{best_of, Bench, Row};
 use adawave_grid::Quantizer;
 use adawave_linalg::squared_distance;
 use adawave_runtime::Runtime;
@@ -24,26 +22,12 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Same fixed chunk the k-means Lloyd kernel uses.
 const ROW_CHUNK: usize = 1_024;
 
-/// Best-of-`REPEATS` wall-clock seconds of `f`, with a sink guard so the
-/// optimizer cannot delete the work.
-fn best_of<F: FnMut() -> f64>(mut f: F) -> (f64, f64) {
-    let mut best = f64::MAX;
-    let mut sink = 0.0;
-    for _ in 0..REPEATS {
-        let start = Instant::now();
-        sink += f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, sink)
-}
-
 fn main() {
     // 5 clusters x 5000 points + 75% noise = 100_000 points (the same
     // workload BENCH_layout.json measures).
-    let ds = synthetic_benchmark(75.0, 5_000, 42);
-    assert_eq!(ds.len(), 100_000, "workload size changed");
-    let points = ds.view();
-    let dims = points.dims();
+    let bench = Bench::from_args("parallel", 5_000);
+    let repeats = bench.pick(REPEATS, 2);
+    let points = bench.points();
 
     let quantizer = Quantizer::fit(points, 128).expect("quantizer fit");
     let k = 16;
@@ -76,10 +60,14 @@ fn main() {
         .expect("non-empty workload")
     };
 
-    let mut quantize_seconds = Vec::new();
-    let mut assign_seconds = Vec::new();
+    let mut report = bench.report(
+        "quantization and the k-means assignment pass run the same fixed-chunk code at every thread count; their speedup over one thread is bounded by the host's available parallelism",
+        "asserted in-process before timing: every thread count produced a bit-identical grid and assignment inertia",
+        Row::new().int("repeats", repeats).text("timing", "best-of"),
+    );
     let baseline_grid = quantizer.quantize_with(points, Runtime::sequential());
     let baseline_inertia = assign_inertia(Runtime::sequential());
+    let mut one_thread = None;
     for &threads in &THREAD_COUNTS {
         let rt = Runtime::with_threads(threads);
         // Determinism check rides along with the timing run.
@@ -90,70 +78,19 @@ fn main() {
             baseline_inertia.to_bits(),
             "assignment inertia changed at {threads} threads"
         );
-        let (q, _) = best_of(|| quantizer.quantize_with(points, rt).0.total_mass());
-        let (a, _) = best_of(|| assign_inertia(rt));
-        quantize_seconds.push(q);
-        assign_seconds.push(a);
+        let q = best_of(repeats, || {
+            quantizer.quantize_with(points, rt).0.total_mass()
+        });
+        let a = best_of(repeats, || assign_inertia(rt));
+        let (q1, a1) = *one_thread.get_or_insert((q, a));
+        report.row(
+            Row::new()
+                .int("threads", threads)
+                .num("quantize_seconds", q)
+                .num("quantize_speedup", q1 / q)
+                .num("kmeans_assign_k16_seconds", a)
+                .num("kmeans_assign_k16_speedup", a1 / a),
+        );
     }
-
-    let rows: Vec<Vec<String>> = THREAD_COUNTS
-        .iter()
-        .enumerate()
-        .map(|(i, &threads)| {
-            vec![
-                threads.to_string(),
-                format!("{:.6}", quantize_seconds[i]),
-                format!("{:.2}x", quantize_seconds[0] / quantize_seconds[i]),
-                format!("{:.6}", assign_seconds[i]),
-                format!("{:.2}x", assign_seconds[0] / assign_seconds[i]),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "threads",
-                "quantize_100k (s)",
-                "speedup",
-                "kmeans_assign_100k_k16 (s)",
-                "speedup"
-            ],
-            &rows,
-        )
-    );
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"workload\": {{ \"points\": {}, \"dims\": {dims}, \"noise_percent\": 75.0, \"seed\": 42, \"repeats\": {REPEATS}, \"timing\": \"best-of\" }},\n",
-        points.len(),
-    ));
-    json.push_str(&format!(
-        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"speedups are bounded by the physical cores of the machine that ran this file; a single-core host cannot show parallel speedup — re-run `cargo run --release -p adawave-bench --bin parallel_bench` on multicore hardware\" }},\n",
-    ));
-    json.push_str("  \"determinism\": \"asserted in-process: every thread count produced bit-identical grids and inertia\",\n");
-    json.push_str("  \"kernels\": {\n");
-    for (name, seconds) in [
-        ("quantize_100k", &quantize_seconds),
-        ("kmeans_assign_100k_k16", &assign_seconds),
-    ] {
-        json.push_str(&format!("    \"{name}\": {{ "));
-        for (i, &threads) in THREAD_COUNTS.iter().enumerate() {
-            json.push_str(&format!(
-                "\"threads_{threads}_seconds\": {:.6}, ",
-                seconds[i]
-            ));
-        }
-        json.push_str(&format!(
-            "\"speedup_at_4_threads\": {:.3} }}{}\n",
-            seconds[0] / seconds[2],
-            if name == "quantize_100k" { "," } else { "" }
-        ));
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
-    println!("wrote BENCH_parallel.json (host cores: {host_cpus})");
+    report.finish();
 }

@@ -21,43 +21,26 @@
 use std::time::Instant;
 
 use adawave::{standard_registry, AlgorithmSpec, Model};
-use adawave_bench::report::format_table;
-use adawave_data::synthetic::synthetic_benchmark;
+use adawave_bench::harness::{best_of, Bench, Row};
 
 const REPEATS: usize = 7;
 
-/// Best-of-`repeats` wall-clock seconds of `f`, with a sink guard so the
-/// optimizer cannot delete the work.
-fn best_of<F: FnMut() -> usize>(repeats: usize, mut f: F) -> f64 {
-    let mut best = f64::MAX;
-    let mut sink = 0usize;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        sink = sink.wrapping_add(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    assert!(sink < usize::MAX);
-    best
-}
-
-struct Row {
-    algorithm: &'static str,
-    rule: &'static str,
-    fit_seconds: f64,
-    batch_seconds: f64,
-    batch_points_per_second: f64,
-    single_point_nanos: f64,
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (per_cluster, repeats) = if smoke { (250, 2) } else { (5_000, REPEATS) };
-    // 5 clusters x per_cluster points + 75% noise (100_000 points in the
-    // full run — the workload of the other BENCH_*.json files).
-    let ds = synthetic_benchmark(75.0, per_cluster, 42);
-    let points = ds.view();
+    // 5 clusters x 5000 points + 75% noise (100_000 points in the full
+    // run — the workload of the other BENCH_*.json files).
+    let bench = Bench::from_args("predict", 5_000);
+    let repeats = bench.pick(REPEATS, 2);
+    let points = bench.points();
     let n = points.len();
     let single_queries = n.min(20_000);
+    let mut report = bench.report(
+        "the fit/predict split serves out-of-sample points without refitting: AdaWave predicts by grid-cell hash lookup (cost independent of n), kmeans by a k-row centroid scan",
+        "asserted in-process before timing: each model's predict reproduces its training labels exactly",
+        Row::new()
+            .int("single_point_queries", single_queries)
+            .int("repeats", repeats)
+            .text("timing", "best-of"),
+    );
 
     let registry = standard_registry();
     let specs = [
@@ -73,7 +56,6 @@ fn main() {
         ),
     ];
 
-    let mut rows: Vec<Row> = Vec::new();
     for (algorithm, rule, spec) in specs {
         let fit_start = Instant::now();
         let outcome = registry.fit_model(&spec, points).expect(algorithm);
@@ -99,70 +81,18 @@ fn main() {
             }
             assigned
         });
-        rows.push(Row {
-            algorithm,
-            rule,
-            fit_seconds,
-            batch_seconds,
-            batch_points_per_second: n as f64 / batch_seconds,
-            single_point_nanos: single_seconds * 1e9 / single_queries as f64,
-        });
+        report.row(
+            Row::new()
+                .text("algorithm", algorithm)
+                .text("serving_rule", rule)
+                .num("fit_seconds", fit_seconds)
+                .num("batch_predict_seconds", batch_seconds)
+                .num("batch_points_per_second", n as f64 / batch_seconds)
+                .num(
+                    "single_point_latency_nanos",
+                    single_seconds * 1e9 / single_queries as f64,
+                ),
+        );
     }
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algorithm.to_string(),
-                r.rule.to_string(),
-                format!("{:.3}", r.fit_seconds),
-                format!("{:.3}", r.batch_seconds),
-                format!("{:.0}", r.batch_points_per_second),
-                format!("{:.0}", r.single_point_nanos),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "model",
-                "serving rule",
-                "fit (s)",
-                "batch predict (s)",
-                "points/s",
-                "predict_one (ns)"
-            ],
-            &table,
-        )
-    );
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"workload\": {{ \"points\": {n}, \"dims\": {}, \"noise_percent\": 75.0, \"seed\": 42, \"single_point_queries\": {single_queries}, \"repeats\": {repeats}, \"timing\": \"best-of\", \"smoke\": {smoke} }},\n",
-        points.dims(),
-    ));
-    json.push_str(&format!(
-        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"same single-core container caveat as the other BENCH_*.json files; prediction itself is sequential, so these numbers are thread-count independent\" }},\n",
-    ));
-    json.push_str("  \"claim\": \"the fit/predict split serves out-of-sample points without refitting: AdaWave predicts by grid-cell hash lookup (cost independent of n), kmeans by a k-row centroid scan; both models reproduce their training labels exactly (asserted in-process before timing)\",\n");
-    json.push_str("  \"models\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"algorithm\": \"{}\", \"serving_rule\": \"{}\", \"fit_seconds\": {:.6}, \"batch_predict_seconds\": {:.6}, \"batch_points_per_second\": {:.0}, \"single_point_latency_nanos\": {:.0} }}{}\n",
-            r.algorithm,
-            r.rule,
-            r.fit_seconds,
-            r.batch_seconds,
-            r.batch_points_per_second,
-            r.single_point_nanos,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_predict.json", &json).expect("write BENCH_predict.json");
-    println!("wrote BENCH_predict.json (host cores: {host_cpus})");
+    report.finish();
 }

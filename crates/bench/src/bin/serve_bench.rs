@@ -11,9 +11,9 @@
 //!   the full HTTP + parse + predict + render path.
 //!
 //! Label parity against the in-process model is asserted before timing.
-//! The container caveat is sharper here than for the other benches: with
-//! one core, clients and server workers share it, so concurrency measures
-//! protocol overhead and scheduling, not parallel speedup.
+//! Clients and server workers share the host's cores, so on a host with
+//! fewer cores than clients plus workers, concurrency measures protocol
+//! overhead and scheduling, not parallel speedup.
 //!
 //! Run with `cargo run --release -p adawave-bench --bin serve_bench`
 //! (writes `BENCH_serve.json` into the current directory); pass `--smoke`
@@ -22,42 +22,26 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use adawave::serve::json::Json;
 use adawave::serve::Client;
 use adawave::{
     model_loader, save_model, standard_registry, AlgorithmSpec, ModelStore, ServeConfig, Server,
 };
-use adawave_bench::report::format_table;
-use adawave_data::synthetic::synthetic_benchmark;
-
-struct Row {
-    algorithm: &'static str,
-    clients: usize,
-    single_requests: usize,
-    single_per_second: f64,
-    single_p50_micros: f64,
-    single_p99_micros: f64,
-    batch_rows: usize,
-    batch_points_per_second: f64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[rank]
-}
+use adawave_bench::harness::{percentile, Bench, Row};
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (per_cluster, singles_per_client, batch_requests) = if smoke {
-        (250, 100, 2)
-    } else {
-        (2_000, 1_500, 12)
-    };
-    let ds = synthetic_benchmark(75.0, per_cluster, 42);
-    let points = ds.view();
+    let bench = Bench::from_args("serve", 2_000);
+    let singles_per_client = bench.pick(1_500, 100);
+    let batch_requests = bench.pick(12, 2);
+    let points = bench.points();
     let n = points.len();
+    let mut report = bench.report(
+        "the serve daemon turns the in-process predict kernel into a measurable network service: keep-alive HTTP/1.1, worker pool, per-request latency percentiles, and batch label parity with the offline CLI",
+        "asserted in-process before timing: each model's served batch labels equal its in-process predict",
+        Row::new()
+            .int("singles_per_client", singles_per_client)
+            .int("batch_requests", batch_requests),
+    );
 
     // Train, persist, and keep the in-process models for the parity gate.
     let registry = standard_registry();
@@ -110,7 +94,6 @@ fn main() {
         })
         .collect();
 
-    let mut rows: Vec<Row> = Vec::new();
     for (algorithm, _, model) in &served {
         // Parity gate: the served answer must be byte-equivalent to the
         // in-process labels before any number counts.
@@ -149,7 +132,11 @@ fn main() {
                             let mut latencies = Vec::with_capacity(singles_per_client);
                             for i in 0..singles_per_client {
                                 let row = points.row((c * singles_per_client + i) % n);
-                                let body = format!("{{\"point\": [{}, {}]}}", row[0], row[1]);
+                                let body = Json::Object(vec![(
+                                    "point".to_string(),
+                                    Json::Array(row.iter().map(|&v| Json::Number(v)).collect()),
+                                )])
+                                .render();
                                 let start = Instant::now();
                                 let response = client
                                     .post(
@@ -191,16 +178,23 @@ fn main() {
             }
             let batch_seconds = batch_wall.elapsed().as_secs_f64();
 
-            rows.push(Row {
-                algorithm,
-                clients,
-                single_requests: total_requests,
-                single_per_second: total_requests as f64 / wall_seconds,
-                single_p50_micros: percentile(&latencies, 0.50) * 1e6,
-                single_p99_micros: percentile(&latencies, 0.99) * 1e6,
-                batch_rows: n,
-                batch_points_per_second: (n * batch_requests) as f64 / batch_seconds,
-            });
+            report.row(
+                Row::new()
+                    .text("algorithm", algorithm)
+                    .int("clients", clients)
+                    .int("single_requests", total_requests)
+                    .num(
+                        "single_requests_per_second",
+                        total_requests as f64 / wall_seconds,
+                    )
+                    .num("single_p50_micros", percentile(&latencies, 0.50) * 1e6)
+                    .num("single_p99_micros", percentile(&latencies, 0.99) * 1e6)
+                    .int("batch_rows_per_request", n)
+                    .num(
+                        "batch_points_per_second",
+                        (n * batch_requests) as f64 / batch_seconds,
+                    ),
+            );
         }
     }
 
@@ -210,62 +204,5 @@ fn main() {
         std::fs::remove_file(path).ok();
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algorithm.to_string(),
-                r.clients.to_string(),
-                format!("{:.0}", r.single_per_second),
-                format!("{:.0}", r.single_p50_micros),
-                format!("{:.0}", r.single_p99_micros),
-                format!("{:.0}", r.batch_points_per_second),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "model",
-                "clients",
-                "single req/s",
-                "p50 (us)",
-                "p99 (us)",
-                "batch points/s"
-            ],
-            &table,
-        )
-    );
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"workload\": {{ \"points\": {n}, \"dims\": {}, \"noise_percent\": 75.0, \"seed\": 42, \"singles_per_client\": {singles_per_client}, \"batch_requests\": {batch_requests}, \"smoke\": {smoke} }},\n",
-        points.dims(),
-    ));
-    json.push_str(&format!(
-        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"single-core container: HTTP clients and serve workers share the core, so concurrent-client numbers measure protocol+scheduling overhead, not parallel speedup; served labels are asserted identical to in-process predict before timing\" }},\n",
-    ));
-    json.push_str("  \"claim\": \"the serve daemon turns the in-process predict kernel into a measurable network service: keep-alive HTTP/1.1, worker pool, per-request latency percentiles, and batch label parity with the offline CLI\",\n");
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"algorithm\": \"{}\", \"clients\": {}, \"single_requests\": {}, \"single_requests_per_second\": {:.0}, \"single_p50_micros\": {:.1}, \"single_p99_micros\": {:.1}, \"batch_rows_per_request\": {}, \"batch_points_per_second\": {:.0} }}{}\n",
-            r.algorithm,
-            r.clients,
-            r.single_requests,
-            r.single_per_second,
-            r.single_p50_micros,
-            r.single_p99_micros,
-            r.batch_rows,
-            r.batch_points_per_second,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json (host cores: {host_cpus})");
+    report.finish();
 }

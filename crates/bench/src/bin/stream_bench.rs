@@ -23,52 +23,35 @@
 //! `--smoke` for the seconds-long CI variant that exercises the same
 //! code paths on a small workload.
 
-use std::time::Instant;
-
 use adawave_api::PointsView;
-use adawave_bench::report::format_table;
+use adawave_bench::harness::{best_of, Bench, Row};
 use adawave_core::{AdaWave, AdaWaveConfig};
-use adawave_data::synthetic::synthetic_benchmark;
 use adawave_grid::BoundingBox;
 use adawave_stream::StreamingAdaWave;
 
 const SIZES: usize = 10;
 const BATCH_ROWS: usize = 8_192;
 
-/// Best-of-`repeats` wall-clock seconds of `f`, with a sink guard so the
-/// optimizer cannot delete the work.
-fn best_of<F: FnMut() -> f64>(repeats: usize, mut f: F) -> f64 {
-    let mut best = f64::MAX;
-    let mut sink = 0.0;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        sink += f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    assert!(sink.is_finite());
-    best
-}
-
-struct Row {
-    n: usize,
-    m: usize,
-    refit_model_seconds: f64,
-    refit_seconds: f64,
-    full_fit_seconds: f64,
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (per_cluster, repeats) = if smoke { (250, 2) } else { (5_000, 5) };
-    // 5 clusters x per_cluster points + 75% noise (100_000 points in the
-    // full run — the workload of BENCH_layout.json / BENCH_parallel.json).
-    let ds = synthetic_benchmark(75.0, per_cluster, 42);
-    let points = ds.view();
+    // 5 clusters x 5000 points + 75% noise (100_000 points in the full
+    // run — the workload of BENCH_layout.json / BENCH_parallel.json).
+    let bench = Bench::from_args("stream", 5_000);
+    let repeats = bench.pick(5, 2);
+    let points = bench.points();
     let dims = points.dims();
     let total = points.len();
     let config = AdaWaveConfig::default();
+    let mut report = bench.report(
+        "refit_model re-runs transform->threshold->components on the accumulated grid: its cost tracks the occupied cells m (which saturates on a bounded domain), not the total ingested points n; the full fit must re-quantize all n points. refit additionally pays an O(n) per-point label lookup. Growth columns are relative to the first size.",
+        "asserted in-process at every size: refit() labels, stats and density curve are identical to AdaWave::fit on the same prefix and domain",
+        Row::new()
+            .int("scale", config.scale as usize)
+            .int("batch_rows", BATCH_ROWS)
+            .int("repeats", repeats)
+            .text("timing", "best-of"),
+    );
 
-    let mut rows: Vec<Row> = Vec::with_capacity(SIZES);
+    let mut first = None;
     for step in 1..=SIZES {
         let n = total * step / SIZES;
         let prefix = PointsView::from_flat(&points.as_slice()[..n * dims], dims).unwrap();
@@ -99,84 +82,21 @@ fn main() {
             best_of(repeats, || stream.refit_model().unwrap().stats().threshold);
         let refit_seconds = best_of(repeats, || stream.refit().unwrap().noise_fraction());
         let full_fit_seconds = best_of(repeats, || adawave.fit(prefix).unwrap().noise_fraction());
-        rows.push(Row {
-            n,
-            m: stream.occupied_cells(),
-            refit_model_seconds,
-            refit_seconds,
-            full_fit_seconds,
-        });
+        let m = stream.occupied_cells();
+        let (n0, m0, refit0, fit0) =
+            *first.get_or_insert((n, m, refit_model_seconds, full_fit_seconds));
+        report.row(
+            Row::new()
+                .int("n", n)
+                .int("occupied_cells_m", m)
+                .num("refit_model_seconds", refit_model_seconds)
+                .num("refit_with_labels_seconds", refit_seconds)
+                .num("full_fit_seconds", full_fit_seconds)
+                .num("n_growth", n as f64 / n0 as f64)
+                .num("m_growth", m as f64 / m0 as f64)
+                .num("refit_model_growth", refit_model_seconds / refit0)
+                .num("full_fit_growth", full_fit_seconds / fit0),
+        );
     }
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.n.to_string(),
-                r.m.to_string(),
-                format!("{:.6}", r.refit_model_seconds),
-                format!("{:.6}", r.refit_seconds),
-                format!("{:.6}", r.full_fit_seconds),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "points n",
-                "occupied cells m",
-                "refit_model (s)",
-                "refit+labels (s)",
-                "full fit (s)"
-            ],
-            &table,
-        )
-    );
-    let first = &rows[0];
-    let last = &rows[rows.len() - 1];
-    println!(
-        "n grew {:.1}x, m grew {:.1}x; refit_model grew {:.1}x, full fit grew {:.1}x",
-        last.n as f64 / first.n as f64,
-        last.m as f64 / first.m as f64,
-        last.refit_model_seconds / first.refit_model_seconds,
-        last.full_fit_seconds / first.full_fit_seconds,
-    );
-
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"workload\": {{ \"points\": {total}, \"dims\": {dims}, \"noise_percent\": 75.0, \"seed\": 42, \"scale\": {}, \"batch_rows\": {BATCH_ROWS}, \"repeats\": {repeats}, \"timing\": \"best-of\", \"smoke\": {smoke} }},\n",
-        config.scale,
-    ));
-    json.push_str(&format!(
-        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"same single-core container caveat as BENCH_parallel.json: ingest parallelism cannot show speedup on a one-core host; the refit-vs-fit scaling below is thread-count independent\" }},\n",
-    ));
-    json.push_str("  \"claim\": \"refit_model re-runs transform->threshold->components on the accumulated grid: its cost tracks the occupied cells m (which saturates on a bounded domain), not the total ingested points n; the full fit must re-quantize all n points. refit additionally pays an O(n) per-point label lookup.\",\n");
-    json.push_str("  \"determinism\": \"asserted in-process at every size: refit() labels, stats and density curve are identical to AdaWave::fit on the same prefix and domain\",\n");
-    json.push_str("  \"sizes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"n\": {}, \"occupied_cells_m\": {}, \"refit_model_seconds\": {:.6}, \"refit_with_labels_seconds\": {:.6}, \"full_fit_seconds\": {:.6} }}{}\n",
-            r.n,
-            r.m,
-            r.refit_model_seconds,
-            r.refit_seconds,
-            r.full_fit_seconds,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"scaling_first_to_last\": {{ \"n_growth\": {:.2}, \"m_growth\": {:.2}, \"refit_model_growth\": {:.2}, \"full_fit_growth\": {:.2} }}\n",
-        last.n as f64 / first.n as f64,
-        last.m as f64 / first.m as f64,
-        last.refit_model_seconds / first.refit_model_seconds,
-        last.full_fit_seconds / first.full_fit_seconds,
-    ));
-    json.push_str("}\n");
-    std::fs::write("BENCH_stream.json", &json).expect("write BENCH_stream.json");
-    println!("wrote BENCH_stream.json (host cores: {host_cpus})");
+    report.finish();
 }

@@ -1,6 +1,6 @@
 //! One experiment function per table and figure of the paper's evaluation
-//! section (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-//! for measured-vs-paper numbers).
+//! section. The `experiments` binary runs each one as a subcommand:
+//! `fig2`, `fig5`–`fig10`, `table1`, `table2`, `ablation`, or `all`.
 
 use std::time::Instant;
 

@@ -3,13 +3,15 @@
 //! Experiment harness for the AdaWave reproduction: a uniform way to run
 //! every algorithm on every dataset of the paper, plus one experiment
 //! function per table and figure of the evaluation section. The
-//! `experiments` binary prints the same rows/series the paper reports;
-//! the Criterion benches in `benches/` measure the runtime-oriented
-//! figures.
+//! `experiments` binary prints the same rows/series the paper reports,
+//! runtime figures (`experiments fig10`) included.
 //!
-//! The `layout_bench` and `parallel_bench` binaries additionally measure
-//! the data-layout and multi-threading speedups of the hot kernels,
-//! writing `BENCH_layout.json` / `BENCH_parallel.json`.
+//! The seven `*_bench` binaries (`kernel`, `layout`, `parallel`,
+//! `predict`, `serve`, `shard`, `stream`) measure the hot kernels and
+//! serving paths behind in-process parity assertions. They share the
+//! [`harness`]: one `--smoke` switch, one workload, one best-of timer,
+//! and one report that prints a table and writes `BENCH_<name>.json`
+//! in a single schema.
 //!
 //! ```
 //! use adawave_bench::report::format_table;
@@ -34,6 +36,7 @@
 
 pub mod algorithms;
 pub mod experiments;
+pub mod harness;
 pub mod report;
 
 pub use algorithms::{run_algorithm, AlgoOutcome, Algorithm};

@@ -803,6 +803,30 @@ fn point_rows(points: &PointMatrix, lo: usize, hi: usize) -> PointsView<'_> {
         .expect("row-aligned slice of a valid matrix")
 }
 
+/// One streaming pass over a CSV file: the union of its per-batch
+/// finite-row boxes and its row count. Rows with a non-finite value stay
+/// outliers of the later ingest pass instead of making this pass fatal;
+/// a file without a single finite row is an error.
+fn prescan_domain(path: &Path, batch_rows: usize) -> CliResult<(BoundingBox, usize)> {
+    let read_err = |e: csv::CsvError| CliError::Message(format!("reading {}: {e}", path.display()));
+    let mut domain: Option<BoundingBox> = None;
+    let mut rows = 0usize;
+    for batch in CsvBatches::open(path, batch_rows).map_err(read_err)? {
+        let batch = batch.map_err(read_err)?;
+        rows += batch.points.len();
+        if let Some(bounds) = adawave_stream::finite_bounds(batch.view()) {
+            domain = Some(match domain {
+                Some(d) => d.union(&bounds),
+                None => bounds,
+            });
+        }
+    }
+    let domain = domain.ok_or_else(|| {
+        CliError::Message(format!("{} holds no finite data points", path.display()))
+    })?;
+    Ok((domain, rows))
+}
+
 /// Stream a CSV file through [`StreamingAdaWave`] in batches of
 /// `batch_rows` points. With `prescan`, a first streaming pass computes
 /// the exact bounding box of the whole file (batch-box unions — still one
@@ -859,22 +883,7 @@ pub fn run_stream_checkpointed(
     let mut stream = match resume {
         Some(restored) => restored,
         None if prescan => {
-            // Union of per-batch finite-row boxes — the same outlier
-            // semantics as the ingest pass, so rows with non-finite values
-            // stay outliers instead of turning the prescan fatal.
-            let mut domain: Option<BoundingBox> = None;
-            for batch in CsvBatches::open(path, batch_rows).map_err(read_err)? {
-                let batch = batch.map_err(read_err)?;
-                if let Some(bounds) = adawave_stream::finite_bounds(batch.view()) {
-                    domain = Some(match domain {
-                        Some(d) => d.union(&bounds),
-                        None => bounds,
-                    });
-                }
-            }
-            let domain = domain.ok_or_else(|| {
-                CliError::Message(format!("{} holds no finite data points", path.display()))
-            })?;
+            let (domain, _) = prescan_domain(path, batch_rows)?;
             StreamingAdaWave::with_domain(config, domain).map_err(stream_err)?
         }
         None => StreamingAdaWave::new(config),
@@ -1071,20 +1080,7 @@ fn shard_ingest(args: &ParsedArgs) -> CliResult<String> {
 
     // Pass 1: the exact domain and row count of the whole file — identical
     // for every shard, whichever slice it goes on to ingest.
-    let mut domain: Option<BoundingBox> = None;
-    let mut total = 0usize;
-    for batch in CsvBatches::open(path, batch_rows).map_err(read_err)? {
-        let batch = batch.map_err(read_err)?;
-        total += batch.points.len();
-        if let Some(bounds) = adawave_stream::finite_bounds(batch.view()) {
-            domain = Some(match domain {
-                Some(d) => d.union(&bounds),
-                None => bounds,
-            });
-        }
-    }
-    let domain =
-        domain.ok_or_else(|| CliError::Message(format!("{input} holds no finite data points")))?;
+    let (domain, total) = prescan_domain(path, batch_rows)?;
     let (lo, hi) = (total * (index - 1) / count, total * index / count);
 
     // Pass 2: ingest only this shard's contiguous row slice.
@@ -2451,6 +2447,34 @@ mod tests {
         let err = dispatch(&ParsedArgs::parse(["frobnicate"]).unwrap()).unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(!err.to_string().contains("did you mean"), "{err}");
+    }
+
+    #[test]
+    fn prescans_reject_a_file_without_finite_points() {
+        let data = std::env::temp_dir().join("adawave_cli_prescan_all_nan.csv");
+        std::fs::write(&data, "nan,nan,0\nnan,nan,1\n").unwrap();
+        let path = data.to_str().unwrap();
+        let acc = std::env::temp_dir().join("adawave_cli_prescan_all_nan.awa");
+        for argv in [
+            vec!["stream", "--input", path, "--prescan"],
+            vec![
+                "shard-ingest",
+                "--input",
+                path,
+                "--shard",
+                "1/1",
+                "--out",
+                acc.to_str().unwrap(),
+            ],
+        ] {
+            let err = dispatch(&ParsedArgs::parse(argv.clone()).unwrap()).unwrap_err();
+            assert_eq!(err.exit_code(), 1, "{argv:?}");
+            assert_eq!(
+                err.to_string(),
+                format!("{path} holds no finite data points"),
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]
