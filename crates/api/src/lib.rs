@@ -126,7 +126,7 @@ pub use model::{compact_remap, validate_predict_input, FitOutcome, Model, Predic
 pub use params::{AlgorithmSpec, Params, Precision};
 pub use points::{PointMatrix, PointsView, Rows};
 pub use registry::{AlgorithmEntry, AlgorithmRegistry, ParamSpec};
-pub use render::{render_labels, LabelFormat};
+pub use render::{push_decimal, render_labels, LabelFormat};
 pub use scan::{scan_row, BadField};
 
 /// Convenience alias for results in this API.

@@ -67,8 +67,15 @@ where
 }
 
 /// Append `value` in decimal: what `value.to_string()` writes, without
-/// the allocation.
-fn push_decimal(out: &mut String, mut value: usize) {
+/// the allocation. The one label-digit writer behind [`render_labels`] and
+/// the CLI's default labels file.
+///
+/// ```
+/// let mut out = String::from("id ");
+/// adawave_api::push_decimal(&mut out, 4096);
+/// assert_eq!(out, "id 4096");
+/// ```
+pub fn push_decimal(out: &mut String, mut value: usize) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
     loop {

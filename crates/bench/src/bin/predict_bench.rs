@@ -9,9 +9,11 @@
 //! * **single-point latency** — `Model::predict_one` per call, the number
 //!   a request-per-query service sees.
 //!
-//! AdaWave serves by grid-cell hash lookup (O(1) per point, independent
-//! of n and of the cluster count); k-means scans its k centroids per
-//! point. Label parity of `predict` against the training fit is asserted
+//! AdaWave serves by one grid-cell table probe per point: the transformed
+//! cell key (12 bits on this workload) indexes a flat array, and keys
+//! wider than 22 bits would be hashed (O(1) per point either way,
+//! independent of n and of the cluster count); k-means scans its k
+//! centroids per point. Label parity of `predict` against the training fit is asserted
 //! in-process before anything is timed.
 //!
 //! Run with `cargo run --release -p adawave-bench --bin predict_bench`
@@ -34,7 +36,7 @@ fn main() {
     let n = points.len();
     let single_queries = n.min(20_000);
     let mut report = bench.report(
-        "the fit/predict split serves out-of-sample points without refitting: AdaWave predicts by grid-cell hash lookup (cost independent of n), kmeans by a k-row centroid scan",
+        "the fit/predict split serves out-of-sample points without refitting: AdaWave predicts by one grid-cell table probe (a flat-array index for its 12-bit cell keys; keys over 22 bits are hashed), cost independent of n, kmeans by a k-row centroid scan",
         "asserted in-process before timing: each model's predict reproduces its training labels exactly",
         Row::new()
             .int("single_point_queries", single_queries)
@@ -46,7 +48,7 @@ fn main() {
     let specs = [
         (
             "adawave",
-            "grid-cell hash lookup",
+            "grid-cell table probe (flat array)",
             AlgorithmSpec::new("adawave"),
         ),
         (

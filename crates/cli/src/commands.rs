@@ -499,16 +499,18 @@ fn emit_labels(args: &ParsedArgs, labels: &[usize], report: String) -> CliResult
 }
 
 /// Render the predicted labels as the text of a labels file: one label per
-/// line, with the literal word `noise` for noise points.
+/// line, with the literal word `noise` for noise points. The digits go
+/// straight into the buffer through [`adawave_api::push_decimal`], the
+/// writer `--output csv` uses, with no `String` per label.
 pub fn labels_to_text(labels: &[usize]) -> String {
     let mut text = String::with_capacity(labels.len() * 4);
     for &l in labels {
         if l == NOISE_LABEL {
-            text.push_str("noise\n");
+            text.push_str("noise");
         } else {
-            text.push_str(&l.to_string());
-            text.push('\n');
+            adawave_api::push_decimal(&mut text, l);
         }
+        text.push('\n');
     }
     text
 }
@@ -2060,6 +2062,20 @@ mod tests {
         let labels = vec![0, 2, NOISE_LABEL, 1];
         let text = labels_to_text(&labels);
         assert_eq!(labels_from_text(&text).unwrap(), labels);
+        // Byte for byte what the per-label `to_string` writer produced, on
+        // multi-digit ids and noise.
+        let to_string_text = |labels: &[usize]| -> String {
+            labels
+                .iter()
+                .map(|&l| match l {
+                    NOISE_LABEL => "noise\n".to_string(),
+                    l => format!("{l}\n"),
+                })
+                .collect()
+        };
+        let wide = [10, 99, 100, 12_345, NOISE_LABEL, 0, 7, usize::MAX - 1];
+        assert_eq!(labels_to_text(&wide), to_string_text(&wide));
+        assert_eq!(labels_to_text(&[]), "");
         // -1 is accepted as noise too.
         assert_eq!(
             labels_from_text("0\n-1\n3\n").unwrap(),

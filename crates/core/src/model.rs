@@ -6,12 +6,14 @@
 //! built by one fit therefore serves arbitrarily many predictions. This is
 //! the [`adawave_api::Model`] the paper's pipeline naturally produces: the
 //! clustered grid is the trained artifact, the per-point labeling step is
-//! a hash lookup.
-
-use std::collections::HashMap;
+//! one [`CellTable`] probe: an array load when the transformed codec's
+//! keys are at most [`CellTable::DENSE_KEY_BITS`] wide, a hash lookup
+//! beyond. A model file's cell keys are checked against the transformed
+//! codec, and its cluster ids against its cluster count, before they enter
+//! the table.
 
 use adawave_api::{compact_remap, f64_to_hex, Model, PayloadReader, Precision};
-use adawave_grid::{BoundingBox, F32Lane, KeyCodec, Quantizer};
+use adawave_grid::{BoundingBox, CellTable, F32Lane, KeyCodec, Quantizer};
 
 use crate::adawave::GridModel;
 
@@ -47,8 +49,9 @@ pub struct AdaWaveModel {
     quantizer: Quantizer,
     levels: u32,
     down_codec: KeyCodec,
-    /// Transformed-space cell key → cluster id (training numbering).
-    cells: HashMap<u128, usize>,
+    /// Transformed-space cell key → cluster id (training numbering),
+    /// over `down_codec`.
+    cells: CellTable,
     cluster_count: usize,
     /// Numeric lane the model was fitted with; predictions quantize
     /// through the same lane so serving matches training cell for cell.
@@ -71,11 +74,11 @@ impl AdaWaveModel {
         remap: &[usize],
         precision: Precision,
     ) -> Self {
-        let cells = grid_model
-            .labels()
-            .iter()
-            .map(|(key, id)| (key, remap.get(id).copied().unwrap_or(id)))
-            .collect();
+        let labels = grid_model.labels();
+        let mut cells = CellTable::with_capacity(grid_model.codec(), labels.labeled_cells());
+        for (key, id) in labels.iter() {
+            cells.insert(key, remap.get(id).copied().unwrap_or(id));
+        }
         let lane = lane_for(&quantizer, precision);
         Self {
             quantizer,
@@ -110,18 +113,32 @@ impl AdaWaveModel {
 
     /// Reconstruct a model from its [`serialize`](Model::serialize)
     /// payload (header already stripped by the persistence layer).
+    ///
+    /// The payload is untrusted: the `cells` count only bounds how much is
+    /// pre-allocated (a count the payload cannot back fails as truncated),
+    /// every cell key must be a key of the transformed codec and every
+    /// cluster id must lie below the `clusters` count, which cannot exceed
+    /// the transformed grid's cells. So nothing read from a file can index
+    /// past the model's cell table or overflow one of its slots.
     pub fn deserialize(payload: &str) -> Result<Self, String> {
         let mut reader = PayloadReader::new(payload);
         let dims: usize = reader.scalar("dims")?;
         let intervals: Vec<u32> = reader.list("intervals", dims)?;
         let down_intervals: Vec<u32> = reader.list("down-intervals", dims)?;
+        let down_codec =
+            KeyCodec::new(&down_intervals).map_err(|e| format!("bad down codec: {e}"))?;
         let levels: u32 = reader.scalar("levels")?;
         let precision: Precision = reader.scalar("precision")?;
         let cluster_count: usize = reader.scalar("clusters")?;
+        if cluster_count as u128 > down_codec.dense_cell_count() {
+            return Err(format!(
+                "{cluster_count} clusters cannot fit the transformed grid {down_intervals:?}"
+            ));
+        }
         let min = reader.float_list("min", dims)?;
         let max = reader.float_list("max", dims)?;
         let cell_count: usize = reader.scalar("cells")?;
-        let mut cells = HashMap::with_capacity(cell_count);
+        let mut cells = CellTable::with_capacity(&down_codec, cell_count.min(1 << 20));
         for _ in 0..cell_count {
             let line = reader.line()?;
             let (key_hex, id) = line
@@ -129,13 +146,21 @@ impl AdaWaveModel {
                 .ok_or_else(|| format!("bad cell line '{line}'"))?;
             let key = u128::from_str_radix(key_hex, 16)
                 .map_err(|_| format!("bad cell key '{key_hex}'"))?;
+            if !down_codec.contains(key) {
+                return Err(format!(
+                    "cell key '{key_hex}' lies outside the transformed grid {down_intervals:?}"
+                ));
+            }
             let id: usize = id.parse().map_err(|_| format!("bad cluster id '{id}'"))?;
+            if id >= cluster_count {
+                return Err(format!(
+                    "cluster id {id} is not below the model's {cluster_count} clusters"
+                ));
+            }
             cells.insert(key, id);
         }
         let quantizer = Quantizer::with_bounds(BoundingBox::from_bounds(min, max), &intervals)
             .map_err(|e| format!("bad quantizer: {e}"))?;
-        let down_codec =
-            KeyCodec::new(&down_intervals).map_err(|e| format!("bad down codec: {e}"))?;
         let lane = lane_for(&quantizer, precision);
         Ok(Self {
             quantizer,
@@ -190,7 +215,7 @@ impl Model for AdaWaveModel {
             .quantizer
             .codec()
             .remap(key, &self.down_codec, self.levels, None);
-        self.cells.get(&down_key).copied()
+        self.cells.get(down_key)
     }
 
     fn summary(&self) -> String {
@@ -225,9 +250,7 @@ impl Model for AdaWaveModel {
         out.push_str(&format!("max {}\n", join_hex(bounds.max())));
         out.push_str(&format!("cells {}\n", self.cells.len()));
         // Sorted by key so the payload is deterministic.
-        let mut sorted_cells: Vec<(u128, usize)> =
-            // audit:allow(nondeterministic-iteration) cells are collected and sorted on the next line
-            self.cells.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut sorted_cells: Vec<(u128, usize)> = self.cells.iter().collect();
         sorted_cells.sort_unstable();
         for (key, id) in sorted_cells {
             out.push_str(&format!("{key:032x} {id}\n"));
@@ -258,12 +281,210 @@ fn join_hex(values: &[f64]) -> String {
         .join(" ")
 }
 
+/// The per-point hash lookup the model's [`CellTable`] replaced, kept as
+/// the reference both sides of the table must match.
+#[cfg(test)]
+pub(crate) mod hash_reference {
+    use std::collections::HashMap;
+
+    use super::*;
+    use crate::GridModel;
+
+    /// The transformed cell → cluster map `from_parts` built.
+    pub(crate) struct HashCells(HashMap<u128, usize>);
+
+    impl HashCells {
+        pub(crate) fn from_parts(grid_model: &GridModel, remap: &[usize]) -> Self {
+            let labels = grid_model.labels().iter();
+            Self(
+                labels
+                    .map(|(key, id)| (key, remap.get(id).copied().unwrap_or(id)))
+                    .collect(),
+            )
+        }
+
+        /// `predict_one` with one hash lookup for the transformed cell.
+        pub(crate) fn predict_one(&self, model: &AdaWaveModel, point: &[f64]) -> Option<usize> {
+            let quantizer = &model.quantizer;
+            if point.len() != quantizer.dims() || !point.iter().all(|v| v.is_finite()) {
+                return None;
+            }
+            if !quantizer.bounds().contains(point) {
+                return None;
+            }
+            let key = match &model.lane {
+                None => quantizer.cell_key(point),
+                Some(lane) => quantizer.cell_key_f32(lane, point),
+            };
+            let codec = quantizer.codec();
+            let down_key = codec.remap(key, &model.down_codec, model.levels, None);
+            self.0.get(&down_key).copied()
+        }
+
+        /// The payload's cell lines: every cell in ascending key order.
+        pub(crate) fn cell_lines(&self) -> String {
+            // audit:allow(nondeterministic-iteration) collected and sorted on the next line
+            let mut sorted: Vec<(u128, usize)> = self.0.iter().map(|(&k, &v)| (k, v)).collect();
+            sorted.sort_unstable();
+            sorted
+                .iter()
+                .map(|(key, id)| format!("{key:032x} {id}\n"))
+                .collect()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::hash_reference::HashCells;
     use super::*;
-    use crate::{AdaWave, AdaWaveConfig};
+    use crate::{cluster_grid, AdaWave, AdaWaveConfig};
     use adawave_api::PointMatrix;
     use adawave_data::{shapes, Rng};
+    use adawave_runtime::Runtime;
+    use proptest::prelude::*;
+
+    /// Interval counts of a `dims`-dimensional codec whose keys are
+    /// `width` bits wide, after `levels` downsamplings when `transformed`.
+    /// Every dimension gets at least one bit, and a count of `b` bits is
+    /// drawn from `(2^(b-1), 2^b]`, so most counts are not powers of two.
+    fn intervals_of_width(
+        rng: &mut Rng,
+        dims: usize,
+        width: u32,
+        levels: u32,
+        transformed: bool,
+    ) -> Vec<u32> {
+        let mut bits = vec![1u32; dims];
+        for _ in dims as u32..width {
+            bits[rng.below(dims)] += 1;
+        }
+        bits.iter()
+            .map(|&b| {
+                let half = 1usize << (b - 1);
+                let m = half + 1 + rng.below(half);
+                let m = if transformed {
+                    (m << levels) - rng.below(1 << levels)
+                } else {
+                    m
+                };
+                m as u32
+            })
+            .collect()
+    }
+
+    /// Points in the unit cube: most copy one of a few sites, with a
+    /// jitter that is zero, sub-cell or a few cells wide, the rest are
+    /// uniform noise.
+    fn clustered_points(rng: &mut Rng, dims: usize) -> PointMatrix {
+        let sites: Vec<(Vec<f64>, f64)> = (0..1 + rng.below(5))
+            .map(|_| {
+                let centre = (0..dims).map(|_| rng.uniform()).collect();
+                (centre, [0.0, 1e-6, 1e-2][rng.below(3)])
+            })
+            .collect();
+        let mut points = PointMatrix::new(dims);
+        for _ in 0..1 + rng.below(400) {
+            let row: Vec<f64> = if rng.below(10) < 7 {
+                let (centre, jitter) = &sites[rng.below(sites.len())];
+                centre
+                    .iter()
+                    .map(|&c| c + jitter * (rng.uniform() - 0.5))
+                    .collect()
+            } else {
+                (0..dims).map(|_| rng.uniform()).collect()
+            };
+            points.push_row(&row);
+        }
+        points
+    }
+
+    /// The hash-lookup model the pre-table `from_parts` built from the
+    /// same fit: quantize, cluster the grid, label the points, remap.
+    fn reference_cells(
+        model: &AdaWaveModel,
+        points: &PointMatrix,
+        config: &AdaWaveConfig,
+    ) -> HashCells {
+        let quantizer = &model.quantizer;
+        let (grid, keys) = match config.precision {
+            Precision::F64 => quantizer.quantize_with(points.view(), config.runtime),
+            Precision::F32 => quantizer.quantize_f32_with(points.view(), config.runtime),
+        };
+        let grid_model = cluster_grid(&grid, quantizer.codec(), config).unwrap();
+        let assignment: Vec<Option<usize>> = keys
+            .iter()
+            .map(|&key| grid_model.cluster_of_cell(quantizer.codec(), key))
+            .collect();
+        let remap = assignment_remap(&assignment, grid_model.cluster_count());
+        HashCells::from_parts(&grid_model, &remap)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// `predict` through the cell table equals the per-point hash
+        /// lookup it replaced, and a save -> load round trip gives the same
+        /// bytes and the same answers, with the transformed codec one bit
+        /// below, at and one bit above the cap, on both lanes, at levels
+        /// 0-2 and at 1 and 4 threads.
+        #[test]
+        fn predict_matches_the_hash_reference(seed in 0u64..u64::MAX) {
+            let mut rng = Rng::new(seed);
+            let dims = 1 + rng.below(6);
+            let points = clustered_points(&mut rng, dims);
+            // Training points, then queries in and around the domain and a
+            // non-finite one.
+            let mut queries = points.clone();
+            for _ in 0..50 {
+                let row: Vec<f64> = (0..dims).map(|_| rng.uniform_range(-0.2, 1.2)).collect();
+                queries.push_row(&row);
+            }
+            queries.push_row(&vec![f64::NAN; dims]);
+            for width in [21, 22, 23] {
+                for levels in 0..3 {
+                    let intervals = intervals_of_width(&mut rng, dims, width, levels, true);
+                    for precision in [Precision::F64, Precision::F32] {
+                        for threads in [1, 4] {
+                            let config = AdaWaveConfig::builder()
+                                .per_dimension_scale(intervals.clone())
+                                .levels(levels)
+                                .precision(precision)
+                                .runtime(Runtime::with_threads(threads))
+                                .build();
+                            let context = format!(
+                                "{intervals:?}, levels {levels}, {precision}, threads {threads}"
+                            );
+                            let (result, model) =
+                                AdaWave::new(config.clone()).fit_with_model(points.view()).unwrap();
+                            prop_assert_eq!(model.down_codec.key_bits(), width);
+                            prop_assert_eq!(
+                                model.cells.is_dense(),
+                                width <= CellTable::DENSE_KEY_BITS
+                            );
+                            let reference = reference_cells(&model, &points, &config);
+                            let payload = model.serialize().unwrap();
+                            let loaded = AdaWaveModel::deserialize(&payload).unwrap();
+                            prop_assert_eq!(&loaded.serialize().unwrap(), &payload, "{}", context);
+                            let cells_at = payload.find("\ncells ").unwrap();
+                            let cell_lines = payload[cells_at + 1..].split_once('\n').unwrap().1;
+                            prop_assert_eq!(cell_lines, reference.cell_lines(), "{}", context);
+                            for (i, q) in queries.rows().enumerate() {
+                                let want = reference.predict_one(&model, q);
+                                prop_assert_eq!(model.predict_one(q), want, "{} query {}", context, i);
+                                prop_assert_eq!(loaded.predict_one(q), want, "{} query {}", context, i);
+                            }
+                            prop_assert_eq!(
+                                model.predict(points.view()).unwrap(),
+                                result.to_clustering(),
+                                "{}", context
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn noisy_blobs(seed: u64) -> PointMatrix {
         let mut rng = Rng::new(seed);
@@ -364,5 +585,47 @@ mod tests {
         // Truncating the cell table is detected.
         let truncated: String = payload.lines().take(9).collect::<Vec<_>>().join("\n");
         assert!(AdaWaveModel::deserialize(&truncated).is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_impossible_counts_and_out_of_range_keys_and_ids() {
+        let points = noisy_blobs(9);
+        let config = AdaWaveConfig::builder().scale(48).levels(1).build();
+        let (_, model) = AdaWave::new(config).fit_with_model(points.view()).unwrap();
+        let payload = model.serialize().unwrap();
+        let count_line = format!("cells {}\n", model.labeled_cells());
+        assert!(payload.contains(&count_line), "{payload}");
+        // A count the payload cannot back used to size the map up front:
+        // "capacity overflow" and a multi-terabyte allocation abort.
+        for count in ["4611686018427387904", "100000000000"] {
+            let forged = payload.replace(&count_line, &format!("cells {count}\n"));
+            let err = AdaWaveModel::deserialize(&forged).unwrap_err();
+            assert!(err.contains("truncated model payload"), "{count}: {err}");
+        }
+        // The transformed grid is 24 x 24 (10 key bits): a key above the
+        // width, and one with an x coordinate of 24, are both refused.
+        assert!(payload.contains("down-intervals 24 24\n"), "{payload}");
+        let first_key = &payload[payload.find(&count_line).unwrap() + count_line.len()..][..32];
+        for forged_key in [1u128 << 10, 24] {
+            let forged = payload.replacen(first_key, &format!("{forged_key:032x}"), 1);
+            let err = AdaWaveModel::deserialize(&forged).unwrap_err();
+            assert!(err.contains("lies outside the transformed grid"), "{err}");
+        }
+        // Cluster ids land in the table's u32 slots: an id at or above the
+        // `clusters` count is refused, and so is a count above the grid's
+        // 576 cells, which could otherwise admit an id too wide for a slot.
+        let clusters_line = format!("clusters {}\n", model.cluster_count());
+        assert!(payload.contains(&clusters_line), "{payload}");
+        let forged = payload.replace(&clusters_line, "clusters 577\n");
+        let err = AdaWaveModel::deserialize(&forged).unwrap_err();
+        assert!(err.contains("577 clusters cannot fit"), "{err}");
+        let first_line = &payload[payload.find(&count_line).unwrap() + count_line.len()..];
+        let first_line = &first_line[..first_line.find('\n').unwrap()];
+        for id in [model.cluster_count(), usize::MAX] {
+            let forged_line = format!("{} {id}", &first_line[..32]);
+            let forged = payload.replacen(first_line, &forged_line, 1);
+            let err = AdaWaveModel::deserialize(&forged).unwrap_err();
+            assert!(err.contains("is not below the model's"), "{id}: {err}");
+        }
     }
 }

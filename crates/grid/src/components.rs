@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use crate::{Connectivity, KeyCodec, SparseGrid};
+use crate::{CellTable, Connectivity, KeyCodec, SparseGrid};
 
 /// A disjoint-set (union-find) structure with path compression and union by
 /// rank, over indices `0..n`.
@@ -83,10 +83,11 @@ impl UnionFind {
 }
 
 /// The result of labeling occupied cells with cluster ids.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ComponentLabels {
-    /// Cell key → cluster id (0-based, contiguous).
-    labels: HashMap<u128, usize>,
+    /// Cell key → cluster id (0-based, contiguous), over the labeling
+    /// codec.
+    cells: CellTable,
     /// Number of distinct clusters.
     cluster_count: usize,
     /// Total density of each cluster.
@@ -96,9 +97,11 @@ pub struct ComponentLabels {
 }
 
 impl ComponentLabels {
-    /// Cluster id of a cell key, if the cell was part of the labeled grid.
+    /// Cluster id of a cell key, if the cell was part of the labeled grid:
+    /// one [`CellTable`] probe.
+    #[inline]
     pub fn cluster_of(&self, key: u128) -> Option<usize> {
-        self.labels.get(&key).copied()
+        self.cells.get(key)
     }
 
     /// Number of clusters found.
@@ -118,13 +121,12 @@ impl ComponentLabels {
 
     /// Iterate over `(key, cluster id)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u128, usize)> + '_ {
-        // audit:allow(nondeterministic-iteration) unspecified-order accessor; result-path consumers rebuild a map keyed by cell or sort (model serialization)
-        self.labels.iter().map(|(&k, &v)| (k, v))
+        self.cells.iter()
     }
 
     /// Number of labeled cells.
     pub fn labeled_cells(&self) -> usize {
-        self.labels.len()
+        self.cells.len()
     }
 }
 
@@ -133,7 +135,12 @@ impl ComponentLabels {
 ///
 /// Cluster ids are ordered by decreasing total density (cluster 0 is the
 /// heaviest), which makes the output deterministic regardless of hash-map
-/// iteration order.
+/// iteration order. One [`CellTable`] over `codec` maps each occupied
+/// cell first to its index, for the neighbor probes here, then to its
+/// cluster id, for every later [`ComponentLabels::cluster_of`].
+///
+/// # Panics
+/// Panics if a cell of `grid` is not a key of `codec`.
 pub fn connected_components(
     grid: &SparseGrid,
     codec: &KeyCodec,
@@ -145,12 +152,15 @@ pub fn connected_components(
         k.sort_unstable();
         k
     };
-    let index: HashMap<u128, usize> = keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+    let mut table = CellTable::with_capacity(codec, keys.len());
+    for (i, &key) in keys.iter().enumerate() {
+        table.insert(key, i);
+    }
 
     let mut uf = UnionFind::new(keys.len());
     for (i, &key) in keys.iter().enumerate() {
         for neighbor in connectivity.neighbors(codec, key) {
-            if let Some(&j) = index.get(&neighbor) {
+            if let Some(j) = table.get(neighbor) {
                 uf.union(i, j);
             }
         }
@@ -187,18 +197,73 @@ pub fn connected_components(
         remap[old_id] = new_id;
     }
 
-    let mut labels = HashMap::with_capacity(keys.len());
-    for (i, &key) in keys.iter().enumerate() {
-        labels.insert(key, remap[provisional[i]]);
+    for (&key, &comp) in keys.iter().zip(&provisional) {
+        table.insert(key, remap[comp]);
     }
     let cluster_mass: Vec<f64> = order.iter().map(|&old| mass[old]).collect();
     let cluster_cells: Vec<usize> = order.iter().map(|&old| cells[old]).collect();
 
     ComponentLabels {
-        labels,
+        cells: table,
         cluster_count: mass.len(),
         cluster_mass,
         cluster_cells,
+    }
+}
+
+/// The hash-map labeling [`connected_components`] replaced, kept as the
+/// reference both sides of the [`CellTable`] must match.
+#[cfg(test)]
+pub(crate) mod hash_reference {
+    use super::*;
+
+    /// Cell key → cluster id, with the cells indexed by a hash map.
+    pub(crate) fn labels(
+        grid: &SparseGrid,
+        codec: &KeyCodec,
+        connectivity: Connectivity,
+    ) -> HashMap<u128, usize> {
+        let mut keys: Vec<u128> = grid.keys().collect();
+        keys.sort_unstable();
+        let index: HashMap<u128, usize> = keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+        let mut uf = UnionFind::new(keys.len());
+        for (i, &key) in keys.iter().enumerate() {
+            for neighbor in connectivity.neighbors(codec, key) {
+                if let Some(&j) = index.get(&neighbor) {
+                    uf.union(i, j);
+                }
+            }
+        }
+        let mut root_to_component: HashMap<usize, usize> = HashMap::new();
+        let mut mass: Vec<f64> = Vec::new();
+        let mut cells: Vec<usize> = Vec::new();
+        let mut provisional = Vec::with_capacity(keys.len());
+        for (i, &key) in keys.iter().enumerate() {
+            let next_id = root_to_component.len();
+            let comp = *root_to_component.entry(uf.find(i)).or_insert(next_id);
+            if comp == mass.len() {
+                mass.push(0.0);
+                cells.push(0);
+            }
+            mass[comp] += grid.density(key);
+            cells[comp] += 1;
+            provisional.push(comp);
+        }
+        let mut order: Vec<usize> = (0..mass.len()).collect();
+        order.sort_by(|&a, &b| {
+            mass[b]
+                .total_cmp(&mass[a])
+                .then_with(|| cells[b].cmp(&cells[a]))
+                .then_with(|| a.cmp(&b))
+        });
+        let mut remap = vec![0usize; mass.len()];
+        for (new_id, &old_id) in order.iter().enumerate() {
+            remap[old_id] = new_id;
+        }
+        keys.iter()
+            .zip(&provisional)
+            .map(|(&key, &comp)| (key, remap[comp]))
+            .collect()
     }
 }
 

@@ -86,6 +86,36 @@ impl KeyCodec {
         &self.intervals
     }
 
+    /// Width of a packed key in bits: the sum of every dimension's bits.
+    ///
+    /// ```
+    /// use adawave_grid::KeyCodec;
+    ///
+    /// assert_eq!(KeyCodec::new(&[16, 10, 1]).unwrap().key_bits(), 9);
+    /// ```
+    pub fn key_bits(&self) -> u32 {
+        self.bits.iter().sum()
+    }
+
+    /// Whether `key` is a cell of this codec: no bit above
+    /// [`key_bits`](Self::key_bits) is set and every coordinate lies
+    /// below its dimension's interval count. Every key the codec packs
+    /// passes; a key read from untrusted bytes is checked with this before
+    /// it can index anything.
+    ///
+    /// ```
+    /// use adawave_grid::KeyCodec;
+    ///
+    /// let codec = KeyCodec::new(&[16, 10]).unwrap();
+    /// assert!(codec.contains(codec.pack(&[15, 9])));
+    /// assert!(!codec.contains(codec.pack(&[15, 9]) + 1)); // coordinate 10 of 10
+    /// assert!(!codec.contains(1 << 8));                   // above the 8 key bits
+    /// ```
+    pub fn contains(&self, key: u128) -> bool {
+        key.checked_shr(self.key_bits()).unwrap_or(0) == 0
+            && (0..self.dims()).all(|j| self.coordinate(key, j) < self.intervals[j])
+    }
+
     /// Total number of cells in the (dense) grid, saturating at `u128::MAX`.
     pub fn dense_cell_count(&self) -> u128 {
         self.intervals

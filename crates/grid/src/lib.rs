@@ -17,6 +17,10 @@
 //!   into a `u128` key.
 //! * [`Quantizer`] — maps points to cells (Algorithm 2 of the paper);
 //!   [`fill_row_keys`] is its parallel one-key-per-row pass.
+//! * [`CellTable`] — packed keys → small integers: a flat array for keys of
+//!   at most [`CellTable::DENSE_KEY_BITS`] bits, a hash map beyond. Every
+//!   per-point count and lookup (quantization, labeling, model serving)
+//!   goes through it.
 //! * [`SparseGrid`] — the `{key: density}` map with mass/density statistics.
 //! * [`prune_to_top`] — the cell budget of the sparse wavelet transform,
 //!   applied to a grid's cells as a flat `(key, density)` vector.
@@ -47,6 +51,7 @@
 #![deny(unsafe_code)]
 
 pub mod bounds;
+pub mod cells;
 pub mod components;
 pub mod key;
 pub mod lookup;
@@ -55,6 +60,7 @@ pub mod quantizer;
 pub mod sparse;
 
 pub use bounds::BoundingBox;
+pub use cells::CellTable;
 pub use components::{connected_components, ComponentLabels, UnionFind};
 pub use key::KeyCodec;
 pub use lookup::LookupTable;

@@ -6,7 +6,8 @@
 //! cell with coordinates `c` in the original quantized space corresponds to
 //! the cell `c >> level` in the transformed space. The lookup table stores,
 //! for every data point, the key of its original cell; mapping a point to a
-//! cluster is then: original cell → transformed cell → cluster id.
+//! cluster is then: original cell → transformed cell → cluster id, the
+//! last step one [`CellTable`](crate::CellTable) probe per point.
 
 use crate::{ComponentLabels, KeyCodec, Result};
 
@@ -74,6 +75,34 @@ impl LookupTable {
         self.point_cells
             .iter()
             .map(|&cell| labels.cluster_of(codec.remap(cell, transformed, levels, None)))
+            .collect()
+    }
+}
+
+/// The per-point hash lookup [`LookupTable::assign_points`] replaced,
+/// kept as the reference both sides of the [`CellTable`](crate::CellTable)
+/// must match.
+#[cfg(test)]
+pub(crate) mod hash_reference {
+    use std::collections::HashMap;
+
+    use super::*;
+
+    /// One hash lookup per point in the cell → cluster map `labels`.
+    pub(crate) fn assign_points(
+        table: &LookupTable,
+        labels: &HashMap<u128, usize>,
+        levels: u32,
+        transformed: &KeyCodec,
+    ) -> Vec<Option<usize>> {
+        let codec = table.original_codec();
+        (0..table.len())
+            .map(|i| {
+                let cell = table.original_cell(i);
+                labels
+                    .get(&codec.remap(cell, transformed, levels, None))
+                    .copied()
+            })
             .collect()
     }
 }

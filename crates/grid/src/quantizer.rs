@@ -4,7 +4,7 @@
 use adawave_api::{PayloadReader, PointsView};
 use adawave_runtime::Runtime;
 
-use crate::{BoundingBox, GridError, KeyCodec, Result, SparseGrid};
+use crate::{BoundingBox, CellTable, GridError, KeyCodec, Result, SparseGrid};
 
 /// Rows per task of [`fill_row_keys`]. Every key depends only on its own
 /// row, so the chunk size bounds the work in one task and cannot change
@@ -256,35 +256,61 @@ impl Quantizer {
         runtime: Runtime,
     ) -> (SparseGrid, Vec<u128>) {
         let lane = self.f32_lane();
-        count_keys(points, runtime, |p| self.cell_key_f32(&lane, p))
+        count_keys(points, &self.codec, runtime, |p| {
+            self.cell_key_f32(&lane, p)
+        })
     }
 
     /// [`quantize`](Self::quantize) fanned out over `runtime`: the keys are
     /// computed in parallel straight into the returned vector
-    /// ([`fill_row_keys`]), then counted into the grid in one sequential
-    /// pass. The result is identical for every thread count.
+    /// ([`fill_row_keys`]), then counted in one sequential pass that
+    /// indexes a flat array when the codec's keys are at most
+    /// [`CellTable::DENSE_KEY_BITS`] wide and hashes wider ones. The result
+    /// is identical for every thread count.
     pub fn quantize_with(
         &self,
         points: PointsView<'_>,
         runtime: Runtime,
     ) -> (SparseGrid, Vec<u128>) {
-        count_keys(points, runtime, |p| self.cell_key(p))
+        count_keys(points, &self.codec, runtime, |p| self.cell_key(p))
     }
 }
 
-/// Keys first, count once: one key per row, then one hash update per key.
+/// Keys first, count once: one key per row, then one pass counting them
+/// through [`CellTable::count`], which indexes a flat array when `codec`'s
+/// keys are at most [`CellTable::DENSE_KEY_BITS`] wide and makes one hash
+/// update per key otherwise.
 fn count_keys(
     points: PointsView<'_>,
+    codec: &KeyCodec,
     runtime: Runtime,
     key: impl Fn(&[f64]) -> u128 + Sync,
 ) -> (SparseGrid, Vec<u128>) {
     let mut keys = vec![0; points.len()];
     fill_row_keys(points, runtime, &mut keys, key);
-    let mut grid = SparseGrid::with_capacity(points.len().min(1 << 16));
-    for &key in &keys {
-        grid.increment(key);
+    (CellTable::count(codec, &keys), keys)
+}
+
+/// The per-point hash count [`count_keys`] replaced, kept as the
+/// reference both sides of the [`CellTable`] must match.
+#[cfg(test)]
+pub(crate) mod hash_reference {
+    use super::*;
+
+    /// Keys first, then one hash update per key.
+    pub(crate) fn count_keys(
+        points: PointsView<'_>,
+        runtime: Runtime,
+        key: impl Fn(&[f64]) -> u128 + Sync,
+    ) -> (SparseGrid, Vec<u128>) {
+        let mut keys = vec![0; points.len()];
+        fill_row_keys(points, runtime, &mut keys, key);
+        let mut grid = SparseGrid::with_capacity(points.len().min(1 << 16));
+        for &key in &keys {
+            grid.increment(key);
+        }
+        (grid, keys)
     }
-    (grid, keys)
 }
 
 #[cfg(test)]

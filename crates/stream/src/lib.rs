@@ -19,7 +19,8 @@
 //!   transform → threshold → components stage on the accumulated grid in
 //!   `O(m)` — **independent of the number of points ingested** — and
 //!   [`refit`](StreamingAdaWave::refit) additionally maps every retained
-//!   point through the model (an unavoidable `O(points)` table walk);
+//!   point through the model (an unavoidable `O(points)` walk, one
+//!   [`CellTable`](adawave_grid::CellTable) probe per point);
 //! * [`snapshot`](StreamingAdaWave::snapshot) /
 //!   [`restore`](StreamingAdaWave::restore) (see [`persist`]) serialize
 //!   the whole mergeable state bit-exactly to the versioned
@@ -459,9 +460,10 @@ impl StreamingAdaWave {
     /// every retained point is mapped through the model's lookup (outliers
     /// become noise), yielding the same [`AdaWaveResult`] that
     /// [`AdaWave::fit`] would return on the concatenated points over the
-    /// same domain. The cell → cluster map is materialized once over the
-    /// `m` occupied cells, so the per-point walk is one hash lookup each —
-    /// `O(n)`, but the cheap part of refitting.
+    /// same domain. Each point's cell is re-encoded into the transformed
+    /// space and probed in the model's cell table (an array load for keys
+    /// of at most [`CellTable::DENSE_KEY_BITS`](adawave_grid::CellTable::DENSE_KEY_BITS)
+    /// bits) — `O(n)`, but the cheap part of refitting.
     pub fn refit(&self) -> Result<AdaWaveResult> {
         let model = self.refit_model()?;
         let assignment = self.assignment_under(&model);
@@ -495,20 +497,15 @@ impl StreamingAdaWave {
         })
     }
 
-    /// Map every retained point through a refit grid model: the cell →
-    /// cluster table is materialized once over the `m` occupied cells, so
-    /// the per-point walk is one hash lookup each.
+    /// Map every retained point through a refit grid model: one
+    /// [`GridModel::cluster_of_cell`] per point, a re-encode and one probe
+    /// of the model's cell table, as [`AdaWave::fit`] labels its points.
     fn assignment_under(&self, model: &GridModel) -> Vec<Option<usize>> {
         let frozen = self.frozen.as_ref().expect("caller refit the model");
         let codec = frozen.quantizer.codec();
-        let cell_cluster: std::collections::HashMap<u128, Option<usize>> = frozen
-            .grid
-            .keys()
-            .map(|key| (key, model.cluster_of_cell(codec, key)))
-            .collect();
         self.point_cells
             .iter()
-            .map(|cell| cell.and_then(|key| cell_cluster.get(&key).copied().flatten()))
+            .map(|cell| cell.and_then(|key| model.cluster_of_cell(codec, key)))
             .collect()
     }
 }
@@ -537,10 +534,173 @@ pub fn finite_bounds(batch: PointsView<'_>) -> Option<BoundingBox> {
     any_finite.then(|| BoundingBox::from_bounds(min, max))
 }
 
+/// The per-refit hash map [`StreamingAdaWave`]'s labeling pass replaced,
+/// kept as the reference both sides of the cell table must match.
+#[cfg(test)]
+mod hash_reference {
+    use std::collections::HashMap;
+
+    use super::*;
+
+    /// `assignment_under` with the cell → cluster map materialized over
+    /// the `m` occupied cells and one hash lookup per point, every cell's
+    /// cluster itself a hash lookup in the model's labels.
+    pub(crate) fn assignment_under(
+        stream: &StreamingAdaWave,
+        model: &GridModel,
+    ) -> Vec<Option<usize>> {
+        let frozen = stream.frozen.as_ref().expect("caller refit the model");
+        let codec = frozen.quantizer.codec();
+        let labels: HashMap<u128, usize> = model.labels().iter().collect();
+        let cell_cluster: HashMap<u128, Option<usize>> = frozen
+            .grid
+            .keys()
+            .map(|key| {
+                let down = codec.remap(key, model.codec(), model.levels(), None);
+                (key, labels.get(&down).copied())
+            })
+            .collect();
+        stream
+            .point_cells
+            .iter()
+            .map(|cell| cell.and_then(|key| cell_cluster.get(&key).copied().flatten()))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use adawave_api::PointMatrix;
+    use adawave_data::Rng;
+    use adawave_runtime::Runtime;
+    use proptest::prelude::*;
+
+    /// Interval counts of a `dims`-dimensional codec whose keys are
+    /// `width` bits wide, after `levels` downsamplings when `transformed`.
+    /// Every dimension gets at least one bit, and a count of `b` bits is
+    /// drawn from `(2^(b-1), 2^b]`, so most counts are not powers of two.
+    fn intervals_of_width(
+        rng: &mut Rng,
+        dims: usize,
+        width: u32,
+        levels: u32,
+        transformed: bool,
+    ) -> Vec<u32> {
+        let mut bits = vec![1u32; dims];
+        for _ in dims as u32..width {
+            bits[rng.below(dims)] += 1;
+        }
+        bits.iter()
+            .map(|&b| {
+                let half = 1usize << (b - 1);
+                let m = half + 1 + rng.below(half);
+                let m = if transformed {
+                    (m << levels) - rng.below(1 << levels)
+                } else {
+                    m
+                };
+                m as u32
+            })
+            .collect()
+    }
+
+    /// Points in the unit cube: most copy one of a few sites, with a
+    /// jitter that is zero, sub-cell or a few cells wide, the rest are
+    /// uniform noise.
+    fn clustered_points(rng: &mut Rng, dims: usize) -> PointMatrix {
+        let sites: Vec<(Vec<f64>, f64)> = (0..1 + rng.below(5))
+            .map(|_| {
+                let centre = (0..dims).map(|_| rng.uniform()).collect();
+                (centre, [0.0, 1e-6, 1e-2][rng.below(3)])
+            })
+            .collect();
+        let mut points = PointMatrix::new(dims);
+        for _ in 0..1 + rng.below(400) {
+            let row: Vec<f64> = if rng.below(10) < 7 {
+                let (centre, jitter) = &sites[rng.below(sites.len())];
+                centre
+                    .iter()
+                    .map(|&c| c + jitter * (rng.uniform() - 0.5))
+                    .collect()
+            } else {
+                (0..dims).map(|_| rng.uniform()).collect()
+            };
+            points.push_row(&row);
+        }
+        points
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// `refit` and `refit_outcome` through the cell table equal the
+        /// per-refit hash map they replaced, with the frozen or the
+        /// transformed codec one bit below, at and one bit above the cap,
+        /// on both lanes, at levels 0-2 and at 1 and 4 threads. Two
+        /// batches, with an out-of-domain and a non-finite row in the
+        /// second, go through a merge of two sessions.
+        #[test]
+        fn refit_matches_the_hash_reference(seed in 0u64..u64::MAX) {
+            let mut rng = Rng::new(seed);
+            let dims = 1 + rng.below(6);
+            let first = clustered_points(&mut rng, dims);
+            let mut second = clustered_points(&mut rng, dims);
+            second.push_row(&vec![2.0; dims]);
+            second.push_row(&vec![f64::NAN; dims]);
+            let mut all = first.clone();
+            all.append(&second);
+            let domain = finite_bounds(all.view()).unwrap();
+            for width in [21, 22, 23] {
+                for levels in 0..3 {
+                    let transformed = rng.below(2) == 1;
+                    let intervals = intervals_of_width(&mut rng, dims, width, levels, transformed);
+                    for precision in [Precision::F64, Precision::F32] {
+                        for threads in [1, 4] {
+                            let config = AdaWaveConfig::builder()
+                                .per_dimension_scale(intervals.clone())
+                                .levels(levels)
+                                .precision(precision)
+                                .runtime(Runtime::with_threads(threads))
+                                .build();
+                            let context = format!(
+                                "{intervals:?}, levels {levels}, {precision}, threads {threads}"
+                            );
+                            let session = || {
+                                StreamingAdaWave::with_domain(config.clone(), domain.clone())
+                                    .unwrap()
+                            };
+                            let mut stream = session();
+                            stream.ingest(first.view()).unwrap();
+                            let mut shard = session();
+                            shard.ingest(second.view()).unwrap();
+                            stream.merge(shard).unwrap();
+                            let codec = stream.frozen.as_ref().unwrap().quantizer.codec();
+                            let indexed = if transformed {
+                                codec.downsampled(levels).unwrap()
+                            } else {
+                                codec.clone()
+                            };
+                            prop_assert_eq!(indexed.key_bits(), width);
+
+                            let model = stream.refit_model().unwrap();
+                            let assignment = hash_reference::assignment_under(&stream, &model);
+                            let want = model.into_result(assignment);
+                            prop_assert_eq!(&stream.refit().unwrap(), &want, "{}", context);
+                            let outcome = stream.refit_outcome().unwrap();
+                            let want = want.to_clustering();
+                            prop_assert_eq!(&outcome.clustering, &want, "{}", context);
+                            prop_assert_eq!(
+                                &outcome.model.predict(all.view()).unwrap(),
+                                &want,
+                                "{}", context
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn grid_points() -> PointMatrix {
         let mut points = PointMatrix::new(2);

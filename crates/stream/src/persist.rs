@@ -227,10 +227,11 @@ impl StreamingAdaWave {
     ///
     /// Everything is re-validated on the way in: the configuration fields,
     /// the quantizer (bounds ordering, interval counts, key width) and the
-    /// grid dump. The restored session is bit-for-bit equivalent to the
-    /// snapshot one — same grid, same per-point cells, same refit labels —
-    /// and merging it behaves exactly like merging the original
-    /// (mismatched domains/configurations are rejected the same way).
+    /// grid dump, whose every cell key must be a key of the frozen codec.
+    /// The restored session is bit-for-bit equivalent to the snapshot one —
+    /// same grid, same per-point cells, same refit labels — and merging it
+    /// behaves exactly like merging the original (mismatched
+    /// domains/configurations are rejected the same way).
     pub fn restore(payload: &str) -> Result<Self, String> {
         let mut reader = PayloadReader::new(payload);
         let config = parse_config(&mut reader)?;
@@ -271,6 +272,11 @@ impl StreamingAdaWave {
                     }
                 }
                 let grid = SparseGrid::deserialize_from(&mut reader)?;
+                // Refit labels the transformed cells through a table
+                // indexed by the key, so none may lie outside the codec.
+                if !grid.keys().all(|key| quantizer.codec().contains(key)) {
+                    return Err("the grid holds a cell key outside the frozen space".to_string());
+                }
                 Some(Frozen { quantizer, grid })
             }
             other => return Err(format!("bad frozen marker '{other}'")),
@@ -620,6 +626,16 @@ mod tests {
                 // Cut the payload right before the grid dump.
                 Box::new(|s: &str| s[..s.rfind("cells ").unwrap()].to_string()),
                 "truncated",
+            ),
+            (
+                // A grid key with a bit above the 6-bit 8 x 8 codec.
+                Box::new(|s: &str| {
+                    let dump = s.rfind("cells ").unwrap();
+                    let zero = format!("\n{:032x} ", 0);
+                    let wide = format!("\n{:032x} ", 1 << 6);
+                    format!("{}{}", &s[..dump], s[dump..].replacen(&zero, &wide, 1))
+                }),
+                "outside the frozen space",
             ),
         ] {
             let err = StreamingAdaWave::restore(&mutate(&good)).unwrap_err();

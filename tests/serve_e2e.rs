@@ -336,3 +336,46 @@ fn malformed_requests_get_typed_errors_and_noise_stays_noise() {
     server.join();
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn reloading_a_corrupt_adawave_model_keeps_version_1_serving() {
+    let points = toy_points();
+    let v1 = standard_registry()
+        .fit_model(
+            &AlgorithmSpec::new("adawave").with("scale", 32),
+            points.view(),
+        )
+        .unwrap()
+        .model;
+    let path = temp_path("corrupt_cells");
+    save_model(&path, v1.as_ref()).unwrap();
+    let store = ModelStore::new(model_loader());
+    store.load("wave", &path).unwrap();
+
+    // A cell count the file cannot back (one used to overflow the map's
+    // capacity, one to abort on a multi-terabyte allocation) and a cell
+    // key no transformed grid under 128 bits holds.
+    let good = std::fs::read_to_string(&path).unwrap();
+    let count_at = good.find("\ncells ").unwrap() + 1;
+    let (head, tail) = good.split_at(count_at);
+    let (count_line, cells) = tail.split_once('\n').unwrap();
+    let forgeries = [
+        format!("{head}cells 4611686018427387904\n{cells}"),
+        format!("{head}cells 100000000000\n{cells}"),
+        format!("{head}{count_line}\n{}{}", "f".repeat(32), &cells[32..]),
+    ];
+    for forged in forgeries {
+        std::fs::write(&path, &forged).unwrap();
+        let err = store.reload("wave").unwrap_err();
+        assert!(
+            err.contains("truncated model payload") || err.contains("outside the transformed"),
+            "{err}"
+        );
+        let entry = store.get("wave").unwrap();
+        assert_eq!(entry.version, 1);
+        for p in points.rows() {
+            assert_eq!(entry.model.predict_one(p), v1.predict_one(p));
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
