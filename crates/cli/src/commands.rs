@@ -4,12 +4,13 @@
 //! tested without touching the filesystem; `main.rs` only wires file I/O and
 //! argument parsing around these functions.
 
+use std::ops::Range;
 use std::path::Path;
 use std::time::Instant;
 
 use adawave::{
     load_model, save_model, standard_registry, AdaWaveConfig, AlgorithmEntry, AlgorithmSpec,
-    ClusterError, Model, Params, PointMatrix, PointsView,
+    ClusterError, Model, Params, PointsView,
 };
 use adawave_api::closest_matches;
 use adawave_data::csv::CsvBatches;
@@ -20,7 +21,9 @@ use adawave_metrics::{
     adjusted_rand_index, ami, ami_ignoring_noise, calinski_harabasz, davies_bouldin,
     normalized_mutual_information, purity, silhouette_score, v_measure, NOISE_LABEL,
 };
-use adawave_stream::{load_accumulator, save_accumulator, Checkpointer, StreamingAdaWave};
+use adawave_stream::{
+    load_accumulator, save_accumulator, shard_rows, Checkpointer, StreamingAdaWave,
+};
 use adawave_wavelet::Wavelet;
 
 use crate::args::{ArgError, ParsedArgs};
@@ -207,51 +210,57 @@ pub fn dispatch(args: &ParsedArgs) -> CliResult<String> {
     if args.command != "script" && args.command != "audit" {
         args.reject_positionals()?;
     }
-    match args.command.as_str() {
-        "generate" => generate(args),
-        "cluster" => cluster(args),
-        "predict" => predict(args),
-        "serve" => serve(args),
-        "stream" => stream(args),
-        "shard-ingest" => shard_ingest(args),
-        "merge-accumulators" => merge_accumulators(args),
-        "evaluate" => evaluate(args),
-        "sweep" => sweep(args),
-        "script" => script(args),
-        "audit" => audit(args),
-        "list-algorithms" => Ok(list_algorithms()),
-        "info" => Ok(info()),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => {
-            let suggestions = closest_matches(other, COMMANDS.iter().copied());
-            let hint = match suggestions.as_slice() {
-                [] => String::new(),
-                names => format!(" — did you mean {}?", names.join(" or ")),
-            };
-            Err(CliError::Usage(format!(
-                "unknown command '{other}'{hint} (try `adawave help`)"
-            )))
-        }
+    let name = match args.command.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    if let Some((_, run)) = COMMANDS.iter().find(|(command, _)| *command == name) {
+        return run(args);
     }
+    let suggestions = closest_matches(name, COMMANDS.iter().map(|(command, _)| *command));
+    let hint = match suggestions.as_slice() {
+        [] => String::new(),
+        names => format!(" — did you mean {}?", names.join(" or ")),
+    };
+    Err(CliError::Usage(format!(
+        "unknown command '{name}'{hint} (try `adawave help`)"
+    )))
 }
 
-/// Every subcommand `dispatch` accepts, for the did-you-mean suggestions.
-const COMMANDS: &[&str] = &[
-    "generate",
-    "cluster",
-    "predict",
-    "serve",
-    "stream",
-    "shard-ingest",
-    "merge-accumulators",
-    "evaluate",
-    "sweep",
-    "script",
-    "audit",
-    "list-algorithms",
-    "info",
-    "help",
+/// A subcommand's body: the parsed command line in, the stdout text out.
+type Command = fn(&ParsedArgs) -> CliResult<String>;
+
+/// Every subcommand by name: the table `dispatch` runs and suggests from.
+const COMMANDS: &[(&str, Command)] = &[
+    ("generate", generate),
+    ("cluster", cluster),
+    ("predict", predict),
+    ("serve", serve),
+    ("stream", stream),
+    ("shard-ingest", shard_ingest),
+    ("merge-accumulators", merge_accumulators),
+    ("evaluate", evaluate),
+    ("sweep", sweep),
+    ("script", script),
+    ("audit", audit),
+    ("list-algorithms", |_| Ok(list_algorithms())),
+    ("info", |_| Ok(info())),
+    ("help", |_| Ok(USAGE.to_string())),
 ];
+
+/// Map a failure on the file at `path` to the error
+/// `<action> <path>: <cause>`.
+fn file_error<'a, E: std::fmt::Display>(
+    action: &'static str,
+    path: &'a (impl AsRef<Path> + ?Sized),
+) -> impl Fn(E) -> CliError + 'a {
+    move |e| CliError::Message(format!("{action} {}: {e}", path.as_ref().display()))
+}
+
+/// Load the CSV at `path` whole.
+fn read_csv(path: &str) -> CliResult<Dataset> {
+    csv::load_csv(Path::new(path)).map_err(file_error("reading", path))
+}
 
 // ---------------------------------------------------------------------------
 // generate
@@ -292,8 +301,7 @@ fn generate(args: &ParsedArgs) -> CliResult<String> {
     let seed = args.parse_or("seed", 42u64)?;
     let out = args.require("out")?;
     let ds = build_dataset(dataset_name, noise, per_cluster, seed)?;
-    csv::save_csv(&ds, Path::new(out))
-        .map_err(|e| CliError::Message(format!("writing {out}: {e}")))?;
+    csv::save_csv(&ds, Path::new(out)).map_err(file_error("writing", out))?;
     Ok(format!(
         "wrote {} ({} points, {} dims, {} classes, {:.1}% noise) to {}\n",
         ds.name,
@@ -351,7 +359,7 @@ pub fn build_spec(
         1
     };
     let mut spec = AlgorithmSpec::new(base.name.clone()).with("k", args.parse_or("k", default_k)?);
-    for key in [
+    let shorthand = [
         "seed",
         "eps",
         "min-points",
@@ -361,19 +369,45 @@ pub fn build_spec(
         "levels",
         "threshold",
         "threads",
-    ] {
+    ];
+    spec.params
+        .merge(&gather_params(args, &shorthand, &base.params, entry)?);
+    Ok(spec)
+}
+
+/// Layer one invocation's parameters: the `shorthand` flags the user gave,
+/// then `base`, then the `--param key=value` pairs, which are validated
+/// strictly against `entry` — so on a key collision `--param` beats `base`
+/// beats a shorthand flag. Shared by [`build_spec`] and the AdaWave
+/// configuration of `stream` and `shard-ingest`.
+fn gather_params(
+    args: &ParsedArgs,
+    shorthand: &[&str],
+    base: &Params,
+    entry: &AlgorithmEntry,
+) -> CliResult<Params> {
+    let mut params = Params::new();
+    for &key in shorthand {
         if let Some(value) = args.get(key) {
-            spec.params.set(key, value);
+            params.set(key, value);
         }
     }
-    spec.params.merge(&base.params);
+    params.merge(base);
     let mut explicit = Params::new();
     for pair in args.get_all("param") {
         explicit.set_pair(pair)?;
     }
     entry.validate_keys(&explicit)?;
-    spec.params.merge(&explicit);
-    Ok(spec)
+    params.merge(&explicit);
+    Ok(params)
+}
+
+/// The algorithm `--algorithm` (or its alias `--algo`) selects, by name or
+/// compact spec; `adawave` when neither is given.
+fn algorithm_name(args: &ParsedArgs) -> &str {
+    args.get("algorithm")
+        .or_else(|| args.get("algo"))
+        .unwrap_or("adawave")
 }
 
 /// Cluster a point set with the algorithm and options from the command
@@ -381,30 +415,11 @@ pub fn build_spec(
 /// `algorithm` accepts the bare name or the compact spec form
 /// `name:key=value,...`; `true_k` counts the ground-truth classes, used
 /// as `k` by the centroid/model-based algorithms when `--k` is not given
-/// (and called only then).
+/// (and called only then). With `want_model` the fit takes the two-stage
+/// `fit_model` path and the trained model comes back too (for
+/// `--save-model` and `predict --train`); without it the cheaper
+/// label-only path runs and the model is `None`.
 pub fn run_clustering(
-    algorithm: &str,
-    points: PointsView<'_>,
-    args: &ParsedArgs,
-    true_k: impl FnOnce() -> usize,
-) -> CliResult<ClusterOutcome> {
-    Ok(run_clustering_impl(algorithm, points, args, true_k, false)?.0)
-}
-
-/// [`run_clustering`] through the two-stage `fit_model` path, additionally
-/// returning the trained model (for `--save-model` and `predict --train`).
-pub fn run_clustering_with_model(
-    algorithm: &str,
-    points: PointsView<'_>,
-    args: &ParsedArgs,
-    true_k: impl FnOnce() -> usize,
-) -> CliResult<(ClusterOutcome, Box<dyn Model>)> {
-    let (outcome, model) = run_clustering_impl(algorithm, points, args, true_k, true)?;
-    Ok((outcome, model.expect("requested above")))
-}
-
-#[allow(clippy::type_complexity)]
-fn run_clustering_impl(
     algorithm: &str,
     points: PointsView<'_>,
     args: &ParsedArgs,
@@ -441,6 +456,31 @@ fn run_clustering_impl(
         },
         model,
     ))
+}
+
+/// Under `--save-model`, write `model` there and return the report line
+/// that says so; otherwise an empty string.
+fn save_model_line(args: &ParsedArgs, model: Option<&dyn Model>) -> CliResult<String> {
+    match (args.get("save-model"), model) {
+        (Some(path), Some(model)) => {
+            save_model(Path::new(path), model).map_err(file_error("saving model to", path))?;
+            Ok(format!("saved model to {path} ({})\n", model.summary()))
+        }
+        _ => Ok(String::new()),
+    }
+}
+
+/// The AMI report line of `cluster`, `predict` and `stream`: `labels`
+/// scored against the ground truth read from `input`; empty under
+/// `--quiet`, which also skips the scoring pass.
+fn ami_line(args: &ParsedArgs, input: &str, truth: &[usize], labels: &[usize]) -> String {
+    if args.flag("quiet") {
+        return String::new();
+    }
+    format!(
+        "AMI against the labels in {input}: {:.3}\n",
+        ami(truth, labels)
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -485,14 +525,13 @@ fn emit_labels(args: &ParsedArgs, labels: &[usize], report: String) -> CliResult
     match (format, args.get("out")) {
         (None, None) => Ok(report),
         (None, Some(out)) => {
-            std::fs::write(out, labels_to_text(labels))
-                .map_err(|e| CliError::Message(format!("writing {out}: {e}")))?;
+            std::fs::write(out, labels_to_text(labels)).map_err(file_error("writing", out))?;
             Ok(report)
         }
         (Some(format), None) => Ok(render_labels(labels, format)),
         (Some(format), Some(out)) => {
             std::fs::write(out, render_labels(labels, format))
-                .map_err(|e| CliError::Message(format!("writing {out}: {e}")))?;
+                .map_err(file_error("writing", out))?;
             Ok(report)
         }
     }
@@ -543,45 +582,26 @@ pub fn labels_from_text(text: &str) -> CliResult<Vec<usize>> {
 
 fn cluster(args: &ParsedArgs) -> CliResult<String> {
     let input = args.require("input")?;
-    let algorithm = args
-        .get("algorithm")
-        .or_else(|| args.get("algo"))
-        .unwrap_or("adawave");
-    let ds = csv::load_csv(Path::new(input))
-        .map_err(|e| CliError::Message(format!("reading {input}: {e}")))?;
-    // Only the two-stage path builds the trained model artifact; plain
-    // clustering keeps the cheaper label-only path.
-    let (outcome, model) = if let Some(model_path) = args.get("save-model") {
-        let (outcome, model) =
-            run_clustering_with_model(algorithm, ds.view(), args, || ds.cluster_count())?;
-        save_model(Path::new(model_path), model.as_ref())
-            .map_err(|e| CliError::Message(format!("saving model to {model_path}: {e}")))?;
-        (outcome, Some(model))
-    } else {
-        (
-            run_clustering(algorithm, ds.view(), args, || ds.cluster_count())?,
-            None,
-        )
-    };
-
-    let mut report = format!(
-        "{}: {} clusters, {} noise points / {} total in {:.3}s\n",
+    let algorithm = algorithm_name(args);
+    let ds = read_csv(input)?;
+    let want_model = args.get("save-model").is_some();
+    let (outcome, model) = run_clustering(
+        algorithm,
+        ds.view(),
+        args,
+        || ds.cluster_count(),
+        want_model,
+    )?;
+    let saved = save_model_line(args, model.as_deref())?;
+    let report = format!(
+        "{}: {} clusters, {} noise points / {} total in {:.3}s\n{saved}{}",
         algorithm,
         outcome.clusters,
         outcome.noise_points,
         ds.len(),
-        outcome.seconds
+        outcome.seconds,
+        ami_line(args, input, &ds.labels, &outcome.labels),
     );
-    if let (Some(model), Some(path)) = (&model, args.get("save-model")) {
-        report.push_str(&format!("saved model to {path} ({})\n", model.summary()));
-    }
-    if !args.flag("quiet") {
-        let score = match ds.noise_label {
-            Some(noise) => ami_ignoring_noise(&ds.labels, &outcome.labels, noise),
-            None => ami(&ds.labels, &outcome.labels),
-        };
-        report.push_str(&format!("AMI against the labels in {input}: {score:.3}\n"));
-    }
     emit_labels(args, &outcome.labels, report)
 }
 
@@ -594,18 +614,19 @@ fn cluster(args: &ParsedArgs) -> CliResult<String> {
 /// accepts.
 fn predict_model(args: &ParsedArgs) -> CliResult<Box<dyn Model>> {
     match (args.get("model"), args.get("train")) {
-        (Some(path), None) => load_model(Path::new(path))
-            .map_err(|e| CliError::Message(format!("loading model from {path}: {e}"))),
+        (Some(path), None) => {
+            load_model(Path::new(path)).map_err(file_error("loading model from", path))
+        }
         (None, Some(train_path)) => {
-            let train = csv::load_csv(Path::new(train_path))
-                .map_err(|e| CliError::Message(format!("reading {train_path}: {e}")))?;
-            let algorithm = args
-                .get("algorithm")
-                .or_else(|| args.get("algo"))
-                .unwrap_or("adawave");
-            let (_, model) =
-                run_clustering_with_model(algorithm, train.view(), args, || train.cluster_count())?;
-            Ok(model)
+            let train = read_csv(train_path)?;
+            let (_, model) = run_clustering(
+                algorithm_name(args),
+                train.view(),
+                args,
+                || train.cluster_count(),
+                true,
+            )?;
+            model.ok_or_else(|| CliError::Message(format!("fitting {train_path} built no model")))
         }
         (Some(_), Some(_)) => Err(CliError::Message(
             "give either --model <file> or --train <csv>, not both".to_string(),
@@ -623,8 +644,7 @@ fn predict(args: &ParsedArgs) -> CliResult<String> {
     // Resolve the model first so a missing/ambiguous source is reported
     // before any input parsing work.
     let model = predict_model(args)?;
-    let ds = csv::load_csv(Path::new(input))
-        .map_err(|e| CliError::Message(format!("reading {input}: {e}")))?;
+    let ds = read_csv(input)?;
     let start = Instant::now();
     let clustering = model.predict(ds.view())?;
     let seconds = start.elapsed().as_secs_f64();
@@ -641,13 +661,7 @@ fn predict(args: &ParsedArgs) -> CliResult<String> {
     if args.flag("verbose") {
         report.push_str(&format!("{}\n", model.summary()));
     }
-    if !args.flag("quiet") {
-        let score = match ds.noise_label {
-            Some(noise) => ami_ignoring_noise(&ds.labels, &labels, noise),
-            None => ami(&ds.labels, &labels),
-        };
-        report.push_str(&format!("AMI against the labels in {input}: {score:.3}\n"));
-    }
+    report.push_str(&ami_line(args, input, &ds.labels, &labels));
     emit_labels(args, &labels, report)
 }
 
@@ -739,26 +753,28 @@ fn serve(args: &ParsedArgs) -> CliResult<String> {
 
 /// Build an [`AdaWaveConfig`] from the shared shorthand flags
 /// (`--scale`, `--wavelet`, `--levels`, `--threshold`, `--threads`) plus
-/// explicit `--param key=value` pairs, reusing the registry-facing
-/// parameter parsing and validation so the accepted keys, values,
-/// precedence (shorthand < `--param`) and error messages match
+/// explicit `--param key=value` pairs, through the same parameter
+/// layering and validation as [`build_spec`], so the accepted keys,
+/// values, precedence (shorthand < `--param`) and error messages match
 /// `cluster --algo adawave`.
 fn adawave_config_from_args(args: &ParsedArgs) -> CliResult<AdaWaveConfig> {
-    let mut params = Params::new();
-    for key in ["scale", "wavelet", "levels", "threshold", "threads"] {
-        if let Some(value) = args.get(key) {
-            params.set(key, value);
-        }
-    }
-    let mut explicit = Params::new();
-    for pair in args.get_all("param") {
-        explicit.set_pair(pair)?;
-    }
-    standard_registry()
-        .entry("adawave")?
-        .validate_keys(&explicit)?;
-    params.merge(&explicit);
+    let shorthand = ["scale", "wavelet", "levels", "threshold", "threads"];
+    let registry = standard_registry();
+    let params = gather_params(args, &shorthand, &Params::new(), registry.entry("adawave")?)?;
     Ok(AdaWaveConfig::from_params(&params)?)
+}
+
+/// The `--batch-rows` option of `stream` and `shard-ingest`: a positive
+/// batch size, 8192 by default.
+fn batch_rows(args: &ParsedArgs) -> CliResult<usize> {
+    match args.parse_or("batch-rows", 8192usize)? {
+        0 => Err(CliError::Args(ArgError::InvalidValue {
+            option: "batch-rows".to_string(),
+            value: "0".to_string(),
+            expected: "a positive batch size".to_string(),
+        })),
+        rows => Ok(rows),
+    }
 }
 
 /// The outcome of streaming a CSV through [`StreamingAdaWave`].
@@ -798,23 +814,15 @@ pub struct CheckpointSpec {
     pub every: usize,
 }
 
-/// Rows `lo..hi` of a matrix as a borrowed view (no copying).
-fn point_rows(points: &PointMatrix, lo: usize, hi: usize) -> PointsView<'_> {
-    let dims = points.dims();
-    PointsView::from_flat(&points.as_slice()[lo * dims..hi * dims], dims)
-        .expect("row-aligned slice of a valid matrix")
-}
-
 /// One streaming pass over a CSV file: the union of its per-batch
 /// finite-row boxes and its row count. Rows with a non-finite value stay
 /// outliers of the later ingest pass instead of making this pass fatal;
 /// a file without a single finite row is an error.
 fn prescan_domain(path: &Path, batch_rows: usize) -> CliResult<(BoundingBox, usize)> {
-    let read_err = |e: csv::CsvError| CliError::Message(format!("reading {}: {e}", path.display()));
     let mut domain: Option<BoundingBox> = None;
     let mut rows = 0usize;
-    for batch in CsvBatches::open(path, batch_rows).map_err(read_err)? {
-        let batch = batch.map_err(read_err)?;
+    for batch in CsvBatches::open(path, batch_rows).map_err(file_error("reading", path))? {
+        let batch = batch.map_err(file_error("reading", path))?;
         rows += batch.points.len();
         if let Some(bounds) = adawave_stream::finite_bounds(batch.view()) {
             domain = Some(match domain {
@@ -829,44 +837,66 @@ fn prescan_domain(path: &Path, batch_rows: usize) -> CliResult<(BoundingBox, usi
     Ok((domain, rows))
 }
 
+/// Read the CSV at `path` in batches of `batch_rows` and ingest the rows
+/// with an index in `range` into `stream`, borrowed from each batch rather
+/// than copied. `on_batch` sees the session, every batch read and how many
+/// of its rows were ingested. Reading stops after the batch that holds the
+/// last row of `range`; returns the number of rows read.
+fn ingest_rows(
+    path: &Path,
+    batch_rows: usize,
+    range: Range<usize>,
+    stream: &mut StreamingAdaWave,
+    mut on_batch: impl FnMut(&StreamingAdaWave, &Dataset, usize) -> CliResult<()>,
+) -> CliResult<usize> {
+    let mut row = 0usize;
+    for batch in CsvBatches::open(path, batch_rows).map_err(file_error("reading", path))? {
+        let batch = batch.map_err(file_error("reading", path))?;
+        let n = batch.points.len();
+        let lo = range.start.clamp(row, row + n) - row;
+        let hi = range.end.clamp(row, row + n) - row;
+        let mut ingested = 0;
+        if lo < hi {
+            let dims = batch.points.dims();
+            let rows = PointsView::from_flat(&batch.points.as_slice()[lo * dims..hi * dims], dims)?;
+            ingested = stream
+                .ingest(rows)
+                .map_err(file_error("streaming", path))?
+                .points;
+        }
+        on_batch(stream, &batch, ingested)?;
+        row += n;
+        if row >= range.end {
+            break;
+        }
+    }
+    Ok(row)
+}
+
 /// Stream a CSV file through [`StreamingAdaWave`] in batches of
 /// `batch_rows` points. With `prescan`, a first streaming pass computes
 /// the exact bounding box of the whole file (batch-box unions — still one
 /// batch in memory at a time) so the result is identical to the one-shot
 /// `cluster` command; without it the domain freezes on the first batch.
+///
+/// With a `checkpoint`, the accumulator is written to `checkpoint.path`
+/// every `checkpoint.every` ingested rows (and once more at the end), and
+/// when the file already exists the session restores from it and skips
+/// the rows it holds — so a killed run picks up where the last checkpoint
+/// left off and still produces bit-identical labels.
 pub fn run_stream(
-    path: &Path,
-    batch_rows: usize,
-    prescan: bool,
-    config: AdaWaveConfig,
-) -> CliResult<StreamOutcome> {
-    run_stream_checkpointed(path, batch_rows, prescan, config, None)
-}
-
-/// [`run_stream`] with an optional checkpoint: the accumulator is written
-/// to `checkpoint.path` every `checkpoint.every` ingested rows (and once
-/// more at the end), and when the file already exists the session restores
-/// from it and skips the rows it holds — so a killed run picks up where
-/// the last checkpoint left off and still produces bit-identical labels.
-pub fn run_stream_checkpointed(
     path: &Path,
     batch_rows: usize,
     prescan: bool,
     config: AdaWaveConfig,
     checkpoint: Option<&CheckpointSpec>,
 ) -> CliResult<StreamOutcome> {
-    let read_err = |e: csv::CsvError| CliError::Message(format!("reading {}: {e}", path.display()));
-    let stream_err = |e: adawave_stream::StreamError| {
-        CliError::Message(format!("streaming {}: {e}", path.display()))
-    };
-
     // Resume path: the checkpoint file holds the whole session (frozen
     // domain included), so the prescan is unnecessary when it exists.
-    let resume = match checkpoint {
+    let mut stream = match checkpoint {
         Some(cp) if cp.path.exists() => {
-            let restored = load_accumulator(&cp.path).map_err(|e| {
-                CliError::Message(format!("reading checkpoint {}: {e}", cp.path.display()))
-            })?;
+            let restored =
+                load_accumulator(&cp.path).map_err(file_error("reading checkpoint", &cp.path))?;
             // The restored config must match the flags of this run — the
             // runtime aside, which never changes results.
             let mut theirs = restored.config().clone();
@@ -878,49 +908,39 @@ pub fn run_stream_checkpointed(
                     cp.path.display()
                 )));
             }
-            Some(restored)
+            restored
         }
-        _ => None,
-    };
-    let mut stream = match resume {
-        Some(restored) => restored,
-        None if prescan => {
+        _ if prescan => {
             let (domain, _) = prescan_domain(path, batch_rows)?;
-            StreamingAdaWave::with_domain(config, domain).map_err(stream_err)?
+            StreamingAdaWave::with_domain(config, domain).map_err(file_error("streaming", path))?
         }
-        None => StreamingAdaWave::new(config),
+        _ => StreamingAdaWave::new(config),
     };
     let resumed_points = stream.points_ingested();
 
     let mut checkpointer = checkpoint.map(|cp| Checkpointer::new(&cp.path, cp.every));
-    let checkpoint_err = |c: &Checkpointer, e: adawave_api::ArtifactError| {
-        CliError::Message(format!("writing checkpoint {}: {e}", c.path().display()))
-    };
     let mut truth = Vec::new();
     let mut batches = 0usize;
-    let mut row = 0usize;
     let ingest_start = Instant::now();
-    for batch in CsvBatches::open(path, batch_rows).map_err(read_err)? {
-        let batch = batch.map_err(read_err)?;
-        let n = batch.points.len();
-        truth.extend_from_slice(&batch.labels);
-        // Rows the checkpoint already holds are skipped, not re-ingested.
-        let skip = resumed_points.saturating_sub(row).min(n);
-        if skip < n {
-            let report = stream
-                .ingest(point_rows(&batch.points, skip, n))
-                .map_err(stream_err)?;
+    // Rows the checkpoint already holds are skipped, not re-ingested.
+    let rows = ingest_rows(
+        path,
+        batch_rows,
+        resumed_points..usize::MAX,
+        &mut stream,
+        |stream, batch, ingested| {
+            truth.extend_from_slice(&batch.labels);
+            batches += 1;
             if let Some(c) = checkpointer.as_mut() {
-                c.observe(&stream, report.points)
-                    .map_err(|e| checkpoint_err(c, e))?;
+                c.observe(stream, ingested)
+                    .map_err(file_error("writing checkpoint", c.path()))?;
             }
-        }
-        row += n;
-        batches += 1;
-    }
-    if stream.points_ingested() != row {
+            Ok(())
+        },
+    )?;
+    if stream.points_ingested() != rows {
         return Err(CliError::Message(format!(
-            "checkpoint holds {resumed_points} rows but {} has {row}; \
+            "checkpoint holds {resumed_points} rows but {} has {rows}; \
              was it written for a different file?",
             path.display()
         )));
@@ -928,13 +948,14 @@ pub fn run_stream_checkpointed(
     if let Some(c) = checkpointer.as_mut() {
         // Final flush: a rerun of the same command skips every row and
         // goes straight to the refit.
-        c.flush(&stream).map_err(|e| checkpoint_err(c, e))?;
+        c.flush(&stream)
+            .map_err(file_error("writing checkpoint", c.path()))?;
     }
     let outliers = stream.outlier_count();
     let ingest_seconds = ingest_start.elapsed().as_secs_f64();
 
     let refit_start = Instant::now();
-    let result = stream.refit().map_err(stream_err)?;
+    let result = stream.refit().map_err(file_error("streaming", path))?;
     let refit_seconds = refit_start.elapsed().as_secs_f64();
 
     // Route through the canonical `Clustering` so the emitted ids follow
@@ -962,14 +983,7 @@ pub fn run_stream_checkpointed(
 
 fn stream(args: &ParsedArgs) -> CliResult<String> {
     let input = args.require("input")?;
-    let batch_rows = args.parse_or("batch-rows", 8192usize)?;
-    if batch_rows == 0 {
-        return Err(CliError::Args(ArgError::InvalidValue {
-            option: "batch-rows".to_string(),
-            value: "0".to_string(),
-            expected: "a positive batch size".to_string(),
-        }));
-    }
+    let batch_rows = batch_rows(args)?;
     let config = adawave_config_from_args(args)?;
     let checkpoint = match (args.get("checkpoint"), args.get("checkpoint-every")) {
         (None, Some(_)) => {
@@ -993,7 +1007,7 @@ fn stream(args: &ParsedArgs) -> CliResult<String> {
             })
         }
     };
-    let outcome = run_stream_checkpointed(
+    let outcome = run_stream(
         Path::new(input),
         batch_rows,
         args.flag("prescan"),
@@ -1028,34 +1042,13 @@ fn stream(args: &ParsedArgs) -> CliResult<String> {
             cp.every
         ));
     }
-    if !args.flag("quiet") {
-        let score = ami(&outcome.truth, &outcome.labels);
-        report.push_str(&format!("AMI against the labels in {input}: {score:.3}\n"));
-    }
+    report.push_str(&ami_line(args, input, &outcome.truth, &outcome.labels));
     emit_labels(args, &outcome.labels, report)
 }
 
 // ---------------------------------------------------------------------------
 // shard-ingest & merge-accumulators
 // ---------------------------------------------------------------------------
-
-/// Parse the `--shard i/k` spec into a 1-based `(index, count)` pair.
-fn parse_shard(spec: &str) -> CliResult<(usize, usize)> {
-    let parsed = spec.split_once('/').and_then(|(i, k)| {
-        Some((
-            i.trim().parse::<usize>().ok()?,
-            k.trim().parse::<usize>().ok()?,
-        ))
-    });
-    match parsed {
-        Some((index, count)) if count >= 1 && (1..=count).contains(&index) => Ok((index, count)),
-        _ => Err(CliError::Args(ArgError::InvalidValue {
-            option: "shard".to_string(),
-            value: spec.to_string(),
-            expected: "<i>/<k> with 1 <= i <= k (e.g. --shard 2/3)".to_string(),
-        })),
-    }
-}
 
 /// The `shard-ingest` command: ingest rows `[n*(i-1)/k, n*i/k)` of the CSV
 /// into an accumulator file. The domain is always prescanned over the
@@ -1065,50 +1058,41 @@ fn parse_shard(spec: &str) -> CliResult<(usize, usize)> {
 fn shard_ingest(args: &ParsedArgs) -> CliResult<String> {
     let input = args.require("input")?;
     let out = args.require("out")?;
-    let (index, count) = parse_shard(args.require("shard")?)?;
-    let batch_rows = args.parse_or("batch-rows", 8192usize)?;
-    if batch_rows == 0 {
-        return Err(CliError::Args(ArgError::InvalidValue {
-            option: "batch-rows".to_string(),
-            value: "0".to_string(),
-            expected: "a positive batch size".to_string(),
-        }));
-    }
+    let spec = args.require("shard")?;
+    let (index, count, shard) = shard_rows(spec).ok_or_else(|| {
+        CliError::Args(ArgError::InvalidValue {
+            option: "shard".to_string(),
+            value: spec.to_string(),
+            expected: "<i>/<k> with 1 <= i <= k (e.g. --shard 2/3)".to_string(),
+        })
+    })?;
+    let batch_rows = batch_rows(args)?;
     let config = adawave_config_from_args(args)?;
     let path = Path::new(input);
-    let read_err = |e: csv::CsvError| CliError::Message(format!("reading {input}: {e}"));
-    let stream_err =
-        |e: adawave_stream::StreamError| CliError::Message(format!("streaming {input}: {e}"));
 
     // Pass 1: the exact domain and row count of the whole file — identical
     // for every shard, whichever slice it goes on to ingest.
     let (domain, total) = prescan_domain(path, batch_rows)?;
-    let (lo, hi) = (total * (index - 1) / count, total * index / count);
+    let rows = shard(total);
 
     // Pass 2: ingest only this shard's contiguous row slice.
-    let mut stream = StreamingAdaWave::with_domain(config, domain).map_err(stream_err)?;
+    let mut stream =
+        StreamingAdaWave::with_domain(config, domain).map_err(file_error("streaming", path))?;
     let start = Instant::now();
-    let mut row = 0usize;
-    for batch in CsvBatches::open(path, batch_rows).map_err(read_err)? {
-        let batch = batch.map_err(read_err)?;
-        let n = batch.points.len();
-        let (a, b) = (lo.clamp(row, row + n), hi.clamp(row, row + n));
-        if a < b {
-            stream
-                .ingest(point_rows(&batch.points, a - row, b - row))
-                .map_err(stream_err)?;
-        }
-        row += n;
-        if row >= hi {
-            break;
-        }
-    }
+    ingest_rows(
+        path,
+        batch_rows,
+        rows.clone(),
+        &mut stream,
+        |_, _, _| Ok(()),
+    )?;
     let seconds = start.elapsed().as_secs_f64();
-    save_accumulator(Path::new(out), &stream)
-        .map_err(|e| CliError::Message(format!("writing {out}: {e}")))?;
+    save_accumulator(Path::new(out), &stream).map_err(file_error("writing", out))?;
     Ok(format!(
-        "shard {index}/{count} of {input}: rows {lo}..{hi} ({} points, {} outliers, \
+        "shard {index}/{count} of {input}: rows {}..{} ({} points, {} outliers, \
          {} occupied cells) in {seconds:.3}s -> {out}\n",
+        rows.start,
+        rows.end,
         stream.points_ingested(),
         stream.outlier_count(),
         stream.occupied_cells(),
@@ -1121,68 +1105,45 @@ fn shard_ingest(args: &ParsedArgs) -> CliResult<String> {
 /// labels the concatenated rows, because the merged grid is bit-identical.
 fn merge_accumulators(args: &ParsedArgs) -> CliResult<String> {
     let inputs: Vec<&str> = args.get_all("input").collect();
-    if inputs.is_empty() {
+    let Some((first, rest)) = inputs.split_first() else {
         return Err(CliError::Usage(
             "merge-accumulators needs at least one --input <file.awa> \
              (written by `shard-ingest` or `stream --checkpoint`)"
                 .to_string(),
         ));
+    };
+    let load =
+        |input: &str| load_accumulator(Path::new(input)).map_err(file_error("reading", input));
+    let mut stream = load(first)?;
+    for input in rest {
+        stream
+            .merge(load(input)?)
+            .map_err(file_error("merging", *input))?;
     }
-    let mut merged: Option<StreamingAdaWave> = None;
-    for input in &inputs {
-        let shard = load_accumulator(Path::new(input))
-            .map_err(|e| CliError::Message(format!("reading {input}: {e}")))?;
-        merged = Some(match merged.take() {
-            None => shard,
-            Some(mut acc) => {
-                acc.merge(shard)
-                    .map_err(|e| CliError::Message(format!("merging {input}: {e}")))?;
-                acc
-            }
-        });
-    }
-    let stream = merged.expect("inputs is non-empty");
     let refit_err = |e: adawave_stream::StreamError| CliError::Message(format!("refit: {e}"));
 
     let start = Instant::now();
     // Only the two-stage path builds the serving model artifact.
-    let (labels, clusters, model_line) = if let Some(model_path) = args.get("save-model") {
+    let (clustering, model) = if args.get("save-model").is_some() {
         let outcome = stream.refit_outcome().map_err(refit_err)?;
-        save_model(Path::new(model_path), outcome.model.as_ref())
-            .map_err(|e| CliError::Message(format!("saving model to {model_path}: {e}")))?;
-        let line = format!(
-            "saved model to {model_path} ({})\n",
-            outcome.model.summary()
-        );
-        (
-            outcome.clustering.to_labels(NOISE_LABEL),
-            outcome.clustering.cluster_count(),
-            Some(line),
-        )
+        (outcome.clustering, Some(outcome.model))
     } else {
-        let clustering = stream.refit().map_err(refit_err)?.into_clustering();
-        (
-            clustering.to_labels(NOISE_LABEL),
-            clustering.cluster_count(),
-            None,
-        )
+        (stream.refit().map_err(refit_err)?.into_clustering(), None)
     };
+    let labels = clustering.to_labels(NOISE_LABEL);
     let seconds = start.elapsed().as_secs_f64();
 
-    let noise_points = labels.iter().filter(|&&l| l == NOISE_LABEL).count();
-    let mut report = format!(
+    let saved = save_model_line(args, model.as_deref())?;
+    let report = format!(
         "merged {} accumulator(s): {} clusters, {} noise points / {} total \
-         ({} outliers, {} occupied cells); refit {seconds:.3}s\n",
+         ({} outliers, {} occupied cells); refit {seconds:.3}s\n{saved}",
         inputs.len(),
-        clusters,
-        noise_points,
+        clustering.cluster_count(),
+        labels.iter().filter(|&&l| l == NOISE_LABEL).count(),
         labels.len(),
         stream.outlier_count(),
         stream.occupied_cells(),
     );
-    if let Some(line) = model_line {
-        report.push_str(&line);
-    }
     emit_labels(args, &labels, report)
 }
 
@@ -1257,18 +1218,16 @@ pub fn evaluation_report(
 fn evaluate(args: &ParsedArgs) -> CliResult<String> {
     let input = args.require("input")?;
     let labels_path = args.require("labels")?;
-    let ds = csv::load_csv(Path::new(input))
-        .map_err(|e| CliError::Message(format!("reading {input}: {e}")))?;
-    let text = std::fs::read_to_string(labels_path)
-        .map_err(|e| CliError::Message(format!("reading {labels_path}: {e}")))?;
+    let ds = read_csv(input)?;
+    let text = std::fs::read_to_string(labels_path).map_err(file_error("reading", labels_path))?;
     let predicted = labels_from_text(&text)?;
-    let noise_label = match args.get("noise-label") {
-        Some(raw) => Some(
+    let noise_label = args
+        .get("noise-label")
+        .map(|raw| {
             raw.parse::<usize>()
-                .map_err(|_| CliError::Message(format!("bad --noise-label '{raw}'")))?,
-        ),
-        None => ds.noise_label,
-    };
+                .map_err(|_| CliError::Message(format!("bad --noise-label '{raw}'")))
+        })
+        .transpose()?;
     evaluation_report(ds.view(), &ds.labels, &predicted, noise_label)
 }
 
@@ -1304,8 +1263,9 @@ pub fn run_sweep(
         let mut scores = Vec::new();
         for algo in algorithms {
             let args = ParsedArgs::parse(["cluster", "--scale", &scale_arg]).expect("static args");
-            let outcome = match run_clustering(algo, ds.view(), &args, || ds.cluster_count()) {
-                Ok(o) => o,
+            let outcome = match run_clustering(algo, ds.view(), &args, || ds.cluster_count(), false)
+            {
+                Ok((outcome, _)) => outcome,
                 Err(_) => continue,
             };
             let score = ami_ignoring_noise(&ds.labels, &outcome.labels, SYNTHETIC_NOISE_LABEL);
@@ -1505,8 +1465,7 @@ mod tests {
             "sting",
             "clique",
         ] {
-            let outcome = run_clustering(algo, points.view(), &args, || 2)
-                .unwrap_or_else(|e| panic!("{algo}: {e}"));
+            let outcome = fit(algo, points.view(), &args).unwrap_or_else(|e| panic!("{algo}: {e}"));
             assert_eq!(outcome.labels.len(), points.len(), "{algo}");
         }
     }
@@ -1515,7 +1474,7 @@ mod tests {
     fn unknown_algorithm_is_rejected() {
         let (points, _) = toy_points();
         let args = ParsedArgs::parse(["cluster"]).unwrap();
-        let err = run_clustering("definitely-not-real", points.view(), &args, || 2).unwrap_err();
+        let err = fit("definitely-not-real", points.view(), &args).unwrap_err();
         // The registry error names the known algorithms.
         assert!(err.to_string().contains("adawave"), "{err}");
     }
@@ -1525,18 +1484,18 @@ mod tests {
         let (points, _) = toy_points();
         // `--param k=3` overrides the k inferred from the dataset.
         let args = ParsedArgs::parse(["cluster", "--param", "k=3", "--param", "seed=11"]).unwrap();
-        let outcome = run_clustering("kmeans", points.view(), &args, || 2).unwrap();
+        let outcome = fit("kmeans", points.view(), &args).unwrap();
         assert_eq!(outcome.clusters, 3);
         // A typo'd key is rejected with the accepted keys listed...
         let args = ParsedArgs::parse(["cluster", "--param", "kk=3"]).unwrap();
-        let err = run_clustering("kmeans", points.view(), &args, || 2).unwrap_err();
+        let err = fit("kmeans", points.view(), &args).unwrap_err();
         assert!(err.to_string().contains("kk"), "{err}");
         assert!(err.to_string().contains("seed"), "{err}");
         // ...as is a malformed pair and a bad value.
         let args = ParsedArgs::parse(["cluster", "--param", "k"]).unwrap();
-        assert!(run_clustering("kmeans", points.view(), &args, || 2).is_err());
+        assert!(fit("kmeans", points.view(), &args).is_err());
         let args = ParsedArgs::parse(["cluster", "--param", "k=banana"]).unwrap();
-        assert!(run_clustering("kmeans", points.view(), &args, || 2).is_err());
+        assert!(fit("kmeans", points.view(), &args).is_err());
     }
 
     #[test]
@@ -1544,19 +1503,19 @@ mod tests {
         let (points, _) = toy_points();
         // `--algo name:key=value,...` carries params inline.
         let args = ParsedArgs::parse(["cluster"]).unwrap();
-        let outcome = run_clustering("kmeans:k=4,seed=3", points.view(), &args, || 2).unwrap();
+        let outcome = fit("kmeans:k=4,seed=3", points.view(), &args).unwrap();
         assert_eq!(outcome.clusters, 4);
         // Typos in the compact form are caught like --param typos.
-        let err = run_clustering("kmeans:kk=4", points.view(), &args, || 2).unwrap_err();
+        let err = fit("kmeans:kk=4", points.view(), &args).unwrap_err();
         assert!(err.to_string().contains("kk"), "{err}");
         // `--param` wins over the compact form on collision.
         let args = ParsedArgs::parse(["cluster", "--param", "k=5"]).unwrap();
-        let outcome = run_clustering("kmeans:k=2,seed=3", points.view(), &args, || 2).unwrap();
+        let outcome = fit("kmeans:k=2,seed=3", points.view(), &args).unwrap();
         assert_eq!(outcome.clusters, 5);
         // The documented stsc default (eigengap auto-k) is expressible even
         // though the CLI injects a numeric k by default.
         let args = ParsedArgs::parse(["cluster", "--param", "k=auto"]).unwrap();
-        let outcome = run_clustering("stsc", points.view(), &args, || 2).unwrap();
+        let outcome = fit("stsc", points.view(), &args).unwrap();
         assert!(outcome.clusters >= 1);
     }
 
@@ -1597,8 +1556,8 @@ mod tests {
         for algo in ["adawave", "kmeans", "dbscan", "meanshift"] {
             let one = ParsedArgs::parse(["cluster", "--scale", "32", "--threads", "1"]).unwrap();
             let four = ParsedArgs::parse(["cluster", "--scale", "32", "--threads", "4"]).unwrap();
-            let a = run_clustering(algo, points.view(), &one, || 2).unwrap();
-            let b = run_clustering(algo, points.view(), &four, || 2).unwrap();
+            let a = fit(algo, points.view(), &one).unwrap();
+            let b = fit(algo, points.view(), &four).unwrap();
             assert_eq!(a.labels, b.labels, "{algo}");
         }
     }
@@ -1607,7 +1566,7 @@ mod tests {
     fn adawave_separates_the_toy_blobs() {
         let (points, truth) = toy_points();
         let args = ParsedArgs::parse(["cluster", "--scale", "32"]).unwrap();
-        let outcome = run_clustering("adawave", points.view(), &args, || 2).unwrap();
+        let outcome = fit("adawave", points.view(), &args).unwrap();
         assert!(outcome.clusters >= 2);
         let score = ami_ignoring_noise(&truth, &outcome.labels, 2);
         assert!(score > 0.8, "AMI {score}");
@@ -1617,8 +1576,17 @@ mod tests {
     fn reassign_noise_flag_removes_noise_points() {
         let (points, _) = toy_points();
         let args = ParsedArgs::parse(["cluster", "--scale", "32", "--reassign-noise"]).unwrap();
-        let outcome = run_clustering("adawave", points.view(), &args, || 2).unwrap();
+        let outcome = fit("adawave", points.view(), &args).unwrap();
         assert_eq!(outcome.noise_points, 0);
+    }
+
+    /// [`run_clustering`] without a model, `k` defaulting to 2.
+    fn fit(
+        algorithm: &str,
+        points: PointsView<'_>,
+        args: &ParsedArgs,
+    ) -> CliResult<ClusterOutcome> {
+        run_clustering(algorithm, points, args, || 2, false).map(|(outcome, _)| outcome)
     }
 
     fn save_temp_dataset(name: &str, points: &PointMatrix, truth: &[usize]) -> std::path::PathBuf {
@@ -1674,13 +1642,13 @@ mod tests {
                 adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", scale]).unwrap())
                     .unwrap();
             // Small batches force many ingest/merge rounds.
-            let outcome = run_stream(&path, 37, true, config).unwrap();
+            let outcome = run_stream(&path, 37, true, config, None).unwrap();
             assert_eq!(outcome.points, points.len());
             assert_eq!(outcome.outliers, 0, "prescan domain covers everything");
             assert!(outcome.batches > 5);
 
             let args = ParsedArgs::parse(["cluster", "--scale", scale]).unwrap();
-            let one_shot = run_clustering("adawave", points.view(), &args, || 2).unwrap();
+            let one_shot = fit("adawave", points.view(), &args).unwrap();
             assert_eq!(outcome.labels, one_shot.labels, "{name}");
             assert_eq!(outcome.clusters, one_shot.clusters, "{name}");
             std::fs::remove_file(&path).ok();
@@ -1702,7 +1670,7 @@ mod tests {
         let config =
             adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", "8"]).unwrap())
                 .unwrap();
-        let outcome = run_stream(&path, 2, false, config).unwrap();
+        let outcome = run_stream(&path, 2, false, config, None).unwrap();
         assert_eq!(outcome.outliers, 1);
         assert_eq!(outcome.labels[3], NOISE_LABEL);
         std::fs::remove_file(&path).ok();
@@ -1722,7 +1690,7 @@ mod tests {
         // with prescan the finite-row union covers them and only the NaN
         // row stays an outlier.
         for (prescan, expected_outliers) in [(false, 3), (true, 1)] {
-            let outcome = run_stream(&path, 2, prescan, config.clone()).unwrap();
+            let outcome = run_stream(&path, 2, prescan, config.clone(), None).unwrap();
             assert_eq!(outcome.outliers, expected_outliers, "prescan = {prescan}");
             assert_eq!(outcome.labels[0], NOISE_LABEL, "prescan = {prescan}");
             assert_eq!(outcome.points, 4, "prescan = {prescan}");
@@ -1800,7 +1768,7 @@ mod tests {
         let train = save_temp_dataset("adawave_cli_predict_train", &points, &truth);
         // Fit labels via `cluster`...
         let args = ParsedArgs::parse(["cluster", "--scale", "32"]).unwrap();
-        let fit = run_clustering("adawave", points.view(), &args, || 2).unwrap();
+        let fit = fit("adawave", points.view(), &args).unwrap();
         // ...and via `predict --train` on the same file: the model predicts
         // the training batch identically.
         let out = std::env::temp_dir().join("adawave_cli_predict_labels.csv");
@@ -2049,11 +2017,11 @@ mod tests {
     fn unknown_algorithm_suggests_the_closest_name() {
         let (points, _) = toy_points();
         let args = ParsedArgs::parse(["cluster"]).unwrap();
-        let err = run_clustering("kmean", points.view(), &args, || 2).unwrap_err();
+        let err = fit("kmean", points.view(), &args).unwrap_err();
         assert!(err.to_string().contains("did you mean kmeans?"), "{err}");
         // Unknown --param keys reuse the same suggestion path.
         let args = ParsedArgs::parse(["cluster", "--param", "bandwith=0.2"]).unwrap();
-        let err = run_clustering("meanshift", points.view(), &args, || 2).unwrap_err();
+        let err = fit("meanshift", points.view(), &args).unwrap_err();
         assert!(err.to_string().contains("did you mean bandwidth?"), "{err}");
     }
 
@@ -2113,7 +2081,7 @@ mod tests {
     fn evaluation_report_contains_all_metrics() {
         let (points, truth) = toy_points();
         let args = ParsedArgs::parse(["cluster", "--scale", "32"]).unwrap();
-        let outcome = run_clustering("kmeans", points.view(), &args, || 2).unwrap();
+        let outcome = fit("kmeans", points.view(), &args).unwrap();
         let report = evaluation_report(points.view(), &truth, &outcome.labels, None).unwrap();
         for needle in ["AMI", "NMI", "ARI", "V-measure", "purity", "silhouette"] {
             assert!(report.contains(needle), "missing {needle}:\n{report}");
@@ -2620,13 +2588,14 @@ mod tests {
                 .unwrap();
 
         // The reference: an uninterrupted prescan stream.
-        let reference = run_stream(&data, 64, true, config.clone()).unwrap();
+        let reference = run_stream(&data, 64, true, config.clone(), None).unwrap();
 
         // "Crash" after 100 rows: a checkpoint written mid-stream by a
         // partial session over the same domain and config.
         let domain = adawave_stream::finite_bounds(points.view()).unwrap();
         let mut partial = StreamingAdaWave::with_domain(config.clone(), domain).unwrap();
-        partial.ingest(point_rows(&points, 0, 100)).unwrap();
+        let first_rows = PointsView::from_flat(&points.as_slice()[..100 * 2], 2).unwrap();
+        partial.ingest(first_rows).unwrap();
         save_accumulator(&ckpt, &partial).unwrap();
 
         // The resumed run skips those 100 rows and matches bit for bit.
@@ -2634,15 +2603,14 @@ mod tests {
             path: ckpt.clone(),
             every: 50,
         };
-        let resumed =
-            run_stream_checkpointed(&data, 64, true, config.clone(), Some(&spec)).unwrap();
+        let resumed = run_stream(&data, 64, true, config.clone(), Some(&spec)).unwrap();
         assert_eq!(resumed.resumed_points, 100);
         assert_eq!(resumed.labels, reference.labels);
         assert_eq!(resumed.points, reference.points);
 
         // The final flush leaves a complete checkpoint: a rerun skips
         // every row and still produces the same labels.
-        let rerun = run_stream_checkpointed(&data, 64, true, config.clone(), Some(&spec)).unwrap();
+        let rerun = run_stream(&data, 64, true, config.clone(), Some(&spec)).unwrap();
         assert_eq!(rerun.resumed_points, points.len());
         assert_eq!(rerun.labels, reference.labels);
 
@@ -2650,7 +2618,7 @@ mod tests {
         let other =
             adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", "16"]).unwrap())
                 .unwrap();
-        let err = run_stream_checkpointed(&data, 64, true, other, Some(&spec)).unwrap_err();
+        let err = run_stream(&data, 64, true, other, Some(&spec)).unwrap_err();
         assert!(err.to_string().contains("different configuration"), "{err}");
         assert!(err.to_string().contains(ckpt.to_str().unwrap()), "{err}");
 
@@ -2801,5 +2769,136 @@ mod tests {
         for p in [&data, &a, &b] {
             std::fs::remove_file(p).ok();
         }
+    }
+
+    /// `text` with every `<digits>.<digits>s` timing replaced by `#s`.
+    fn mask_timings(text: &str) -> String {
+        let digits = |s: &str| s.len() - s.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        let mut out = String::with_capacity(text.len());
+        let mut rest = text;
+        while let Some(start) = rest.find(|c: char| c.is_ascii_digit()) {
+            out.push_str(&rest[..start]);
+            rest = &rest[start..];
+            let int = digits(rest);
+            let frac = rest[int..].strip_prefix('.').map_or(0, digits);
+            if frac > 0 && rest[int + 1 + frac..].starts_with('s') {
+                out.push_str("#s");
+                rest = &rest[int + frac + 2..];
+            } else {
+                out.push_str(&rest[..int]);
+                rest = &rest[int..];
+            }
+        }
+        out + rest
+    }
+
+    #[test]
+    fn command_reports_keep_their_text() {
+        let (points, truth) = toy_points();
+        let data = save_temp_dataset("adawave_cli_reports", &points, &truth);
+        let dir = std::env::temp_dir();
+        let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let input = data.to_str().unwrap();
+        let (model, ckpt) = (
+            file("adawave_cli_reports.awm"),
+            file("adawave_cli_reports.awa"),
+        );
+        let shard1 = file("adawave_cli_reports_1.awa");
+        let shard2 = file("adawave_cli_reports_2.awa");
+        let merged_model = file("adawave_cli_reports_merged.awm");
+        std::fs::remove_file(&ckpt).ok();
+        let run = |argv: &[&str]| {
+            let report = dispatch(&ParsedArgs::parse(argv.iter().copied()).unwrap());
+            mask_timings(&report.unwrap_or_else(|e| panic!("{argv:?}: {e}")))
+        };
+        let summary = "adawave model: 2 clusters over 6 surviving grid cells (2-d domain, \
+                       1 decomposition levels); out-of-domain and non-finite points predict noise";
+        let ami = format!("AMI against the labels in {input}: 0.757\n");
+
+        let report = run(&[
+            "cluster",
+            "--input",
+            input,
+            "--scale",
+            "32",
+            "--save-model",
+            &model,
+        ]);
+        let expected = format!(
+            "adawave: 2 clusters, 93 noise points / 300 total in #s\n\
+             saved model to {model} ({summary})\n{ami}"
+        );
+        assert_eq!(report, expected);
+
+        let report = run(&["predict", "--input", input, "--model", &model, "--verbose"]);
+        let expected = format!(
+            "predict (adawave): 2 clusters, 93 noise points / 300 total in #s\n{summary}\n{ami}"
+        );
+        assert_eq!(report, expected);
+
+        let stream = [
+            "stream",
+            "--input",
+            input,
+            "--scale",
+            "32",
+            "--batch-rows",
+            "64",
+            "--prescan",
+            "--checkpoint",
+            &ckpt,
+            "--checkpoint-every",
+            "100",
+        ];
+        let head = "adawave-stream: 2 clusters, 93 noise points / 300 total \
+                    (5 batches, 0 points outside the frozen domain)\n\
+                    84 occupied cells; read+ingest #s, refit #s\n";
+        let tail = format!("checkpoint {ckpt} (every 100 rows)\n{ami}");
+        assert_eq!(run(&stream), format!("{head}{tail}"));
+        let resumed = format!("resumed from {ckpt}: 300 already-ingested rows skipped\n");
+        assert_eq!(run(&stream), format!("{head}{resumed}{tail}"));
+
+        for (shard, out, rows, cells) in [
+            ("1/2", &shard1, "0..150", 20),
+            ("2/2", &shard2, "150..300", 72),
+        ] {
+            let report = run(&[
+                "shard-ingest",
+                "--input",
+                input,
+                "--shard",
+                shard,
+                "--scale",
+                "32",
+                "--out",
+                out,
+            ]);
+            let expected = format!(
+                "shard {shard} of {input}: rows {rows} (150 points, 0 outliers, \
+                 {cells} occupied cells) in #s -> {out}\n"
+            );
+            assert_eq!(report, expected);
+        }
+
+        let report = run(&[
+            "merge-accumulators",
+            "--input",
+            &shard1,
+            "--input",
+            &shard2,
+            "--save-model",
+            &merged_model,
+        ]);
+        let expected = format!(
+            "merged 2 accumulator(s): 2 clusters, 93 noise points / 300 total \
+             (0 outliers, 84 occupied cells); refit #s\n\
+             saved model to {merged_model} ({summary})\n"
+        );
+        assert_eq!(report, expected);
+
+        for p in [&model, &ckpt, &shard1, &shard2, &merged_model] {
+            std::fs::remove_file(p).ok();
+        }
+        std::fs::remove_file(&data).ok();
     }
 }

@@ -15,7 +15,7 @@ use adawave_core::AdaWaveConfig;
 use adawave_data::scenes;
 use adawave_data::{csv, Dataset};
 use adawave_metrics::{adjusted_rand_index, ami, ami_ignoring_noise};
-use adawave_stream::{finite_bounds, StreamingAdaWave};
+use adawave_stream::{finite_bounds, shard_rows, StreamingAdaWave};
 
 use crate::parse::{did_you_mean, Command, Metric, Plan, Script};
 
@@ -398,7 +398,17 @@ impl Env<'_> {
                 ));
             }
         }
-        let slice = params.get("shard").map(parse_shard_spec).transpose()?;
+        let slice = params
+            .get("shard")
+            .map(|spec| {
+                shard_rows(spec).map(|(_, _, rows)| rows).ok_or_else(|| {
+                    format!(
+                        "bad shard spec '{spec}': expected <i>/<k> with 1 <= i <= k \
+                         (e.g. shard=2/3)"
+                    )
+                })
+            })
+            .transpose()?;
         let config = AdaWaveConfig::from_params(&config_params).map_err(|e| e.to_string())?;
 
         let dataset = self.dataset()?;
@@ -412,10 +422,7 @@ impl Env<'_> {
         // `shard=i/k` restricts ingestion to the i-th of k contiguous row
         // slices; the domain above still spans the whole dataset, so the
         // sessions written by different shards merge exactly.
-        let (lo, hi) = match slice {
-            None => (0, n),
-            Some((index, count)) => (n * (index - 1) / count, n * index / count),
-        };
+        let std::ops::Range { start: lo, end: hi } = slice.map_or(0..n, |rows| rows(n));
 
         // One session per shard over the same frozen domain, each fed its
         // contiguous slice of rows in `batch-rows` batches, then merged in
@@ -657,19 +664,6 @@ impl Env<'_> {
         }
         Ok(())
     }
-}
-
-/// Parse a `shard=i/k` ingest value into its 1-based `(index, count)`.
-fn parse_shard_spec(spec: &str) -> Result<(usize, usize), String> {
-    spec.split_once('/')
-        .and_then(|(index, count)| {
-            let index: usize = index.trim().parse().ok()?;
-            let count: usize = count.trim().parse().ok()?;
-            (1 <= index && index <= count).then_some((index, count))
-        })
-        .ok_or_else(|| {
-            format!("bad shard spec '{spec}': expected <i>/<k> with 1 <= i <= k (e.g. shard=2/3)")
-        })
 }
 
 /// Resolve a script-given path: absolute paths pass through, relative

@@ -80,6 +80,8 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+use std::ops::Range;
+
 use adawave_api::{compact_remap, FitOutcome, PointsView, Precision};
 use adawave_core::{
     cluster_grid, AdaWave, AdaWaveConfig, AdaWaveError, AdaWaveModel, AdaWaveResult, GridModel,
@@ -88,7 +90,7 @@ use adawave_grid::{fill_row_keys, BoundingBox, Quantizer, SparseGrid};
 
 pub mod persist;
 
-pub use persist::{load_accumulator, save_accumulator, save_accumulator_atomic, Checkpointer};
+pub use persist::{load_accumulator, save_accumulator, Checkpointer};
 
 /// Errors produced by the streaming layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -534,6 +536,24 @@ pub fn finite_bounds(batch: PointsView<'_>) -> Option<BoundingBox> {
     any_finite.then(|| BoundingBox::from_bounds(min, max))
 }
 
+/// Parse a 1-based shard spec `i/k` (`1 <= i <= k`) into `i`, `k` and the
+/// rule that slices an input of `n` rows for that shard: rows
+/// `[n·(i-1)/k, n·i/k)`. The `k` shards of one input thus cover it in
+/// order, no row twice, which is what lets their merged accumulators
+/// reproduce the one-shot grid; every shard writer slices by this rule.
+/// `None` for a malformed spec.
+pub fn shard_rows(spec: &str) -> Option<(usize, usize, impl Fn(usize) -> Range<usize>)> {
+    let (index, count) = spec.split_once('/')?;
+    let index: usize = index.trim().parse().ok()?;
+    let count: usize = count.trim().parse().ok()?;
+    if !(1..=count).contains(&index) {
+        return None;
+    }
+    Some((index, count, move |rows: usize| {
+        rows * (index - 1) / count..rows * index / count
+    }))
+}
+
 /// The per-refit hash map [`StreamingAdaWave`]'s labeling pass replaced,
 /// kept as the reference both sides of the cell table must match.
 #[cfg(test)]
@@ -575,6 +595,26 @@ mod tests {
     use adawave_data::Rng;
     use adawave_runtime::Runtime;
     use proptest::prelude::*;
+
+    #[test]
+    fn shard_rows_cover_the_input_in_order() {
+        for count in 1..=7 {
+            for n in [0, 1, 5, 64, 1001] {
+                let mut next = 0;
+                for index in 1..=count {
+                    let (i, k, rows) = shard_rows(&format!("{index}/{count}")).unwrap();
+                    assert_eq!((i, k), (index, count));
+                    assert_eq!(rows(n).start, next, "shard {index}/{count} of {n}");
+                    next = rows(n).end;
+                }
+                assert_eq!(next, n, "{count} shards of {n}");
+            }
+        }
+        assert_eq!(shard_rows(" 2 / 3").map(|(i, k, _)| (i, k)), Some((2, 3)));
+        for bad in ["0/3", "4/3", "1/0", "banana", "1", "1/x", "-1/3", ""] {
+            assert!(shard_rows(bad).is_none(), "{bad}");
+        }
+    }
 
     /// Interval counts of a `dims`-dimensional codec whose keys are
     /// `width` bits wide, after `levels` downsamplings when `transformed`.

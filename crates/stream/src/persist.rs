@@ -23,8 +23,8 @@
 use std::path::{Path, PathBuf};
 
 use adawave_api::{
-    f64_from_hex, f64_to_hex, load_artifact, push_hex, save_artifact, save_artifact_atomic,
-    ArtifactError, ArtifactKind, PayloadReader,
+    f64_from_hex, f64_to_hex, load_artifact, push_hex, save_artifact_atomic, ArtifactError,
+    ArtifactKind, PayloadReader,
 };
 use adawave_core::{AdaWave, AdaWaveConfig, ThresholdStrategy};
 use adawave_grid::{Connectivity, Quantizer, SparseGrid};
@@ -294,23 +294,15 @@ impl StreamingAdaWave {
     }
 }
 
-/// Write a session's accumulator to `path` in one shot.
-pub fn save_accumulator(path: &Path, stream: &StreamingAdaWave) -> Result<(), ArtifactError> {
-    save_artifact(path, KIND, ALGORITHM, &stream.snapshot())
-}
-
 /// Write a session's accumulator to `path` atomically (`.tmp` sibling,
-/// then rename) — the checkpoint discipline: a crash mid-write leaves the
-/// previous checkpoint intact, never a half-written file.
-pub fn save_accumulator_atomic(
-    path: &Path,
-    stream: &StreamingAdaWave,
-) -> Result<(), ArtifactError> {
+/// then rename): a process killed mid-write leaves the previous file
+/// intact, never a torn one for a checkpoint resume or a merge to read.
+pub fn save_accumulator(path: &Path, stream: &StreamingAdaWave) -> Result<(), ArtifactError> {
     save_artifact_atomic(path, KIND, ALGORITHM, &stream.snapshot())
 }
 
-/// Load an accumulator file written by [`save_accumulator`] (or the
-/// atomic variant) back into a session.
+/// Load an accumulator file written by [`save_accumulator`] back into a
+/// session.
 pub fn load_accumulator(path: &Path) -> Result<StreamingAdaWave, ArtifactError> {
     let artifact = load_artifact(path, KIND)?;
     if artifact.algorithm != ALGORITHM {
@@ -388,7 +380,7 @@ impl Checkpointer {
     /// Write a checkpoint now regardless of the interval — the final write
     /// after the last batch, so the file always ends at the full stream.
     pub fn flush(&mut self, stream: &StreamingAdaWave) -> Result<(), ArtifactError> {
-        save_accumulator_atomic(&self.path, stream)?;
+        save_accumulator(&self.path, stream)?;
         self.since = 0;
         Ok(())
     }
@@ -560,6 +552,34 @@ mod tests {
         assert_eq!(finished.grid(), reference.grid());
         assert_eq!(finished.refit().unwrap(), reference.refit().unwrap());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn saving_over_an_accumulator_replaces_the_file_atomically() {
+        let points = two_blob_points();
+        let config = AdaWaveConfig::builder().scale(32).build();
+        let mut first = StreamingAdaWave::new(config.clone());
+        first.ingest(points.view()).unwrap();
+        let second = StreamingAdaWave::new(config);
+        let (path, old) = (temp_path("atomic"), temp_path("atomic_old"));
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+
+        // A second link keeps the first file reachable: a save that wrote
+        // in place would change what it reads, a rename leaves it whole.
+        save_accumulator(&path, &first).unwrap();
+        std::fs::remove_file(&old).ok();
+        std::fs::hard_link(&path, &old).unwrap();
+        save_accumulator(&path, &second).unwrap();
+        assert_eq!(
+            load_accumulator(&path).unwrap().snapshot(),
+            second.snapshot()
+        );
+        assert_eq!(load_accumulator(&old).unwrap().snapshot(), first.snapshot());
+        assert!(!Path::new(&tmp).exists(), "a .tmp sibling was left behind");
+        for p in [path, old] {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     #[test]
