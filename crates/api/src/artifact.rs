@@ -243,7 +243,9 @@ pub fn f64_from_hex(text: &str) -> Option<f64> {
 /// Line-oriented reader for artifact payloads: every line is
 /// `<field> <values...>` with fields in a fixed per-format order. The one
 /// parser every persistable artifact shares, so the error wording and
-/// format rules cannot drift between crates.
+/// format rules cannot drift between crates. A clone reads on from the
+/// same line, so a format whose lines refer forward can be read twice.
+#[derive(Clone)]
 pub struct PayloadReader<'a> {
     lines: std::str::Lines<'a>,
 }

@@ -782,7 +782,8 @@ fn batch_rows(args: &ParsedArgs) -> CliResult<usize> {
 pub struct StreamOutcome {
     /// Per-point labels with noise mapped to [`NOISE_LABEL`], in file order.
     pub labels: Vec<usize>,
-    /// Ground-truth labels from the CSV's last column, in file order.
+    /// Ground-truth labels from the CSV's last column, in file order;
+    /// empty unless `run_stream` was asked to keep them.
     pub truth: Vec<usize>,
     /// Number of clusters found.
     pub clusters: usize,
@@ -884,12 +885,17 @@ fn ingest_rows(
 /// when the file already exists the session restores from it and skips
 /// the rows it holds — so a killed run picks up where the last checkpoint
 /// left off and still produces bit-identical labels.
+///
+/// The CSV's ground-truth column is collected into
+/// [`StreamOutcome::truth`] only with `keep_truth`: a caller that scores
+/// nothing should not hold a second per-row vector beside the labels.
 pub fn run_stream(
     path: &Path,
     batch_rows: usize,
     prescan: bool,
     config: AdaWaveConfig,
     checkpoint: Option<&CheckpointSpec>,
+    keep_truth: bool,
 ) -> CliResult<StreamOutcome> {
     // Resume path: the checkpoint file holds the whole session (frozen
     // domain included), so the prescan is unnecessary when it exists.
@@ -929,7 +935,9 @@ pub fn run_stream(
         resumed_points..usize::MAX,
         &mut stream,
         |stream, batch, ingested| {
-            truth.extend_from_slice(&batch.labels);
+            if keep_truth {
+                truth.extend_from_slice(&batch.labels);
+            }
             batches += 1;
             if let Some(c) = checkpointer.as_mut() {
                 c.observe(stream, ingested)
@@ -1007,12 +1015,14 @@ fn stream(args: &ParsedArgs) -> CliResult<String> {
             })
         }
     };
+    // The truth column is read only for the AMI line, which `--quiet` drops.
     let outcome = run_stream(
         Path::new(input),
         batch_rows,
         args.flag("prescan"),
         config,
         checkpoint.as_ref(),
+        !args.flag("quiet"),
     )?;
 
     let mut report = format!(
@@ -1642,7 +1652,7 @@ mod tests {
                 adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", scale]).unwrap())
                     .unwrap();
             // Small batches force many ingest/merge rounds.
-            let outcome = run_stream(&path, 37, true, config, None).unwrap();
+            let outcome = run_stream(&path, 37, true, config, None, false).unwrap();
             assert_eq!(outcome.points, points.len());
             assert_eq!(outcome.outliers, 0, "prescan domain covers everything");
             assert!(outcome.batches > 5);
@@ -1670,7 +1680,7 @@ mod tests {
         let config =
             adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", "8"]).unwrap())
                 .unwrap();
-        let outcome = run_stream(&path, 2, false, config, None).unwrap();
+        let outcome = run_stream(&path, 2, false, config, None, false).unwrap();
         assert_eq!(outcome.outliers, 1);
         assert_eq!(outcome.labels[3], NOISE_LABEL);
         std::fs::remove_file(&path).ok();
@@ -1690,7 +1700,7 @@ mod tests {
         // with prescan the finite-row union covers them and only the NaN
         // row stays an outlier.
         for (prescan, expected_outliers) in [(false, 3), (true, 1)] {
-            let outcome = run_stream(&path, 2, prescan, config.clone(), None).unwrap();
+            let outcome = run_stream(&path, 2, prescan, config.clone(), None, false).unwrap();
             assert_eq!(outcome.outliers, expected_outliers, "prescan = {prescan}");
             assert_eq!(outcome.labels[0], NOISE_LABEL, "prescan = {prescan}");
             assert_eq!(outcome.points, 4, "prescan = {prescan}");
@@ -2588,7 +2598,7 @@ mod tests {
                 .unwrap();
 
         // The reference: an uninterrupted prescan stream.
-        let reference = run_stream(&data, 64, true, config.clone(), None).unwrap();
+        let reference = run_stream(&data, 64, true, config.clone(), None, false).unwrap();
 
         // "Crash" after 100 rows: a checkpoint written mid-stream by a
         // partial session over the same domain and config.
@@ -2603,14 +2613,14 @@ mod tests {
             path: ckpt.clone(),
             every: 50,
         };
-        let resumed = run_stream(&data, 64, true, config.clone(), Some(&spec)).unwrap();
+        let resumed = run_stream(&data, 64, true, config.clone(), Some(&spec), false).unwrap();
         assert_eq!(resumed.resumed_points, 100);
         assert_eq!(resumed.labels, reference.labels);
         assert_eq!(resumed.points, reference.points);
 
         // The final flush leaves a complete checkpoint: a rerun skips
         // every row and still produces the same labels.
-        let rerun = run_stream(&data, 64, true, config.clone(), Some(&spec)).unwrap();
+        let rerun = run_stream(&data, 64, true, config.clone(), Some(&spec), false).unwrap();
         assert_eq!(rerun.resumed_points, points.len());
         assert_eq!(rerun.labels, reference.labels);
 
@@ -2618,7 +2628,7 @@ mod tests {
         let other =
             adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", "16"]).unwrap())
                 .unwrap();
-        let err = run_stream(&data, 64, true, other, Some(&spec)).unwrap_err();
+        let err = run_stream(&data, 64, true, other, Some(&spec), false).unwrap_err();
         assert!(err.to_string().contains("different configuration"), "{err}");
         assert!(err.to_string().contains(ckpt.to_str().unwrap()), "{err}");
 

@@ -8,7 +8,7 @@ use adawave_grid::{
 
 use crate::config::AdaWaveConfig;
 use crate::result::{AdaWaveResult, GridStats};
-use crate::transform::sparse_wavelet_smooth_budgeted;
+use crate::transform::{smooth_cells, sparse_wavelet_smooth_budgeted};
 use crate::{AdaWaveError, Result};
 
 /// The AdaWave clusterer.
@@ -155,8 +155,8 @@ impl AdaWave {
 ///
 /// The cost is `O(m)` in the number of occupied cells — independent of how
 /// many points were quantized into the grid. [`AdaWave::fit`] calls this
-/// after quantizing; the streaming layer (`adawave-stream`) calls it on an
-/// incrementally accumulated grid each time it refits.
+/// after quantizing; [`cluster_cells`] is the same stage for cells held in
+/// a vector.
 ///
 /// With `config.levels == 0` the transform is skipped entirely and the raw
 /// per-cell counts are thresholded directly (an honest no-smoothing pass).
@@ -165,21 +165,53 @@ pub fn cluster_grid(
     codec: &KeyCodec,
     config: &AdaWaveConfig,
 ) -> Result<GridModel> {
-    let quantized_cells = grid.occupied_cells();
-
     // Step 2: sparse wavelet transform (low-pass branch, `levels` times)
     // followed by removal of near-zero coefficients. Zero levels smooth
     // nothing: the grid and its codec pass through unchanged.
     let kernel = config.wavelet.density_smoothing_kernel();
-    let levels = config.levels;
-    let (mut transformed, down_codec): (SparseGrid, KeyCodec) = sparse_wavelet_smooth_budgeted(
+    let transformed = sparse_wavelet_smooth_budgeted(
         grid,
         codec,
         &kernel,
         config.boundary,
-        levels,
+        config.levels,
         config.max_transformed_cells.max(1),
     )?;
+    threshold_and_label(grid.occupied_cells(), transformed, codec, config)
+}
+
+/// [`cluster_grid`] on the occupied cells as one `(key, density)` vector
+/// with distinct keys, in any order; the transform consumes the vector as
+/// its working buffer ([`smooth_cells`]). The streaming layer
+/// (`adawave-stream`), which keeps its accumulated cells in a vector,
+/// refits through this entry, and the model does not depend on the order
+/// of `cells`.
+pub fn cluster_cells(
+    cells: Vec<(u128, f64)>,
+    codec: &KeyCodec,
+    config: &AdaWaveConfig,
+) -> Result<GridModel> {
+    let quantized_cells = cells.len();
+    let kernel = config.wavelet.density_smoothing_kernel();
+    let transformed = smooth_cells(
+        cells,
+        codec,
+        &kernel,
+        config.boundary,
+        config.levels,
+        config.max_transformed_cells.max(1),
+    )?;
+    threshold_and_label(quantized_cells, transformed, codec, config)
+}
+
+/// Steps 2 (near-zero removal) to 4 of the grid stage on the transformed
+/// grid of `quantized_cells` cells quantized under `codec`.
+fn threshold_and_label(
+    quantized_cells: usize,
+    (mut transformed, down_codec): (SparseGrid, KeyCodec),
+    codec: &KeyCodec,
+    config: &AdaWaveConfig,
+) -> Result<GridModel> {
     let transformed_cells = transformed.occupied_cells();
     // Grid densities are non-negative by construction; cells whose
     // smoothed coefficient is near zero or negative (edge artifacts of
@@ -203,7 +235,7 @@ pub fn cluster_grid(
     Ok(GridModel {
         labels,
         codec: down_codec,
-        levels,
+        levels: config.levels,
         stats: GridStats {
             quantized_cells,
             transformed_cells,
@@ -221,7 +253,8 @@ pub fn cluster_grid(
 /// transformed-space cells belong to which cluster, plus the pipeline
 /// diagnostics. Turning the model into a per-point [`AdaWaveResult`] is a
 /// separate (O(points)) step — [`AdaWave::fit`] maps a [`LookupTable`]
-/// through it, the streaming layer maps its retained per-point cell keys.
+/// through it, the streaming layer labels each of its occupied cells once
+/// and every point by its cell index.
 #[derive(Debug, Clone)]
 pub struct GridModel {
     labels: ComponentLabels,

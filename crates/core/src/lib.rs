@@ -66,13 +66,13 @@ pub mod result;
 pub mod threshold;
 pub mod transform;
 
-pub use adawave::{cluster_grid, AdaWave, GridModel};
+pub use adawave::{cluster_cells, cluster_grid, AdaWave, GridModel};
 pub use clusterer::register;
 pub use config::{AdaWaveConfig, AdaWaveConfigBuilder};
 pub use model::AdaWaveModel;
 pub use result::{AdaWaveResult, GridStats};
 pub use threshold::ThresholdStrategy;
-pub use transform::{sparse_wavelet_smooth, sparse_wavelet_smooth_budgeted};
+pub use transform::{smooth_cells, sparse_wavelet_smooth, sparse_wavelet_smooth_budgeted};
 
 /// Errors produced by the AdaWave pipeline.
 #[derive(Debug, Clone, PartialEq)]

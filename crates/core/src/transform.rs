@@ -68,8 +68,30 @@ pub fn sparse_wavelet_smooth_budgeted(
     if levels == 0 {
         return Ok((grid.clone(), codec.clone()));
     }
-    let mut cells: Vec<(u128, f64)> = grid.iter().collect();
-    let mut next = Vec::with_capacity(cells.len());
+    smooth_cells(
+        grid.iter().collect(),
+        codec,
+        kernel,
+        boundary,
+        levels,
+        cell_budget,
+    )
+}
+
+/// [`sparse_wavelet_smooth_budgeted`] on a grid's occupied cells given as
+/// one `(key, density)` vector with distinct keys, in any order: the entry
+/// for a caller that already holds its cells in a vector, which the
+/// transform then consumes as its working buffer. The result does not
+/// depend on the order of `cells`.
+pub fn smooth_cells(
+    mut cells: Vec<(u128, f64)>,
+    codec: &KeyCodec,
+    kernel: &[f64],
+    boundary: BoundaryMode,
+    levels: u32,
+    cell_budget: usize,
+) -> GridResult<(SparseGrid, KeyCodec)> {
+    let mut next = Vec::with_capacity(if levels == 0 { 0 } else { cells.len() });
     let mut codec = codec.clone();
     for _ in 0..levels {
         for dim in 0..codec.dims() {

@@ -146,12 +146,13 @@ impl CellTable {
         previous
     }
 
-    /// The value of `key`, inserting `value` first if the key is absent.
+    /// The value of `key`, inserting `value` first if the key is absent:
+    /// one probe to intern a key as the next index of a caller's list.
     ///
     /// # Panics
     /// As [`insert`](Self::insert).
     #[inline]
-    pub(crate) fn get_or_insert(&mut self, key: u128, value: usize) -> usize {
+    pub fn get_or_insert(&mut self, key: u128, value: usize) -> usize {
         match &mut self.slots {
             Slots::Dense(slots) => {
                 let slot = slot_mut(slots, key);

@@ -21,7 +21,9 @@
 //!   at most [`CellTable::DENSE_KEY_BITS`] bits, a hash map beyond. Every
 //!   per-point count and lookup (quantization, labeling, model serving)
 //!   goes through it.
-//! * [`SparseGrid`] — the `{key: density}` map with mass/density statistics.
+//! * [`SparseGrid`] — the `{key: density}` map with mass/density statistics,
+//!   and its canonical dump, which [`serialize_cells_into`] and
+//!   [`deserialize_cells_from`] also write and read for a flat cell vector.
 //! * [`prune_to_top`] — the cell budget of the sparse wavelet transform,
 //!   applied to a grid's cells as a flat `(key, density)` vector.
 //! * [`Connectivity`] and [`connected_components`] — grouping of adjacent
@@ -66,7 +68,9 @@ pub use key::KeyCodec;
 pub use lookup::LookupTable;
 pub use neighbors::Connectivity;
 pub use quantizer::{fill_row_keys, F32Lane, Quantizer};
-pub use sparse::{prune_to_top, SparseGrid};
+pub use sparse::{
+    deserialize_cells_from, prune_to_top, serialize_cells_into, serialized_cells_len, SparseGrid,
+};
 
 /// Errors produced by grid construction.
 #[derive(Debug, Clone, PartialEq)]

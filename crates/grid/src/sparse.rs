@@ -56,29 +56,16 @@ impl SparseGrid {
 
     /// Append the grid to an artifact payload: a `cells N` line followed
     /// by one `<key:032x> <density-hex>` line per occupied cell in
-    /// ascending key order. Sorting makes the dump canonical — two grids
-    /// with equal contents serialize to identical bytes regardless of hash
-    /// map iteration order — and the hex densities make the round trip
+    /// ascending key order ([`serialize_cells_into`]). Sorting makes the
+    /// dump canonical — two grids with equal contents serialize to
+    /// identical bytes regardless of hash map iteration order — and the hex
+    /// densities make the round trip through [`deserialize_cells_from`]
     /// bit-exact.
     pub fn serialize_into(&self, out: &mut String) {
         // audit:allow(nondeterministic-iteration) cells are collected and sorted on the next line
         let mut sorted: Vec<(u128, f64)> = self.cells.iter().map(|(&k, &v)| (k, v)).collect();
         sorted.sort_unstable_by_key(|&(key, _)| key);
-        out.reserve(self.serialized_len());
-        out.push_str(&format!("cells {}\n", sorted.len()));
-        for (key, density) in sorted {
-            push_hex(out, key, 32);
-            out.push(' ');
-            push_hex(out, u128::from(density.to_bits()), 16);
-            out.push('\n');
-        }
-    }
-
-    /// An upper bound on the bytes [`serialize_into`](Self::serialize_into)
-    /// appends: the `cells N` line plus 50 bytes per cell, so a caller can
-    /// size its payload buffer once.
-    pub fn serialized_len(&self) -> usize {
-        32 + 50 * self.cells.len()
+        serialize_cells_into(&sorted, out);
     }
 
     /// The canonical payload text of [`serialize_into`](Self::serialize_into)
@@ -87,31 +74,6 @@ impl SparseGrid {
         let mut out = String::new();
         self.serialize_into(&mut out);
         out
-    }
-
-    /// Read a grid written by [`serialize_into`](Self::serialize_into).
-    /// Densities are restored verbatim ([`set`](Self::set), not
-    /// [`add`](Self::add)), so the result equals the original bit for bit.
-    pub fn deserialize_from(reader: &mut PayloadReader<'_>) -> Result<Self, String> {
-        let count: usize = reader.scalar("cells")?;
-        let mut grid = SparseGrid::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let line = reader.line()?;
-            let (key_hex, density_hex) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("bad cell line '{line}'"))?;
-            let key = u128::from_str_radix(key_hex, 16)
-                .map_err(|_| format!("bad cell key '{key_hex}'"))?;
-            let density = f64_from_hex(density_hex)
-                .ok_or_else(|| format!("bad cell density bits '{density_hex}'"))?;
-            grid.set(key, density);
-        }
-        Ok(grid)
-    }
-
-    /// Parse a payload produced by [`serialize`](Self::serialize).
-    pub fn deserialize(payload: &str) -> Result<Self, String> {
-        Self::deserialize_from(&mut PayloadReader::new(payload))
     }
 
     /// Density of a cell, 0.0 if not stored.
@@ -203,6 +165,50 @@ impl SparseGrid {
     pub fn retain_keys(&mut self, keys: &std::collections::HashSet<u128>) {
         self.cells.retain(|k, _| keys.contains(k));
     }
+}
+
+/// Append the grid dump of `sorted`, cells in ascending key order: a
+/// `cells N` line, then one `<key:032x> <density-hex>` line per cell. The
+/// one writer of the format, behind [`SparseGrid::serialize_into`] and any
+/// caller that keeps its cells in a vector.
+pub fn serialize_cells_into(sorted: &[(u128, f64)], out: &mut String) {
+    out.reserve(serialized_cells_len(sorted.len()));
+    out.push_str(&format!("cells {}\n", sorted.len()));
+    for &(key, density) in sorted {
+        push_hex(out, key, 32);
+        out.push(' ');
+        push_hex(out, u128::from(density.to_bits()), 16);
+        out.push('\n');
+    }
+}
+
+/// An upper bound on the bytes [`serialize_cells_into`] appends for
+/// `cells` cells: the `cells N` line plus 50 bytes per cell, so a caller
+/// can size its payload buffer once.
+pub fn serialized_cells_len(cells: usize) -> usize {
+    32 + 50 * cells
+}
+
+/// Read the cells of a grid dump written by [`serialize_cells_into`], in
+/// the order listed and with every density verbatim. Nothing here checks
+/// that the keys are distinct or ascending: a caller that indexes them
+/// rejects a repeated key itself.
+pub fn deserialize_cells_from(reader: &mut PayloadReader<'_>) -> Result<Vec<(u128, f64)>, String> {
+    let count: usize = reader.scalar("cells")?;
+    // The count is untrusted: it bounds the pre-allocation, never more.
+    let mut cells = Vec::with_capacity(count.min(1 << 20));
+    for _ in 0..count {
+        let line = reader.line()?;
+        let (key_hex, density_hex) = line
+            .split_once(' ')
+            .ok_or_else(|| format!("bad cell line '{line}'"))?;
+        let key =
+            u128::from_str_radix(key_hex, 16).map_err(|_| format!("bad cell key '{key_hex}'"))?;
+        let density = f64_from_hex(density_hex)
+            .ok_or_else(|| format!("bad cell density bits '{density_hex}'"))?;
+        cells.push((key, density));
+    }
+    Ok(cells)
 }
 
 impl FromIterator<(u128, f64)> for SparseGrid {
@@ -396,7 +402,10 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
-        let back = SparseGrid::deserialize(&payload).unwrap();
+        let mut back = SparseGrid::new();
+        for (key, density) in deserialize_cells_from(&mut PayloadReader::new(&payload)).unwrap() {
+            back.set(key, density);
+        }
         assert_eq!(back.occupied_cells(), 4);
         for (key, density) in g.iter() {
             assert_eq!(back.density(key).to_bits(), density.to_bits(), "{key}");
@@ -415,7 +424,7 @@ mod tests {
             ("cells 1\nzz 3ff0000000000000\n", "bad cell key"),
             ("cells 1\n00000000000000000000000000000001 zz\n", "density"),
         ] {
-            let err = SparseGrid::deserialize(payload).unwrap_err();
+            let err = deserialize_cells_from(&mut PayloadReader::new(payload)).unwrap_err();
             assert!(err.contains(needle), "{payload:?} -> {err}");
         }
     }

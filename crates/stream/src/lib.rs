@@ -9,18 +9,23 @@
 //! [`StreamingAdaWave`] exploits that:
 //!
 //! * [`ingest`](StreamingAdaWave::ingest) quantizes one batch at a time
-//!   into a retained [`SparseGrid`] (plus one cell key per point): the
-//!   keys are computed on the configured
-//!   [`Runtime`](adawave_runtime::Runtime) straight into the per-point
-//!   table, then counted into the grid with one hash update per point;
+//!   into an interned cell list: one [`CellTable`] that lives as long as
+//!   the session maps each occupied cell's key to its index in a
+//!   `(key, count)` vector, and every ingested point keeps only that
+//!   index, 4 bytes (or a marker for an outlier). The batch's keys are
+//!   computed on the configured [`Runtime`](adawave_runtime::Runtime),
+//!   then each point costs one table probe and one add;
 //! * [`merge`](StreamingAdaWave::merge) combines the accumulators of two
-//!   independently-fed sessions (e.g. shards of a partitioned data set);
+//!   independently-fed sessions (e.g. shards of a partitioned data set):
+//!   the other session's `m` cells are interned once, and its points are
+//!   re-indexed through that remap;
 //! * [`refit_model`](StreamingAdaWave::refit_model) re-runs the
-//!   transform → threshold → components stage on the accumulated grid in
+//!   transform → threshold → components stage on the accumulated cells in
 //!   `O(m)` — **independent of the number of points ingested** — and
-//!   [`refit`](StreamingAdaWave::refit) additionally maps every retained
-//!   point through the model (an unavoidable `O(points)` walk, one
-//!   [`CellTable`](adawave_grid::CellTable) probe per point);
+//!   [`refit`](StreamingAdaWave::refit) additionally labels every retained
+//!   point: each occupied cell is looked up in the model once, and each
+//!   point reads its cell's label by index (the unavoidable `O(points)`
+//!   walk);
 //! * [`snapshot`](StreamingAdaWave::snapshot) /
 //!   [`restore`](StreamingAdaWave::restore) (see [`persist`]) serialize
 //!   the whole mergeable state bit-exactly to the versioned
@@ -84,9 +89,9 @@ use std::ops::Range;
 
 use adawave_api::{compact_remap, FitOutcome, PointsView, Precision};
 use adawave_core::{
-    cluster_grid, AdaWave, AdaWaveConfig, AdaWaveError, AdaWaveModel, AdaWaveResult, GridModel,
+    cluster_cells, AdaWave, AdaWaveConfig, AdaWaveError, AdaWaveModel, AdaWaveResult, GridModel,
 };
-use adawave_grid::{fill_row_keys, BoundingBox, Quantizer, SparseGrid};
+use adawave_grid::{fill_row_keys, BoundingBox, CellTable, Quantizer, SparseGrid};
 
 pub mod persist;
 
@@ -168,11 +173,45 @@ pub struct IngestReport {
     pub outliers: usize,
 }
 
-/// The frozen quantized space plus the grid accumulated in it.
+/// The cell index an outlier point holds: no cell. A session never holds
+/// this many cells, so it is never a real index.
+const OUTLIER: u32 = u32::MAX;
+
+/// The frozen quantized space plus the cells accumulated in it: the
+/// session's sparse grid as an interned list.
 #[derive(Debug, Clone)]
 struct Frozen {
     quantizer: Quantizer,
-    grid: SparseGrid,
+    /// Cell key → index into `cells`, for the session's lifetime.
+    table: CellTable,
+    /// Every occupied cell and its in-domain point count, in the order the
+    /// cells first arrived (ascending key after a restore).
+    cells: Vec<(u128, f64)>,
+}
+
+impl Frozen {
+    fn new(quantizer: Quantizer) -> Self {
+        Self {
+            table: CellTable::new(quantizer.codec()),
+            cells: Vec::new(),
+            quantizer,
+        }
+    }
+
+    /// Add `count` points to the cell `key`, interning the cell on first
+    /// sight: one table probe. Returns the cell's index.
+    #[inline]
+    fn add(&mut self, key: u128, count: f64) -> u32 {
+        let index = self.table.get_or_insert(key, self.cells.len());
+        if index == self.cells.len() {
+            self.cells.push((key, 0.0));
+        }
+        self.cells[index].1 += count;
+        u32::try_from(index)
+            .ok()
+            .filter(|&i| i != OUTLIER)
+            .expect("a session indexes fewer than u32::MAX cells")
+    }
 }
 
 /// An incremental AdaWave session: ingest point batches into an additive
@@ -184,13 +223,13 @@ struct Frozen {
 #[derive(Debug, Clone)]
 pub struct StreamingAdaWave {
     adawave: AdaWave,
-    /// The frozen domain and its accumulated grid; `None` until a domain
+    /// The frozen domain and its accumulated cells; `None` until a domain
     /// exists (given upfront or adopted from the first finite points).
     frozen: Option<Frozen>,
-    /// For every ingested point (in arrival order) the key of its grid
-    /// cell, or `None` for outliers — the streaming counterpart of the
-    /// paper's lookup table.
-    point_cells: Vec<Option<u128>>,
+    /// For every ingested point (in arrival order) the index of its cell
+    /// in `frozen`'s list, or [`OUTLIER`] — the streaming counterpart of
+    /// the paper's lookup table, 4 bytes a point.
+    point_cells: Vec<u32>,
     outliers: usize,
     /// Dimensionality fixed by the domain or the first non-empty batch.
     dims: Option<usize>,
@@ -222,10 +261,7 @@ impl StreamingAdaWave {
         Ok(Self {
             adawave,
             dims: Some(quantizer.dims()),
-            frozen: Some(Frozen {
-                quantizer,
-                grid: SparseGrid::new(),
-            }),
+            frozen: Some(Frozen::new(quantizer)),
             point_cells: Vec::new(),
             outliers: 0,
         })
@@ -255,27 +291,33 @@ impl StreamingAdaWave {
     /// Occupied cells of the accumulated grid — the `m` that governs the
     /// [`refit_model`](Self::refit_model) cost.
     pub fn occupied_cells(&self) -> usize {
-        self.frozen.as_ref().map_or(0, |f| f.grid.occupied_cells())
+        self.frozen.as_ref().map_or(0, |f| f.cells.len())
     }
 
-    /// Borrow the accumulated sparse grid (per-cell in-domain point
-    /// counts), once a domain is frozen.
-    pub fn grid(&self) -> Option<&SparseGrid> {
-        self.frozen.as_ref().map(|f| &f.grid)
+    /// The accumulated sparse grid (per-cell in-domain point counts), built
+    /// from the session's cell list, once a domain is frozen.
+    pub fn grid(&self) -> Option<SparseGrid> {
+        let frozen = self.frozen.as_ref()?;
+        let mut grid = SparseGrid::with_capacity(frozen.cells.len());
+        for &(key, count) in &frozen.cells {
+            grid.set(key, count);
+        }
+        Some(grid)
     }
 
     /// Quantize a batch into the accumulator (Algorithm 2, incrementally).
     ///
     /// The first batch with finite rows freezes the domain if none was
     /// given. Every row's cell key (or `None` for an outlier) is computed
-    /// in parallel on the configured runtime straight into its own slot of
-    /// the per-point table, and the new slots are then counted into the
-    /// grid in one sequential pass. A key depends only on its own row and
-    /// counts are small integers, so the accumulator is identical for
-    /// every thread count and every way of partitioning the same points
-    /// into batches. Points outside the frozen domain — and non-finite
-    /// points wherever they appear — are recorded as outliers (labelled
-    /// noise by [`refit`](Self::refit)), never clamped.
+    /// in parallel on the configured runtime into its own slot of a
+    /// batch-sized buffer; one sequential pass then interns each key in
+    /// the session's cell table, adds the point to its cell's count and
+    /// records the cell's index for the point. A key depends only on its
+    /// own row and counts are small integers, so the accumulated grid is
+    /// identical for every thread count and every way of partitioning the
+    /// same points into batches. Points outside the frozen domain — and
+    /// non-finite points wherever they appear — are recorded as outliers
+    /// (labelled noise by [`refit`](Self::refit)), never clamped.
     ///
     /// ```
     /// use adawave_api::PointMatrix;
@@ -315,10 +357,7 @@ impl StreamingAdaWave {
             match finite_bounds(batch) {
                 Some(domain) => {
                     let quantizer = self.adawave.quantizer_for(&domain)?;
-                    self.frozen = Some(Frozen {
-                        quantizer,
-                        grid: SparseGrid::new(),
-                    });
+                    self.frozen = Some(Frozen::new(quantizer));
                 }
                 None => {
                     // No finite row to adopt a domain from: every point of
@@ -326,7 +365,7 @@ impl StreamingAdaWave {
                     // finite rows will freeze the domain — the same outcome
                     // as if these rows had arrived in any later batch.
                     self.point_cells
-                        .extend(std::iter::repeat_n(None, batch.len()));
+                        .extend(std::iter::repeat_n(OUTLIER, batch.len()));
                     self.outliers += batch.len();
                     return Ok(IngestReport {
                         points: batch.len(),
@@ -346,21 +385,23 @@ impl StreamingAdaWave {
             Precision::F64 => None,
             Precision::F32 => Some(quantizer.f32_lane()),
         };
-        let start = self.point_cells.len();
-        self.point_cells.resize(start + batch.len(), None);
-        let cells = &mut self.point_cells[start..];
-        fill_row_keys(batch, self.adawave.config().runtime, cells, |p| {
+        let mut keys = vec![None; batch.len()];
+        fill_row_keys(batch, self.adawave.config().runtime, &mut keys, |p| {
             quantizer.bounds().contains(p).then(|| match &lane {
                 None => quantizer.cell_key(p),
                 Some(lane) => quantizer.cell_key_f32(lane, p),
             })
         });
         let mut outliers = 0;
-        for cell in cells.iter() {
-            match cell {
-                Some(key) => frozen.grid.increment(*key),
-                None => outliers += 1,
-            }
+        self.point_cells.reserve(batch.len());
+        for key in keys {
+            self.point_cells.push(match key {
+                Some(key) => frozen.add(key, 1.0),
+                None => {
+                    outliers += 1;
+                    OUTLIER
+                }
+            });
         }
         self.outliers += outliers;
         Ok(IngestReport {
@@ -378,7 +419,9 @@ impl StreamingAdaWave {
     /// simply adopts `other`'s accumulator. The merged
     /// grid is exactly the grid of the concatenated ingests — the sparse
     /// grid is an additive sufficient statistic — and `other`'s points are
-    /// appended after this session's in labeling order.
+    /// appended after this session's in labeling order. `other`'s `m`
+    /// cells are interned into this session's table once, and its points
+    /// follow their cells through that remap.
     ///
     /// On rejection the returned [`MergeRejected`] carries `other` back
     /// untouched, so an incompatible session's accumulated state (possibly
@@ -429,20 +472,37 @@ impl StreamingAdaWave {
             }
         }
         match (&mut self.frozen, other.frozen) {
-            (Some(mine), Some(theirs)) => mine.grid.merge(&theirs.grid),
-            (None, Some(theirs)) => self.frozen = Some(theirs),
-            (_, None) => {}
+            (Some(mine), Some(theirs)) => {
+                let remap: Vec<u32> = theirs
+                    .cells
+                    .iter()
+                    .map(|&(key, count)| mine.add(key, count))
+                    .collect();
+                self.point_cells
+                    .extend(other.point_cells.iter().map(|&index| match index {
+                        OUTLIER => OUTLIER,
+                        index => remap[index as usize],
+                    }));
+            }
+            // An un-frozen side holds outliers only, whose marker needs no
+            // remap; an adopted accumulator keeps its own indices.
+            (None, Some(theirs)) => {
+                self.frozen = Some(theirs);
+                self.point_cells.extend(other.point_cells);
+            }
+            (_, None) => self.point_cells.extend(other.point_cells),
         }
-        self.point_cells.extend(other.point_cells);
         self.outliers += other.outliers;
         self.dims = self.dims.or(other.dims);
         Ok(())
     }
 
-    /// Refit the grid-level cluster model on the accumulated grid:
+    /// Refit the grid-level cluster model on the accumulated cells:
     /// transform → threshold → connected components, in `O(m)` for `m`
     /// occupied cells — the cost does **not** grow with the number of
-    /// points ingested. Errors if no domain has been frozen yet.
+    /// points ingested. A copy of the cell list goes straight to the
+    /// transform ([`cluster_cells`]). Errors if no domain has been frozen
+    /// yet.
     pub fn refit_model(&self) -> Result<GridModel> {
         let frozen = self
             .frozen
@@ -451,21 +511,19 @@ impl StreamingAdaWave {
                 context: "no domain frozen yet (ingest finite points or use with_domain)"
                     .to_string(),
             })?;
-        Ok(cluster_grid(
-            &frozen.grid,
+        Ok(cluster_cells(
+            frozen.cells.clone(),
             frozen.quantizer.codec(),
             self.adawave.config(),
         )?)
     }
 
-    /// [`refit_model`](Self::refit_model) plus the per-point labeling pass:
-    /// every retained point is mapped through the model's lookup (outliers
-    /// become noise), yielding the same [`AdaWaveResult`] that
+    /// [`refit_model`](Self::refit_model) plus the per-point labeling pass
+    /// (outliers become noise), yielding the same [`AdaWaveResult`] that
     /// [`AdaWave::fit`] would return on the concatenated points over the
-    /// same domain. Each point's cell is re-encoded into the transformed
-    /// space and probed in the model's cell table (an array load for keys
-    /// of at most [`CellTable::DENSE_KEY_BITS`](adawave_grid::CellTable::DENSE_KEY_BITS)
-    /// bits) — `O(n)`, but the cheap part of refitting.
+    /// same domain. Each occupied cell is re-encoded into the transformed
+    /// space and looked up in the model once, and each point reads its
+    /// cell's label by index — `O(n)`, but the cheap part of refitting.
     pub fn refit(&self) -> Result<AdaWaveResult> {
         let model = self.refit_model()?;
         let assignment = self.assignment_under(&model);
@@ -499,15 +557,23 @@ impl StreamingAdaWave {
         })
     }
 
-    /// Map every retained point through a refit grid model: one
-    /// [`GridModel::cluster_of_cell`] per point, a re-encode and one probe
-    /// of the model's cell table, as [`AdaWave::fit`] labels its points.
+    /// Label every retained point under a refit grid model: one
+    /// [`GridModel::cluster_of_cell`] per occupied cell, then one read by
+    /// index per point.
     fn assignment_under(&self, model: &GridModel) -> Vec<Option<usize>> {
         let frozen = self.frozen.as_ref().expect("caller refit the model");
         let codec = frozen.quantizer.codec();
+        let cell_clusters: Vec<Option<usize>> = frozen
+            .cells
+            .iter()
+            .map(|&(key, _)| model.cluster_of_cell(codec, key))
+            .collect();
         self.point_cells
             .iter()
-            .map(|cell| cell.and_then(|key| model.cluster_of_cell(codec, key)))
+            .map(|&index| match index {
+                OUTLIER => None,
+                index => cell_clusters[index as usize],
+            })
             .collect()
     }
 }
@@ -573,9 +639,9 @@ mod hash_reference {
         let codec = frozen.quantizer.codec();
         let labels: HashMap<u128, usize> = model.labels().iter().collect();
         let cell_cluster: HashMap<u128, Option<usize>> = frozen
-            .grid
-            .keys()
-            .map(|key| {
+            .cells
+            .iter()
+            .map(|&(key, _)| {
                 let down = codec.remap(key, model.codec(), model.levels(), None);
                 (key, labels.get(&down).copied())
             })
@@ -583,7 +649,10 @@ mod hash_reference {
         stream
             .point_cells
             .iter()
-            .map(|cell| cell.and_then(|key| cell_cluster.get(&key).copied().flatten()))
+            .map(|&index| {
+                let key = frozen.cells.get(index as usize).map(|&(key, _)| key);
+                key.and_then(|key| cell_cluster.get(&key).copied().flatten())
+            })
             .collect()
     }
 }
@@ -591,7 +660,7 @@ mod hash_reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adawave_api::PointMatrix;
+    use adawave_api::{Model, PointMatrix};
     use adawave_data::Rng;
     use adawave_runtime::Runtime;
     use proptest::prelude::*;
@@ -736,6 +805,267 @@ mod tests {
                                 "{}", context
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where an oracle row lands in a session whose domain is the unit
+    /// cube.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Row {
+        Inside,
+        Outside,
+        NonFinite,
+    }
+
+    /// The rows of an oracle case, in arrival order: a prefix of 0-3
+    /// non-finite rows, a frame of the two unit-cube corners plus a few
+    /// in-domain rows (so a session that adopts its domain from the frame
+    /// freezes exactly the unit cube), then clustered in-domain rows with
+    /// out-of-domain and non-finite rows mixed in. Returns the rows, what
+    /// each is, and where the frame starts and ends.
+    fn oracle_rows(rng: &mut Rng, dims: usize) -> (PointMatrix, Vec<Row>, Range<usize>) {
+        let mut points = PointMatrix::new(dims);
+        let mut kinds = Vec::new();
+        let non_finite = |rng: &mut Rng, row: &mut Vec<f64>| {
+            row[rng.below(dims)] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3)];
+        };
+        for _ in 0..[0, 0, 1, 3][rng.below(4)] {
+            let mut row = vec![0.5; dims];
+            non_finite(rng, &mut row);
+            points.push_row(&row);
+            kinds.push(Row::NonFinite);
+        }
+        let inside = clustered_points(rng, dims);
+        let inside: Vec<Vec<f64>> = inside
+            .rows()
+            .map(|row| row.iter().map(|v| v.clamp(0.0, 1.0)).collect())
+            .collect();
+        let frame_start = points.len();
+        points.push_row(&vec![0.0; dims]);
+        points.push_row(&vec![1.0; dims]);
+        kinds.extend([Row::Inside, Row::Inside]);
+        let framed = rng.below(5).min(inside.len());
+        for row in &inside[..framed] {
+            points.push_row(row);
+            kinds.push(Row::Inside);
+        }
+        let frame = frame_start..points.len();
+        for row in &inside[framed..] {
+            let mut stray = row.clone();
+            match rng.below(10) {
+                0 => {
+                    stray[rng.below(dims)] = [1.5, -0.5][rng.below(2)];
+                    points.push_row(&stray);
+                    kinds.push(Row::Outside);
+                }
+                1 => {
+                    non_finite(rng, &mut stray);
+                    points.push_row(&stray);
+                    kinds.push(Row::NonFinite);
+                }
+                _ => {}
+            }
+            points.push_row(row);
+            kinds.push(Row::Inside);
+        }
+        (points, kinds, frame)
+    }
+
+    /// The snapshot a session holding `order`'s rows must write, rendered
+    /// from the rows alone: the configuration, each row's `cell_key` (or
+    /// `-` for an outlier), then the quantizer and the dump of the grid
+    /// that quantizing the in-domain rows in one shot builds.
+    fn reference_snapshot(
+        config: &AdaWaveConfig,
+        quantizer: &Quantizer,
+        (points, kinds): (&PointMatrix, &[Row]),
+        order: &[usize],
+        (frozen, dims_known): (bool, bool),
+    ) -> String {
+        let mut out = String::new();
+        persist::serialize_config(config, &mut out);
+        match dims_known {
+            true => out.push_str(&format!("dims {}\n", points.dims())),
+            false => out.push_str("dims none\n"),
+        }
+        let outliers = order.iter().filter(|&&i| kinds[i] != Row::Inside).count();
+        out.push_str(&format!("outliers {outliers}\npoints {}\n", order.len()));
+        let lane = quantizer.f32_lane();
+        let mut inside = PointMatrix::new(points.dims());
+        for &i in order {
+            let row = points.view().row(i);
+            if kinds[i] != Row::Inside {
+                out.push_str("-\n");
+                continue;
+            }
+            let key = match config.precision {
+                Precision::F64 => quantizer.cell_key(row),
+                Precision::F32 => quantizer.cell_key_f32(&lane, row),
+            };
+            adawave_api::push_hex(&mut out, key, 32);
+            out.push('\n');
+            inside.push_row(row);
+        }
+        if !frozen {
+            out.push_str("frozen none\n");
+            return out;
+        }
+        out.push_str("frozen some\n");
+        quantizer.serialize_into(&mut out);
+        let (grid, _) = match config.precision {
+            Precision::F64 => quantizer.quantize_with(inside.view(), config.runtime),
+            Precision::F32 => quantizer.quantize_f32_with(inside.view(), config.runtime),
+        };
+        grid.serialize_into(&mut out);
+        out
+    }
+
+    /// One oracle session: the session, the rows it holds in its labeling
+    /// order, and whether it froze a domain and knows its dimensions.
+    struct Held {
+        stream: StreamingAdaWave,
+        order: Vec<usize>,
+        frozen: bool,
+        dims_known: bool,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// A byte-level oracle for the accumulator. Random sessions ingest
+        /// contiguous segments of the rows in random batches (an
+        /// all-non-finite first batch, out-of-domain and non-finite rows
+        /// included); some adopt their domain from the frame, some are
+        /// given it, and segments without a finite row may stay unfrozen.
+        /// Some sessions are snapshot, restored and fed on; then adjacent
+        /// sessions merge, either one into the other, until one is left.
+        /// Every snapshot taken must equal the one rendered from its rows,
+        /// and the last session's `refit` and `refit_outcome` must equal
+        /// `AdaWave::fit` on its in-domain rows. The quantizer's codec is
+        /// one bit below, at and one bit above the cell table's cap, on
+        /// both lanes, at 1 and 4 threads.
+        #[test]
+        fn snapshots_render_the_rows_and_refits_match_fit(seed in 0u64..u64::MAX) {
+            let mut rng = Rng::new(seed);
+            let dims = 1 + rng.below(4);
+            let (points, kinds, frame) = oracle_rows(&mut rng, dims);
+            let rows = (&points, &kinds[..]);
+            let n = points.len();
+            let domain = BoundingBox::from_bounds(vec![0.0; dims], vec![1.0; dims]);
+            for width in [21, 22, 23] {
+                let intervals = intervals_of_width(&mut rng, dims, width, 0, false);
+                for precision in [Precision::F64, Precision::F32] {
+                    for threads in [1, 4] {
+                        let config = AdaWaveConfig::builder()
+                            .per_dimension_scale(intervals.clone())
+                            .levels(rng.below(3) as u32)
+                            .precision(precision)
+                            .runtime(Runtime::with_threads(threads))
+                            .build();
+                        let context = format!("{intervals:?}, {precision}, threads {threads}");
+                        let quantizer = AdaWave::new(config.clone()).quantizer_for(&domain).unwrap();
+                        prop_assert_eq!(quantizer.codec().key_bits(), width);
+
+                        // Segments: the prefix on its own or with the
+                        // frame, then up to two cuts after the frame.
+                        let mut cuts = vec![0, n];
+                        if frame.start > 0 && rng.below(2) == 0 {
+                            cuts.push(frame.start);
+                        }
+                        for _ in 0..rng.below(3) {
+                            cuts.push(frame.end + rng.below(n - frame.end + 1));
+                        }
+                        cuts.sort_unstable();
+                        cuts.dedup();
+                        let mut held = Vec::new();
+                        for segment in cuts.windows(2).map(|w| w[0]..w[1]) {
+                            let finite = segment.clone().any(|i| kinds[i] != Row::NonFinite);
+                            // Only a session whose first finite batch is
+                            // the frame may adopt its domain.
+                            let adopts = segment.contains(&frame.start) || !finite;
+                            let mut session = if adopts && rng.below(2) == 0 {
+                                Held { stream: StreamingAdaWave::new(config.clone()), order: Vec::new(), frozen: false, dims_known: false }
+                            } else {
+                                let stream = StreamingAdaWave::with_domain(config.clone(), domain.clone()).unwrap();
+                                Held { stream, order: Vec::new(), frozen: true, dims_known: true }
+                            };
+                            let mut bounds = vec![segment.start, segment.end];
+                            if segment.contains(&frame.start) {
+                                bounds.extend([frame.start, frame.end]);
+                            }
+                            let mut at = segment.start;
+                            while at < segment.end {
+                                at += 1 + rng.below(64);
+                                bounds.push(at.min(segment.end));
+                            }
+                            // The frame is one batch, never split.
+                            bounds.retain(|&b| b <= frame.start || b >= frame.end);
+                            bounds.sort_unstable();
+                            bounds.dedup();
+                            let restore_after = rng.below(bounds.len());
+                            for (b, batch) in bounds.windows(2).map(|w| w[0]..w[1]).enumerate() {
+                                let flat = &points.as_slice()[batch.start * dims..batch.end * dims];
+                                let view = PointsView::from_flat(flat, dims).unwrap();
+                                let report = session.stream.ingest(view).unwrap();
+                                let outliers = batch.clone().filter(|&i| kinds[i] != Row::Inside).count();
+                                prop_assert_eq!(report.outliers, outliers, "{}", context);
+                                session.order.extend(batch.clone());
+                                session.dims_known = true;
+                                session.frozen |= outliers < batch.len();
+                                if b + 1 == restore_after {
+                                    let payload = session.stream.snapshot();
+                                    let want = reference_snapshot(
+                                        &config, &quantizer, rows, &session.order,
+                                        (session.frozen, session.dims_known),
+                                    );
+                                    prop_assert!(payload == want, "restored snapshot: {}", context);
+                                    session.stream = StreamingAdaWave::restore(&payload).unwrap();
+                                    prop_assert!(session.stream.snapshot() == payload, "{}", context);
+                                }
+                            }
+                            held.push(session);
+                        }
+
+                        while held.len() > 1 {
+                            let at = rng.below(held.len() - 1);
+                            let right = held.remove(at + 1);
+                            let left = held.remove(at);
+                            let (mut into, from) = if rng.below(2) == 0 { (left, right) } else { (right, left) };
+                            into.stream.merge(from.stream).unwrap();
+                            into.order.extend(from.order);
+                            into.frozen |= from.frozen;
+                            into.dims_known |= from.dims_known;
+                            held.insert(at, into);
+                        }
+                        let last = held.pop().unwrap();
+                        let want = reference_snapshot(
+                            &config, &quantizer, rows, &last.order, (last.frozen, last.dims_known),
+                        );
+                        prop_assert!(last.stream.snapshot() == want, "snapshot: {}", context);
+
+                        let mut inside = PointMatrix::new(dims);
+                        for &i in last.order.iter().filter(|&&i| kinds[i] == Row::Inside) {
+                            inside.push_row(points.view().row(i));
+                        }
+                        let (fit, model) = AdaWave::new(config.clone()).fit_with_model(inside.view()).unwrap();
+                        let mut fitted = fit.assignment().iter();
+                        let expected: Vec<Option<usize>> = last
+                            .order
+                            .iter()
+                            .map(|&i| if kinds[i] == Row::Inside { *fitted.next().unwrap() } else { None })
+                            .collect();
+                        let refit = last.stream.refit().unwrap();
+                        prop_assert_eq!(refit.assignment(), &expected[..], "{}", context);
+                        prop_assert_eq!(refit.cluster_count(), fit.cluster_count(), "{}", context);
+                        prop_assert_eq!(refit.stats(), fit.stats(), "{}", context);
+                        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(bits(refit.sorted_densities()), bits(fit.sorted_densities()), "{}", context);
+                        let outcome = last.stream.refit_outcome().unwrap();
+                        prop_assert_eq!(&outcome.clustering, &refit.to_clustering(), "{}", context);
+                        prop_assert_eq!(outcome.model.serialize(), Model::serialize(&model), "{}", context);
                     }
                 }
             }
@@ -983,11 +1313,12 @@ mod tests {
             let mut stream = StreamingAdaWave::with_domain(config, domain.clone()).unwrap();
             stream.ingest(batch.view()).unwrap();
             assert_eq!(stream.outlier_count(), planted.len(), "threads {threads}");
-            let quantizer = &stream.frozen.as_ref().unwrap().quantizer;
+            let frozen = stream.frozen.as_ref().unwrap();
             assert_eq!(stream.point_cells.len(), batch.len());
-            for (i, (p, cell)) in batch.rows().zip(&stream.point_cells).enumerate() {
-                let expected = (!planted.contains(&i)).then(|| quantizer.cell_key(p));
-                assert_eq!(*cell, expected, "row {i}, threads {threads}");
+            for (i, (p, &cell)) in batch.rows().zip(&stream.point_cells).enumerate() {
+                let expected = (!planted.contains(&i)).then(|| frozen.quantizer.cell_key(p));
+                let key = frozen.cells.get(cell as usize).map(|&(key, _)| key);
+                assert_eq!(key, expected, "row {i}, threads {threads}");
             }
         }
     }

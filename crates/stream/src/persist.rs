@@ -27,16 +27,22 @@ use adawave_api::{
     ArtifactKind, PayloadReader,
 };
 use adawave_core::{AdaWave, AdaWaveConfig, ThresholdStrategy};
-use adawave_grid::{Connectivity, Quantizer, SparseGrid};
+use adawave_grid::{
+    deserialize_cells_from, serialize_cells_into, serialized_cells_len, CellTable, Connectivity,
+    Quantizer,
+};
 use adawave_wavelet::{BoundaryMode, Wavelet};
 
-use crate::{Frozen, StreamingAdaWave};
+use crate::{Frozen, StreamingAdaWave, OUTLIER};
 
 /// The artifact kind accumulator files use (magic `adawave-accumulator`).
 const KIND: ArtifactKind = ArtifactKind::Accumulator;
 
 /// The algorithm named in every accumulator header.
 const ALGORITHM: &str = "adawave";
+
+/// Bytes of one point's key line: 32 hex digits and a newline.
+const KEY_LINE: usize = 33;
 
 fn boundary_name(mode: BoundaryMode) -> &'static str {
     match mode {
@@ -73,7 +79,7 @@ fn connectivity_from_name(name: &str) -> Option<Connectivity> {
 /// Serialize the model configuration (runtime excluded) with every float
 /// bit-exact, so the restored config passes [`StreamingAdaWave::merge`]'s
 /// equality check against the original session.
-fn serialize_config(config: &AdaWaveConfig, out: &mut String) {
+pub(crate) fn serialize_config(config: &AdaWaveConfig, out: &mut String) {
     out.push_str(&format!("config-scale {}\n", config.scale));
     match &config.per_dimension_scale {
         None => out.push_str("config-per-dimension-scale none\n"),
@@ -190,11 +196,12 @@ impl StreamingAdaWave {
     ///
     /// [`restore`]: Self::restore
     pub fn snapshot(&self) -> String {
+        let cells = self.frozen.as_ref().map_or(&[][..], |f| &f.cells[..]);
         // Sized once for the point keys and the grid dump together: a
         // `String` regrown mid-dump would briefly hold two copies.
-        let grid = self.frozen.as_ref().map_or(0, |f| f.grid.serialized_len());
+        let grid = serialized_cells_len(cells.len());
         let quantizer = 64 + 40 * self.dims.unwrap_or(0);
-        let points = 33 * self.point_cells.len();
+        let points = KEY_LINE * self.point_cells.len();
         let mut out = String::with_capacity(1024 + quantizer + points + grid);
         serialize_config(self.adawave.config(), &mut out);
         match self.dims {
@@ -203,21 +210,32 @@ impl StreamingAdaWave {
         }
         out.push_str(&format!("outliers {}\n", self.outliers));
         out.push_str(&format!("points {}\n", self.point_cells.len()));
-        for cell in &self.point_cells {
-            match cell {
-                Some(key) => {
-                    push_hex(&mut out, *key, 32);
-                    out.push('\n');
+        // Each occupied cell's key line is rendered once, then copied for
+        // every point in it.
+        let mut key_lines = String::with_capacity(KEY_LINE * cells.len());
+        for &(key, _) in cells {
+            push_hex(&mut key_lines, key, 32);
+            key_lines.push('\n');
+        }
+        for &index in &self.point_cells {
+            out.push_str(match index {
+                OUTLIER => "-\n",
+                index => {
+                    let at = index as usize * KEY_LINE;
+                    &key_lines[at..at + KEY_LINE]
                 }
-                None => out.push_str("-\n"),
-            }
+            });
         }
         match &self.frozen {
             None => out.push_str("frozen none\n"),
             Some(frozen) => {
                 out.push_str("frozen some\n");
                 frozen.quantizer.serialize_into(&mut out);
-                frozen.grid.serialize_into(&mut out);
+                // The dump lists cells by ascending key, whatever order the
+                // session interned them in.
+                let mut sorted = frozen.cells.clone();
+                sorted.sort_unstable_by_key(|&(key, _)| key);
+                serialize_cells_into(&sorted, &mut out);
             }
         }
         out
@@ -226,8 +244,12 @@ impl StreamingAdaWave {
     /// Rebuild a session from a [`snapshot`](Self::snapshot) payload.
     ///
     /// Everything is re-validated on the way in: the configuration fields,
-    /// the quantizer (bounds ordering, interval counts, key width) and the
-    /// grid dump, whose every cell key must be a key of the frozen codec.
+    /// the quantizer (bounds ordering, interval counts, key width), the
+    /// grid dump, whose every cell key must be a key of the frozen codec
+    /// and listed once, and the point lines, whose every key must be one
+    /// of the grid's cells. The grid dump is read straight into the
+    /// session's cell table (the cells come back in ascending key order),
+    /// and each point line becomes its cell's index.
     /// The restored session is bit-for-bit equivalent to the snapshot one —
     /// same grid, same per-point cells, same refit labels — and merging it
     /// behaves exactly like merging the original (mismatched
@@ -241,18 +263,12 @@ impl StreamingAdaWave {
         };
         let outliers: usize = reader.scalar("outliers")?;
         let points: usize = reader.scalar("points")?;
-        let mut point_cells = Vec::with_capacity(points.min(1 << 24));
+        // The point lines come before the grid they index: count their
+        // noise lines now and map their keys once the table is built.
+        let mut point_lines = reader.clone();
         let mut noise = 0usize;
         for _ in 0..points {
-            let line = reader.line()?;
-            if line == "-" {
-                noise += 1;
-                point_cells.push(None);
-            } else {
-                let key = u128::from_str_radix(line, 16)
-                    .map_err(|_| format!("bad point cell key '{line}'"))?;
-                point_cells.push(Some(key));
-            }
+            noise += usize::from(reader.line()? == "-");
         }
         if noise != outliers {
             return Err(format!(
@@ -271,18 +287,52 @@ impl StreamingAdaWave {
                         ));
                     }
                 }
-                let grid = SparseGrid::deserialize_from(&mut reader)?;
-                // Refit labels the transformed cells through a table
-                // indexed by the key, so none may lie outside the codec.
-                if !grid.keys().all(|key| quantizer.codec().contains(key)) {
-                    return Err("the grid holds a cell key outside the frozen space".to_string());
+                let cells = deserialize_cells_from(&mut reader)?;
+                if cells.len() >= OUTLIER as usize {
+                    return Err(format!(
+                        "the grid lists {} cells, more than a session can index",
+                        cells.len()
+                    ));
                 }
-                Some(Frozen { quantizer, grid })
+                // The table is indexed by the key (a flat array for narrow
+                // codecs), so none may lie outside the codec.
+                let mut table = CellTable::with_capacity(quantizer.codec(), cells.len());
+                for (index, &(key, _)) in cells.iter().enumerate() {
+                    if !quantizer.codec().contains(key) {
+                        return Err(
+                            "the grid holds a cell key outside the frozen space".to_string()
+                        );
+                    }
+                    if table.insert(key, index).is_some() {
+                        return Err(format!("the grid lists cell key {key:032x} twice"));
+                    }
+                }
+                Some(Frozen {
+                    quantizer,
+                    table,
+                    cells,
+                })
             }
             other => return Err(format!("bad frozen marker '{other}'")),
         };
-        if frozen.is_none() && dims.is_some() && point_cells.iter().any(|c| c.is_some()) {
-            return Err("in-domain point cells listed but no frozen space".to_string());
+        let mut point_cells = Vec::with_capacity(points.min(1 << 24));
+        for _ in 0..points {
+            let line = point_lines.line()?;
+            if line == "-" {
+                point_cells.push(OUTLIER);
+                continue;
+            }
+            let key = u128::from_str_radix(line, 16)
+                .map_err(|_| format!("bad point cell key '{line}'"))?;
+            let frozen = frozen
+                .as_ref()
+                .ok_or("in-domain point cells listed but no frozen space")?;
+            let index = frozen
+                .table
+                .get(key)
+                .ok_or_else(|| format!("point cell key {line} is not one of the grid's cells"))?;
+            // Below `cells.len()`, which was checked to fit.
+            point_cells.push(index as u32);
         }
         Ok(Self {
             adawave: AdaWave::new(config),
@@ -656,6 +706,28 @@ mod tests {
                     format!("{}{}", &s[..dump], s[dump..].replacen(&zero, &wide, 1))
                 }),
                 "outside the frozen space",
+            ),
+            (
+                // A point key that is a key of the codec but no cell of
+                // the grid: (1, 0) of the 8 x 8 codec, an empty cell.
+                Box::new(|s: &str| {
+                    s.replacen(&format!("{:032x}\n", 0), &format!("{:032x}\n", 1), 1)
+                }),
+                "not one of the grid's cells",
+            ),
+            (
+                // The grid dump lists its first cell twice.
+                Box::new(|s: &str| {
+                    let dump = s.rfind("cells ").unwrap();
+                    let mut lines: Vec<&str> = s[dump..].lines().collect();
+                    let count = lines.len() - 1;
+                    let first = lines[1];
+                    lines.insert(1, first);
+                    let header = format!("cells {}", count + 1);
+                    lines[0] = &header;
+                    format!("{}{}\n", &s[..dump], lines.join("\n"))
+                }),
+                "twice",
             ),
         ] {
             let err = StreamingAdaWave::restore(&mutate(&good)).unwrap_err();
