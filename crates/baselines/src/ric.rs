@@ -1,5 +1,9 @@
 //! RIC — Robust Information-theoretic Clustering (Böhm et al., KDD 2006),
-//! in the simplified form described in DESIGN.md.
+//! in a simplified form: the initial partition is plain k-means, every
+//! cluster is coded by an axis-parallel Gaussian (no decorrelation step and
+//! no choice among distribution families), the background is a uniform
+//! density over the data's bounding box, and merging is greedy, one best
+//! pair per round.
 //!
 //! RIC purifies an initial coarse clustering using the minimum description
 //! length principle: points that are cheaper to encode under a background

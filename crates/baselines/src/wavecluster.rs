@@ -123,7 +123,7 @@ pub fn wavecluster(points: PointsView<'_>, config: &WaveClusterConfig) -> Cluste
         Ok(c) => c,
         Err(_) => return Clustering::all_noise(n),
     };
-    let mut surviving = SparseGrid::new();
+    let mut surviving = Vec::new();
     let shape = smoothed.shape().to_vec();
     let mut coords = vec![0usize; dims];
     for flat in 0..smoothed.len() {
@@ -140,9 +140,10 @@ pub fn wavecluster(points: PointsView<'_>, config: &WaveClusterConfig) -> Cluste
                 .enumerate()
                 .map(|(j, &c)| (c as u32).min(down_codec.intervals(j) - 1))
                 .collect();
-            surviving.add(down_codec.pack(&key_coords), v);
+            surviving.push((down_codec.pack(&key_coords), v));
         }
     }
+    let surviving: SparseGrid = surviving.into_iter().collect();
 
     let labels = connected_components(&surviving, &down_codec, config.connectivity);
     let assignment = lookup.assign_points(&labels, levels, &down_codec);

@@ -10,31 +10,40 @@
 //! one pointer indirection per point) so the comparison isolates the
 //! memory layout, not the algorithm.
 
+use std::collections::HashMap;
+
 use adawave_api::PointMatrix;
 use adawave_bench::harness::{best_of, Bench, Row};
-use adawave_grid::{Quantizer, SparseGrid};
+use adawave_grid::Quantizer;
 use adawave_linalg::squared_distance;
 
 const REPEATS: usize = 7;
 
 /// The seed's nested quantization loop: one pointer chase per point.
 fn quantize_nested(quantizer: &Quantizer, nested: &[Vec<f64>]) -> f64 {
-    let mut grid = SparseGrid::with_capacity(1 << 16);
+    let mut grid = HashMap::with_capacity(1 << 16);
     for p in nested {
-        grid.increment(quantizer.cell_key(p));
+        *grid.entry(quantizer.cell_key(p)).or_insert(0.0) += 1.0;
     }
-    grid.total_mass()
+    total_mass(&grid)
 }
 
 /// The flat quantization loop: the identical per-point work, walking one
 /// contiguous buffer with `chunks_exact` instead of chasing a pointer per
 /// point.
 fn quantize_flat(quantizer: &Quantizer, points: &PointMatrix) -> f64 {
-    let mut grid = SparseGrid::with_capacity(1 << 16);
+    let mut grid = HashMap::with_capacity(1 << 16);
     for p in points.as_slice().chunks_exact(points.dims()) {
-        grid.increment(quantizer.cell_key(p));
+        *grid.entry(quantizer.cell_key(p)).or_insert(0.0) += 1.0;
     }
-    grid.total_mass()
+    total_mass(&grid)
+}
+
+/// The seed grid's total mass: the counts summed in ascending key order.
+fn total_mass(grid: &HashMap<u128, f64>) -> f64 {
+    let mut keyed: Vec<(u128, f64)> = grid.iter().map(|(&k, &v)| (k, v)).collect();
+    keyed.sort_unstable_by_key(|&(k, _)| k);
+    keyed.into_iter().map(|(_, v)| v).sum()
 }
 
 /// The seed's k-means assignment step over nested points and nested

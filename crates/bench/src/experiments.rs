@@ -111,14 +111,12 @@ pub struct Fig5Stats {
     pub contrast_before: f64,
 }
 
+/// Cells with no occupied face neighbor: the singleton components under
+/// face connectivity.
 fn isolated_cells(grid: &adawave_grid::SparseGrid, codec: &adawave_grid::KeyCodec) -> usize {
-    grid.keys()
-        .filter(|&key| {
-            Connectivity::Face
-                .neighbors(codec, key)
-                .iter()
-                .all(|n| !grid.contains(*n))
-        })
+    let labels = adawave_grid::connected_components(grid, codec, Connectivity::Face);
+    (0..labels.cluster_count())
+        .filter(|&id| labels.cluster_cells(id) == 1)
         .count()
 }
 

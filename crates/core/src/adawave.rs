@@ -8,7 +8,7 @@ use adawave_grid::{
 
 use crate::config::AdaWaveConfig;
 use crate::result::{AdaWaveResult, GridStats};
-use crate::transform::{smooth_cells, sparse_wavelet_smooth_budgeted};
+use crate::transform::sparse_wavelet_smooth_budgeted;
 use crate::{AdaWaveError, Result};
 
 /// The AdaWave clusterer.
@@ -155,8 +155,9 @@ impl AdaWave {
 ///
 /// The cost is `O(m)` in the number of occupied cells — independent of how
 /// many points were quantized into the grid. [`AdaWave::fit`] calls this
-/// after quantizing; [`cluster_cells`] is the same stage for cells held in
-/// a vector.
+/// after quantizing, and the streaming layer (`adawave-stream`) on its
+/// accumulated grid. The model does not depend on the order `grid` holds
+/// its cells in.
 ///
 /// With `config.levels == 0` the transform is skipped entirely and the raw
 /// per-cell counts are thresholded directly (an honest no-smoothing pass).
@@ -169,7 +170,7 @@ pub fn cluster_grid(
     // followed by removal of near-zero coefficients. Zero levels smooth
     // nothing: the grid and its codec pass through unchanged.
     let kernel = config.wavelet.density_smoothing_kernel();
-    let transformed = sparse_wavelet_smooth_budgeted(
+    let (mut transformed, down_codec) = sparse_wavelet_smooth_budgeted(
         grid,
         codec,
         &kernel,
@@ -177,41 +178,6 @@ pub fn cluster_grid(
         config.levels,
         config.max_transformed_cells.max(1),
     )?;
-    threshold_and_label(grid.occupied_cells(), transformed, codec, config)
-}
-
-/// [`cluster_grid`] on the occupied cells as one `(key, density)` vector
-/// with distinct keys, in any order; the transform consumes the vector as
-/// its working buffer ([`smooth_cells`]). The streaming layer
-/// (`adawave-stream`), which keeps its accumulated cells in a vector,
-/// refits through this entry, and the model does not depend on the order
-/// of `cells`.
-pub fn cluster_cells(
-    cells: Vec<(u128, f64)>,
-    codec: &KeyCodec,
-    config: &AdaWaveConfig,
-) -> Result<GridModel> {
-    let quantized_cells = cells.len();
-    let kernel = config.wavelet.density_smoothing_kernel();
-    let transformed = smooth_cells(
-        cells,
-        codec,
-        &kernel,
-        config.boundary,
-        config.levels,
-        config.max_transformed_cells.max(1),
-    )?;
-    threshold_and_label(quantized_cells, transformed, codec, config)
-}
-
-/// Steps 2 (near-zero removal) to 4 of the grid stage on the transformed
-/// grid of `quantized_cells` cells quantized under `codec`.
-fn threshold_and_label(
-    quantized_cells: usize,
-    (mut transformed, down_codec): (SparseGrid, KeyCodec),
-    codec: &KeyCodec,
-    config: &AdaWaveConfig,
-) -> Result<GridModel> {
     let transformed_cells = transformed.occupied_cells();
     // Grid densities are non-negative by construction; cells whose
     // smoothed coefficient is near zero or negative (edge artifacts of
@@ -237,7 +203,7 @@ fn threshold_and_label(
         codec: down_codec,
         levels: config.levels,
         stats: GridStats {
-            quantized_cells,
+            quantized_cells: grid.occupied_cells(),
             transformed_cells,
             near_zero_removed,
             threshold,
@@ -254,7 +220,7 @@ fn threshold_and_label(
 /// diagnostics. Turning the model into a per-point [`AdaWaveResult`] is a
 /// separate (O(points)) step — [`AdaWave::fit`] maps a [`LookupTable`]
 /// through it, the streaming layer labels each of its occupied cells once
-/// and every point by its cell index.
+/// and every point by its cell's index in its grid.
 #[derive(Debug, Clone)]
 pub struct GridModel {
     labels: ComponentLabels,
@@ -432,10 +398,11 @@ mod tests {
     #[test]
     fn is_deterministic_for_irrational_tap_wavelets() {
         // db2's taps are irrational, so floating-point summation order in
-        // the transform is observable. Two fits build two hash maps with
-        // identical content but different iteration orders; the sorted-key
-        // scatter makes the results identical anyway — including the full
-        // sorted-density curve.
+        // the transform is observable. Two fits of the same points must
+        // agree bit for bit, including the full sorted-density curve. Both
+        // fits hold their cells in the same order, so this pins repeat
+        // determinism only; `grid_stage_ignores_the_cell_order`
+        // (tests/properties.rs) feeds the grid stage shuffled cell orders.
         let (points, _) = blobs_with_noise(300, 600, 41);
         let adawave = AdaWave::new(
             AdaWaveConfig::builder()

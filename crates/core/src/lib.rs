@@ -20,6 +20,12 @@
 //! 5. **Label & lookup** — map every original point to the cluster of its
 //!    (downsampled) grid cell; points in removed cells become noise.
 //!
+//! Steps 2–4 are one function, [`cluster_grid`], over the occupied cells
+//! of an [`adawave_grid::SparseGrid`] (one `(key, density)` vector): the
+//! one-shot [`AdaWave::fit`] runs it on the grid it just quantized, and the
+//! streaming layer (`adawave-stream`) on its accumulated grid, so both
+//! produce the same model from the same cells.
+//!
 //! ## The unified clustering API
 //!
 //! AdaWave participates in the workspace's unified API
@@ -66,13 +72,13 @@ pub mod result;
 pub mod threshold;
 pub mod transform;
 
-pub use adawave::{cluster_cells, cluster_grid, AdaWave, GridModel};
+pub use adawave::{cluster_grid, AdaWave, GridModel};
 pub use clusterer::register;
 pub use config::{AdaWaveConfig, AdaWaveConfigBuilder};
 pub use model::AdaWaveModel;
 pub use result::{AdaWaveResult, GridStats};
 pub use threshold::ThresholdStrategy;
-pub use transform::{smooth_cells, sparse_wavelet_smooth, sparse_wavelet_smooth_budgeted};
+pub use transform::{sparse_wavelet_smooth, sparse_wavelet_smooth_budgeted};
 
 /// Errors produced by the AdaWave pipeline.
 #[derive(Debug, Clone, PartialEq)]

@@ -116,10 +116,11 @@ impl AdaWaveModel {
     ///
     /// The payload is untrusted: the `cells` count only bounds how much is
     /// pre-allocated (a count the payload cannot back fails as truncated),
-    /// every cell key must be a key of the transformed codec and every
-    /// cluster id must lie below the `clusters` count, which cannot exceed
-    /// the transformed grid's cells. So nothing read from a file can index
-    /// past the model's cell table or overflow one of its slots.
+    /// every cell key must be a key of the transformed codec, listed once,
+    /// and every cluster id must lie below the `clusters` count, which
+    /// cannot exceed the transformed grid's cells. So nothing read from a
+    /// file can index past the model's cell table, overflow one of its
+    /// slots, or give one cell two clusters.
     pub fn deserialize(payload: &str) -> Result<Self, String> {
         let mut reader = PayloadReader::new(payload);
         let dims: usize = reader.scalar("dims")?;
@@ -157,7 +158,9 @@ impl AdaWaveModel {
                     "cluster id {id} is not below the model's {cluster_count} clusters"
                 ));
             }
-            cells.insert(key, id);
+            if cells.insert(key, id).is_some() {
+                return Err(format!("the model lists cell key {key_hex} twice"));
+            }
         }
         let quantizer = Quantizer::with_bounds(BoundingBox::from_bounds(min, max), &intervals)
             .map_err(|e| format!("bad quantizer: {e}"))?;
@@ -627,5 +630,16 @@ mod tests {
             let err = AdaWaveModel::deserialize(&forged).unwrap_err();
             assert!(err.contains("is not below the model's"), "{id}: {err}");
         }
+        // A cell key listed twice, the second time with another cluster
+        // id, would let the later line silently win: refused, even with
+        // the `cells` count raised to cover the extra line.
+        let other_id = (first_line[33..].parse::<usize>().unwrap() + 1) % model.cluster_count();
+        let repeated = format!("{first_line}\n{} {other_id}", &first_line[..32]);
+        let forged = payload.replacen(first_line, &repeated, 1).replace(
+            &count_line,
+            &format!("cells {}\n", model.labeled_cells() + 1),
+        );
+        let err = AdaWaveModel::deserialize(&forged).unwrap_err();
+        assert!(err.contains("twice"), "{err}");
     }
 }

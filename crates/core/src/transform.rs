@@ -2,7 +2,7 @@
 //!
 //! The dense WaveCluster transform convolves the full `M^d` grid; AdaWave
 //! instead applies the same low-pass filter + downsample **directly on the
-//! sparse `{key: density}` map** in scatter form: every occupied cell
+//! sparse grid's occupied cells** in scatter form: every occupied cell
 //! contributes `kernel[t] · density` to the half-resolution output cell it
 //! overlaps. The work depends on the `m` occupied cells, never on the dense
 //! grid volume — this is what makes the paper's `O(nm)` total complexity
@@ -11,14 +11,15 @@
 //! ## Cost
 //!
 //! The cells travel through every level and per-dimension pass as one flat
-//! `(key, density)` vector; no hash map is touched between the input grid
-//! and the output grid. Each pass sorts the vector once so that every
-//! *line* along the pass's dimension (the cells sharing all other
-//! coordinates) is contiguous in ascending coordinate, then scatters the
-//! kernel within each line through a scratch buffer bounded by that line's
-//! own cells. That is `O(d · m log m)` time per level for an `l`-tap
-//! kernel, and `O(l · m)` memory: the scatter can grow the vector by at
-//! most `l` per cell before the cell budget prunes it back.
+//! `(key, density)` vector, the grid's own representation: the input
+//! grid's cells are copied in and the last pass's vector is the output
+//! grid. Each pass sorts the vector once so that every *line* along the
+//! pass's dimension (the cells sharing all other coordinates) is
+//! contiguous in ascending coordinate, then scatters the kernel within
+//! each line through a scratch buffer bounded by that line's own cells.
+//! That is `O(d · m log m)` time per level for an `l`-tap kernel, and
+//! `O(l · m)` memory: the scatter can grow the vector by at most `l` per
+//! cell before the cell budget prunes it back.
 //!
 //! ## Bit-identical summation order
 //!
@@ -57,6 +58,12 @@ pub fn sparse_wavelet_smooth(
 /// discarded ([`prune_to_top`]); the densest cells — the ones the
 /// clustering step keeps anyway — always survive. Pass `usize::MAX` to
 /// disable the guard.
+///
+/// A copy of the grid's cells is the working buffer, and the last pass's
+/// output vector becomes the returned grid as it is
+/// ([`SparseGrid::from_cells`]). Every pass sorts its input by line, so
+/// the result does not depend on the order `grid` holds its cells in (at
+/// zero levels the grid passes through as it is).
 pub fn sparse_wavelet_smooth_budgeted(
     grid: &SparseGrid,
     codec: &KeyCodec,
@@ -68,30 +75,8 @@ pub fn sparse_wavelet_smooth_budgeted(
     if levels == 0 {
         return Ok((grid.clone(), codec.clone()));
     }
-    smooth_cells(
-        grid.iter().collect(),
-        codec,
-        kernel,
-        boundary,
-        levels,
-        cell_budget,
-    )
-}
-
-/// [`sparse_wavelet_smooth_budgeted`] on a grid's occupied cells given as
-/// one `(key, density)` vector with distinct keys, in any order: the entry
-/// for a caller that already holds its cells in a vector, which the
-/// transform then consumes as its working buffer. The result does not
-/// depend on the order of `cells`.
-pub fn smooth_cells(
-    mut cells: Vec<(u128, f64)>,
-    codec: &KeyCodec,
-    kernel: &[f64],
-    boundary: BoundaryMode,
-    levels: u32,
-    cell_budget: usize,
-) -> GridResult<(SparseGrid, KeyCodec)> {
-    let mut next = Vec::with_capacity(if levels == 0 { 0 } else { cells.len() });
+    let mut cells: Vec<(u128, f64)> = grid.iter().collect();
+    let mut next = Vec::with_capacity(cells.len());
     let mut codec = codec.clone();
     for _ in 0..levels {
         for dim in 0..codec.dims() {
@@ -106,11 +91,7 @@ pub fn smooth_cells(
             codec = halved;
         }
     }
-    let mut out = SparseGrid::with_capacity(cells.len());
-    for (key, density) in cells {
-        out.set(key, density);
-    }
-    Ok((out, codec))
+    Ok((SparseGrid::from_cells(cells), codec))
 }
 
 /// One per-dimension pass: apply the low-pass filter along `dim`, halving
@@ -212,29 +193,29 @@ fn output_coordinate(
 /// vector transform must match bit for bit.
 #[cfg(test)]
 mod hash_reference {
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
-    use adawave_grid::{KeyCodec, SparseGrid};
+    use adawave_grid::KeyCodec;
     use adawave_wavelet::BoundaryMode;
 
     /// One per-dimension pass: scatter in sorted-key order into a fresh
     /// map, every output cell starting from 0.0.
     fn lowpass_dimension(
-        grid: &SparseGrid,
+        map: &HashMap<u128, f64>,
         codec: &KeyCodec,
         dim: usize,
         kernel: &[f64],
         boundary: BoundaryMode,
-    ) -> (SparseGrid, KeyCodec) {
+    ) -> (HashMap<u128, f64>, KeyCodec) {
         let old_m = codec.intervals(dim);
         let new_m = old_m.div_ceil(2).max(1);
         let mut new_intervals: Vec<u32> = codec.all_intervals().to_vec();
         new_intervals[dim] = new_m;
         let new_codec = KeyCodec::new(&new_intervals).unwrap();
         let offset = (kernel.len() as isize - 1) / 2;
-        let mut entries: Vec<(u128, f64)> = grid.iter().collect();
+        let mut entries: Vec<(u128, f64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
         entries.sort_unstable_by_key(|&(key, _)| key);
-        let mut out = SparseGrid::with_capacity(grid.occupied_cells());
+        let mut out = HashMap::with_capacity(map.len());
         for (key, density) in entries {
             let c = codec.coordinate(key, dim) as isize;
             let base = codec.remap(key, &new_codec, 0, Some((dim, 0)));
@@ -249,7 +230,8 @@ mod hash_reference {
                         continue;
                     }
                     let i = (wrapped / 2) as u32;
-                    out.add(base | new_codec.pack_coord(dim, i), h * density);
+                    *out.entry(base | new_codec.pack_coord(dim, i))
+                        .or_insert(0.0) += h * density;
                     continue;
                 }
                 if numerator < 0 || numerator % 2 != 0 {
@@ -259,7 +241,8 @@ mod hash_reference {
                 if i >= new_m as isize {
                     continue;
                 }
-                out.add(base | new_codec.pack_coord(dim, i as u32), h * density);
+                *out.entry(base | new_codec.pack_coord(dim, i as u32))
+                    .or_insert(0.0) += h * density;
             }
         }
         (out, new_codec)
@@ -268,45 +251,45 @@ mod hash_reference {
     /// The map prune: find the budget-th largest magnitude with a select,
     /// keep everything above it, then fill the remaining slots with the
     /// smallest-key ties.
-    fn prune_to_top(grid: &mut SparseGrid, budget: usize) {
-        if grid.occupied_cells() <= budget {
+    fn prune_to_top(map: &mut HashMap<u128, f64>, budget: usize) {
+        if map.len() <= budget {
             return;
         }
         if budget == 0 {
-            grid.retain_keys(&HashSet::new());
+            map.clear();
             return;
         }
-        let mut magnitudes: Vec<f64> = grid.iter().map(|(_, v)| v.abs()).collect();
+        let mut magnitudes: Vec<f64> = map.values().map(|v| v.abs()).collect();
         let cut_index = magnitudes.len() - budget;
         let (_, cutoff, _) = magnitudes.select_nth_unstable_by(cut_index, |a, b| a.total_cmp(b));
         let cutoff = *cutoff;
-        let above = grid.iter().filter(|(_, v)| v.abs() > cutoff).count();
-        let mut ties: Vec<u128> = grid
+        let above = map.values().filter(|v| v.abs() > cutoff).count();
+        let mut ties: Vec<u128> = map
             .iter()
             .filter(|(_, v)| v.abs() == cutoff)
-            .map(|(k, _)| k)
+            .map(|(&k, _)| k)
             .collect();
         ties.sort_unstable();
         ties.truncate(budget - above);
-        let keep: HashSet<u128> = grid
+        let keep: HashSet<u128> = map
             .iter()
             .filter(|(_, v)| v.abs() > cutoff)
-            .map(|(k, _)| k)
+            .map(|(&k, _)| k)
             .chain(ties)
             .collect();
-        grid.retain_keys(&keep);
+        map.retain(|k, _| keep.contains(k));
     }
 
     /// The old `sparse_wavelet_smooth_budgeted`.
     pub(super) fn smooth_budgeted(
-        grid: &SparseGrid,
+        map: &HashMap<u128, f64>,
         codec: &KeyCodec,
         kernel: &[f64],
         boundary: BoundaryMode,
         levels: u32,
         cell_budget: usize,
-    ) -> (SparseGrid, KeyCodec) {
-        let mut current = grid.clone();
+    ) -> (HashMap<u128, f64>, KeyCodec) {
+        let mut current = map.clone();
         let mut current_codec = codec.clone();
         for _ in 0..levels {
             for dim in 0..current_codec.dims() {
@@ -323,6 +306,8 @@ mod hash_reference {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use adawave_wavelet::Wavelet;
     use proptest::prelude::*;
@@ -339,6 +324,13 @@ mod tests {
         boundary: BoundaryMode,
     ) -> (SparseGrid, KeyCodec) {
         sparse_wavelet_smooth(grid, codec, kernel, boundary, 1).unwrap()
+    }
+
+    /// A cell's density, 0.0 if the grid does not hold it.
+    fn density(grid: &SparseGrid, key: u128) -> f64 {
+        grid.iter()
+            .find(|&(k, _)| k == key)
+            .map_or(0.0, |(_, density)| density)
     }
 
     /// A grid's cells as sorted `(key, density bits)` pairs, so equality is
@@ -364,16 +356,22 @@ mod tests {
     ) -> (Output, Output) {
         let (got, got_codec) =
             sparse_wavelet_smooth_budgeted(grid, codec, kernel, boundary, levels, budget).unwrap();
-        let (want, want_codec) =
-            hash_reference::smooth_budgeted(grid, codec, kernel, boundary, levels, budget);
+        let (want, want_codec) = hash_reference::smooth_budgeted(
+            &grid.iter().collect(),
+            codec,
+            kernel,
+            boundary,
+            levels,
+            budget,
+        );
+        let want: SparseGrid = want.into_iter().collect();
         ((got_codec, bits(&got)), (want_codec, bits(&want)))
     }
 
     #[test]
     fn single_dimension_halves_coordinates() {
         let codec = KeyCodec::uniform(1, 16).unwrap();
-        let mut grid = SparseGrid::new();
-        grid.add(codec.pack(&[10]), 4.0);
+        let grid: SparseGrid = [(codec.pack(&[10]), 4.0)].into_iter().collect();
         let (out, out_codec) = one_level(&grid, &codec, &kernel(), BoundaryMode::Zero);
         assert_eq!(out_codec.intervals(0), 8);
         // The dominant contribution of input 10 is output 5.
@@ -389,8 +387,7 @@ mod tests {
     #[test]
     fn level_halves_every_dimension() {
         let codec = KeyCodec::new(&[16, 8, 4]).unwrap();
-        let mut grid = SparseGrid::new();
-        grid.add(codec.pack(&[3, 3, 3]), 1.0);
+        let grid: SparseGrid = [(codec.pack(&[3, 3, 3]), 1.0)].into_iter().collect();
         let (_, out_codec) = one_level(&grid, &codec, &kernel(), BoundaryMode::Zero);
         assert_eq!(out_codec.all_intervals(), &[8, 4, 2]);
     }
@@ -400,34 +397,36 @@ mod tests {
         // An 8x8 block of density 10 at [16..24)^2 in a 32x32 grid maps to
         // [8..12)^2 after one level, with interior density preserved.
         let codec = KeyCodec::uniform(2, 32).unwrap();
-        let mut grid = SparseGrid::new();
+        let mut cells = Vec::new();
         for x in 16..24u32 {
             for y in 16..24u32 {
-                grid.add(codec.pack(&[x, y]), 10.0);
+                cells.push((codec.pack(&[x, y]), 10.0));
             }
         }
+        let grid: SparseGrid = cells.into_iter().collect();
         let (out, out_codec) = one_level(&grid, &codec, &kernel(), BoundaryMode::Zero);
         assert_eq!(out_codec.all_intervals(), &[16, 16]);
-        let interior = out.density(out_codec.pack(&[10, 10]));
+        let interior = density(&out, out_codec.pack(&[10, 10]));
         assert!((interior - 10.0).abs() < 1e-9, "interior {interior}");
-        let far_away = out.density(out_codec.pack(&[4, 4]));
+        let far_away = density(&out, out_codec.pack(&[4, 4]));
         assert!(far_away.abs() < 1e-9);
     }
 
     #[test]
     fn isolated_noise_cell_is_attenuated_relative_to_blocks() {
         let codec = KeyCodec::uniform(2, 64).unwrap();
-        let mut grid = SparseGrid::new();
+        let mut cells = Vec::new();
         // Dense 4x4 block of 5s and one isolated cell of 5.
         for x in 10..14u32 {
             for y in 10..14u32 {
-                grid.add(codec.pack(&[x, y]), 5.0);
+                cells.push((codec.pack(&[x, y]), 5.0));
             }
         }
-        grid.add(codec.pack(&[40, 40]), 5.0);
+        cells.push((codec.pack(&[40, 40]), 5.0));
+        let grid: SparseGrid = cells.into_iter().collect();
         let (out, out_codec) = one_level(&grid, &codec, &kernel(), BoundaryMode::Zero);
-        let block_center = out.density(out_codec.pack(&[6, 6]));
-        let noise = out.density(out_codec.pack(&[20, 20]));
+        let block_center = density(&out, out_codec.pack(&[6, 6]));
+        let noise = density(&out, out_codec.pack(&[20, 20]));
         assert!(
             block_center > 2.0 * noise,
             "block {block_center} vs noise {noise}"
@@ -440,12 +439,13 @@ mod tests {
         // since every dimension is halved, the total mass of the block drops
         // by roughly 2^d (modulo edge effects).
         let codec = KeyCodec::uniform(2, 64).unwrap();
-        let mut grid = SparseGrid::new();
+        let mut cells = Vec::new();
         for x in 20..28u32 {
             for y in 20..28u32 {
-                grid.add(codec.pack(&[x, y]), 3.0);
+                cells.push((codec.pack(&[x, y]), 3.0));
             }
         }
+        let grid: SparseGrid = cells.into_iter().collect();
         let before = grid.total_mass();
         let (out, out_codec) = one_level(&grid, &codec, &kernel(), BoundaryMode::Zero);
         let after = out.total_mass();
@@ -454,15 +454,14 @@ mod tests {
             "mass {before} -> {after} (expected ~1/4)"
         );
         // Interior density level is unchanged.
-        let interior = out.density(out_codec.pack(&[12, 12]));
+        let interior = density(&out, out_codec.pack(&[12, 12]));
         assert!((interior - 3.0).abs() < 1e-9, "interior {interior}");
     }
 
     #[test]
     fn multi_level_reduces_resolution_geometrically() {
         let codec = KeyCodec::uniform(2, 64).unwrap();
-        let mut grid = SparseGrid::new();
-        grid.add(codec.pack(&[32, 32]), 1.0);
+        let grid: SparseGrid = [(codec.pack(&[32, 32]), 1.0)].into_iter().collect();
         let (_, c1) =
             sparse_wavelet_smooth(&grid, &codec, &kernel(), BoundaryMode::Zero, 1).unwrap();
         let (_, c3) =
@@ -476,15 +475,16 @@ mod tests {
         // Sparsity: the output never has more than (kernel support) times
         // the input cells, far below the dense grid volume.
         let codec = KeyCodec::uniform(3, 64).unwrap();
-        let mut grid = SparseGrid::new();
+        let mut cells = Vec::new();
         let mut state = 12345u64;
         for _ in 0..200 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let x = (state >> 33) as u32 % 64;
             let y = (state >> 22) as u32 % 64;
             let z = (state >> 11) as u32 % 64;
-            grid.add(codec.pack(&[x, y, z]), 1.0);
+            cells.push((codec.pack(&[x, y, z]), 1.0));
         }
+        let grid: SparseGrid = cells.into_iter().collect();
         let (out, _) = one_level(&grid, &codec, &kernel(), BoundaryMode::Zero);
         assert!(out.occupied_cells() <= grid.occupied_cells() * 27);
         assert!(out.occupied_cells() < 64 * 64 * 64 / 8);
@@ -495,10 +495,10 @@ mod tests {
         // A dense 6x6 block plus many isolated unit cells: with a tight
         // budget only the neighbourhood of the block survives.
         let codec = KeyCodec::uniform(2, 64).unwrap();
-        let mut grid = SparseGrid::new();
+        let mut cells = Vec::new();
         for x in 10..16u32 {
             for y in 10..16u32 {
-                grid.add(codec.pack(&[x, y]), 20.0);
+                cells.push((codec.pack(&[x, y]), 20.0));
             }
         }
         let mut state = 99u64;
@@ -506,27 +506,29 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let x = 32 + (state >> 33) as u32 % 32;
             let y = 32 + (state >> 22) as u32 % 32;
-            grid.add(codec.pack(&[x, y]), 1.0);
+            cells.push((codec.pack(&[x, y]), 1.0));
         }
+        let grid: SparseGrid = cells.into_iter().collect();
         let budget = 16;
         let (out, out_codec) =
             sparse_wavelet_smooth_budgeted(&grid, &codec, &kernel(), BoundaryMode::Zero, 1, budget)
                 .unwrap();
         assert!(out.occupied_cells() <= budget);
         // The interior of the block survives at full density.
-        let interior = out.density(out_codec.pack(&[6, 6]));
+        let interior = density(&out, out_codec.pack(&[6, 6]));
         assert!(interior > 10.0, "interior {interior}");
     }
 
     #[test]
     fn unlimited_budget_matches_the_unbudgeted_transform() {
         let codec = KeyCodec::uniform(2, 32).unwrap();
-        let mut grid = SparseGrid::new();
+        let mut cells = Vec::new();
         for x in 4..12u32 {
             for y in 4..12u32 {
-                grid.add(codec.pack(&[x, y]), (x + y) as f64);
+                cells.push((codec.pack(&[x, y]), (x + y) as f64));
             }
         }
+        let grid: SparseGrid = cells.into_iter().collect();
         let plain = one_level(&grid, &codec, &kernel(), BoundaryMode::Zero);
         let budgeted = sparse_wavelet_smooth_budgeted(
             &grid,
@@ -547,9 +549,9 @@ mod tests {
         // boundary cell is dropped, with zero padding some are.
         let haar = Wavelet::Haar.density_smoothing_kernel();
         let codec = KeyCodec::uniform(1, 8).unwrap();
-        let mut grid = SparseGrid::new();
-        grid.add(codec.pack(&[0]), 1.0);
-        grid.add(codec.pack(&[7]), 1.0);
+        let grid: SparseGrid = [(codec.pack(&[0]), 1.0), (codec.pack(&[7]), 1.0)]
+            .into_iter()
+            .collect();
         let zero = one_level(&grid, &codec, &haar, BoundaryMode::Zero).0;
         let periodic = one_level(&grid, &codec, &haar, BoundaryMode::Periodic).0;
         assert!(periodic.total_mass() >= zero.total_mass() - 1e-12);
@@ -572,12 +574,11 @@ mod tests {
         // the wrap on the phantom input coordinate 7 and dropping it.
         let haar = Wavelet::Haar.density_smoothing_kernel();
         let codec = KeyCodec::new(&[7]).unwrap();
-        let mut grid = SparseGrid::new();
-        grid.add(codec.pack(&[0]), 1.0);
+        let grid: SparseGrid = [(codec.pack(&[0]), 1.0)].into_iter().collect();
         let (out, out_codec) = one_level(&grid, &codec, &haar, BoundaryMode::Periodic);
         assert_eq!(out_codec.intervals(0), 4);
-        assert!((out.density(out_codec.pack(&[0])) - 0.5).abs() < 1e-15);
-        assert!((out.density(out_codec.pack(&[3])) - 0.5).abs() < 1e-15);
+        assert!((density(&out, out_codec.pack(&[0])) - 0.5).abs() < 1e-15);
+        assert!((density(&out, out_codec.pack(&[3])) - 0.5).abs() < 1e-15);
         assert!((out.total_mass() - 1.0).abs() < 1e-15, "no tap was lost");
     }
 
@@ -591,20 +592,18 @@ mod tests {
         // `output[i] = Σ_t h[t] · input[(2i + t - 2) mod 7]` says input 6
         // feeds exactly outputs {0: 0.25, 2: -0.125, 3: 0.75}.
         let codec = KeyCodec::new(&[7]).unwrap();
-        let mut grid = SparseGrid::new();
-        grid.add(codec.pack(&[6]), 1.0);
+        let grid: SparseGrid = [(codec.pack(&[6]), 1.0)].into_iter().collect();
         let (out, out_codec) = one_level(&grid, &codec, &kernel(), BoundaryMode::Periodic);
         let expected = [(0u32, 0.25), (2, -0.125), (3, 0.75)];
         assert_eq!(out.occupied_cells(), expected.len());
         for (coord, value) in expected {
-            let got = out.density(out_codec.pack(&[coord]));
+            let got = density(&out, out_codec.pack(&[coord]));
             assert!((got - value).abs() < 1e-15, "output {coord}: {got}");
         }
         // Exhaustive cross-check over every input cell of the odd ring:
         // scatter output == gather (direct convolution) output.
         for c in 0..7u32 {
-            let mut grid = SparseGrid::new();
-            grid.add(codec.pack(&[c]), 1.0);
+            let grid: SparseGrid = [(codec.pack(&[c]), 1.0)].into_iter().collect();
             let (out, out_codec) = one_level(&grid, &codec, &kernel(), BoundaryMode::Periodic);
             let k = kernel();
             for i in 0..4u32 {
@@ -620,7 +619,7 @@ mod tests {
                         }
                     })
                     .sum();
-                let got = out.density(out_codec.pack(&[i]));
+                let got = density(&out, out_codec.pack(&[i]));
                 assert!(
                     (got - direct).abs() < 1e-15,
                     "input {c} output {i}: scatter {got} vs direct {direct}"
@@ -632,12 +631,12 @@ mod tests {
     #[test]
     fn haar_kernel_gives_exact_pairwise_average() {
         let codec = KeyCodec::uniform(1, 8).unwrap();
-        let mut grid = SparseGrid::new();
-        grid.add(codec.pack(&[2]), 4.0);
-        grid.add(codec.pack(&[3]), 6.0);
+        let grid: SparseGrid = [(codec.pack(&[2]), 4.0), (codec.pack(&[3]), 6.0)]
+            .into_iter()
+            .collect();
         let haar = Wavelet::Haar.density_smoothing_kernel();
         let (out, out_codec) = one_level(&grid, &codec, &haar, BoundaryMode::Zero);
-        assert!((out.density(out_codec.pack(&[1])) - 5.0).abs() < 1e-12);
+        assert!((density(&out, out_codec.pack(&[1])) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -645,7 +644,7 @@ mod tests {
         // Four dimensions of u32::MAX intervals use all 128 key bits; cells
         // sit at both ends of every axis so the boundary paths run too.
         let codec = KeyCodec::uniform(4, u32::MAX).unwrap();
-        let mut grid = SparseGrid::new();
+        let mut cells = Vec::new();
         let top = u32::MAX - 1;
         let mut state = 0x5eedu64;
         for n in 0..120u32 {
@@ -656,8 +655,9 @@ mod tests {
                 _ => (state >> (shift + 8)) as u32,
             };
             let coords = [pick(0), pick(12), pick(24), pick(36)];
-            grid.add(codec.pack(&coords), f64::from(n % 7) - 1.5);
+            cells.push((codec.pack(&coords), f64::from(n % 7) - 1.5));
         }
+        let grid: SparseGrid = cells.into_iter().collect();
         for boundary in [BoundaryMode::Zero, BoundaryMode::Periodic] {
             for levels in 0..3 {
                 for budget in [usize::MAX, 150, 7] {
@@ -729,7 +729,7 @@ mod tests {
                 .map(|&(small, m)| if small == 0 { 1 + m % 3 } else { m })
                 .collect();
             let codec = KeyCodec::new(&intervals).unwrap();
-            let mut grid = SparseGrid::new();
+            let mut map = HashMap::new();
             for (coords, kind, value) in &raw_cells {
                 let coords: Vec<u32> =
                     coords[..dims].iter().zip(&intervals).map(|(c, m)| c % m).collect();
@@ -740,8 +740,9 @@ mod tests {
                     2 => -value.abs(),
                     _ => *value,
                 };
-                grid.set(codec.pack(&coords), density);
+                map.insert(codec.pack(&coords), density);
             }
+            let grid: SparseGrid = map.into_iter().collect();
             // Budgets from 1 to twice the cell count, or none at all.
             let budget = if raw_budget % 8 == 0 {
                 usize::MAX

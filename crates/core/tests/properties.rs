@@ -1,10 +1,20 @@
 //! Property-based tests for the AdaWave core pipeline.
 
 use adawave_api::PointMatrix;
-use adawave_core::{AdaWave, AdaWaveConfig, ThresholdStrategy};
+use adawave_core::{
+    cluster_grid, sparse_wavelet_smooth_budgeted, AdaWave, AdaWaveConfig, GridStats,
+    ThresholdStrategy,
+};
 use adawave_grid::{KeyCodec, SparseGrid};
 use adawave_wavelet::{BoundaryMode, Wavelet};
 use proptest::prelude::*;
+
+/// A cell's density, 0.0 if the grid does not hold it.
+fn density(grid: &SparseGrid, key: u128) -> f64 {
+    grid.iter()
+        .find(|&(k, _)| k == key)
+        .map_or(0.0, |(_, density)| density)
+}
 
 fn point_cloud() -> impl Strategy<Value = PointMatrix> {
     prop::collection::vec(prop::collection::vec(0.0f64..1.0, 2), 20..200)
@@ -125,15 +135,110 @@ proptest! {
         // small negative side lobes, but the dominant cell stays positive
         // and carries most of the mass.
         let codec = KeyCodec::uniform(2, 32).unwrap();
-        let mut grid = SparseGrid::new();
-        grid.add(codec.pack(&[x, y]), mass);
+        let grid: SparseGrid = [(codec.pack(&[x, y]), mass)].into_iter().collect();
         let kernel = Wavelet::Cdf22.density_smoothing_kernel();
         let (out, out_codec) = adawave_core::sparse_wavelet_smooth(
             &grid, &codec, &kernel, BoundaryMode::Zero, 1,
         )
         .unwrap();
-        let main = out.density(out_codec.pack(&[x / 2, y / 2]));
+        let main = density(&out, out_codec.pack(&[x / 2, y / 2]));
         prop_assert!(main > 0.0);
         prop_assert!(main <= mass + 1e-9);
+    }
+}
+
+/// What the grid stage and the transform make of one grid, with every
+/// float as its bits: the cells' labels and the cluster count, the stats,
+/// the sorted-density curve, and the transformed codec and cells, each
+/// list in key order.
+type StageOutput = (
+    Vec<(u128, usize)>,
+    usize,
+    GridStats,
+    Vec<u64>,
+    KeyCodec,
+    Vec<(u128, u64)>,
+);
+
+fn stage_output(grid: &SparseGrid, codec: &KeyCodec, config: &AdaWaveConfig) -> StageOutput {
+    let model = cluster_grid(grid, codec, config).unwrap();
+    let mut labels: Vec<(u128, usize)> = model.labels().iter().collect();
+    labels.sort_unstable();
+    let densities = model
+        .sorted_densities()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let (transformed, down_codec) = sparse_wavelet_smooth_budgeted(
+        grid,
+        codec,
+        &config.wavelet.density_smoothing_kernel(),
+        config.boundary,
+        config.levels,
+        config.max_transformed_cells,
+    )
+    .unwrap();
+    let mut cells: Vec<(u128, u64)> = transformed.iter().map(|(k, v)| (k, v.to_bits())).collect();
+    cells.sort_unstable();
+    (
+        labels,
+        model.cluster_count(),
+        model.stats().clone(),
+        densities,
+        down_codec,
+        cells,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The grid stage and the transform read a grid's cells, never the
+    /// order it holds them in: the same distinct cells in ascending,
+    /// descending and shuffled order give identical labels, stats, sorted
+    /// densities and transformed cells. 1-4 dimensions, levels 0-2, cdf22
+    /// and db2 (irrational taps, so a changed summation order would show),
+    /// cell budgets below and above the cell count.
+    #[test]
+    fn grid_stage_ignores_the_cell_order(
+        dims in 1usize..5,
+        raw_cells in prop::collection::vec(
+            (prop::collection::vec(0u32..24, 4), 1u32..30),
+            1..150,
+        ),
+        levels in 0u32..3,
+        wavelet in 0usize..2,
+        budget_below in 0usize..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let codec = KeyCodec::uniform(dims, 24).unwrap();
+        // Distinct keys in ascending order: repeated keys are summed.
+        let grid: SparseGrid = raw_cells
+            .iter()
+            .map(|(coords, count)| (codec.pack(&coords[..dims]), f64::from(*count)))
+            .collect();
+        let ascending: Vec<(u128, f64)> = grid.iter().collect();
+        let m = ascending.len();
+        let budget = if budget_below == 1 { 1 + m / 3 } else { 4 * m };
+        let config = AdaWaveConfig::builder()
+            .scale(24)
+            .levels(levels)
+            .wavelet([Wavelet::Cdf22, Wavelet::Daubechies2][wavelet])
+            .max_transformed_cells(budget)
+            .build();
+        let descending: Vec<(u128, f64)> = ascending.iter().rev().copied().collect();
+        let mut shuffled = ascending.clone();
+        let mut state = seed | 1;
+        for i in (1..m).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            shuffled.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let want = stage_output(&SparseGrid::from_cells(ascending), &codec, &config);
+        for (name, cells) in [("descending", descending), ("shuffled", shuffled)] {
+            let got = stage_output(&SparseGrid::from_cells(cells), &codec, &config);
+            prop_assert!(got == want, "{} order differs", name);
+        }
     }
 }

@@ -9,7 +9,8 @@
 //! nine UCI datasets (Table I) plus the Roadmap case study (Fig. 9). The
 //! UCI repository is not reachable in this offline environment, so this
 //! crate generates seeded *surrogates* with the same size, dimensionality
-//! and class structure (see DESIGN.md §2 for the substitution rationale).
+//! and class structure, the properties a grid method's cost and cluster
+//! recovery depend on (see [`uci`]).
 //!
 //! Everything is deterministic given a `u64` seed: the random number
 //! generator is an in-crate xoshiro256++ with a splitmix64 seeder, and

@@ -3,9 +3,11 @@
 //! The UCI repository is not reachable from this offline environment, so
 //! each dataset is replaced by a seeded synthetic surrogate with the same
 //! number of points, dimensionality and class structure (class counts,
-//! imbalance, separability character). See DESIGN.md §2 for the
-//! substitution rationale; EXPERIMENTS.md compares the resulting numbers
-//! with the paper's Table I.
+//! imbalance, separability character). These are the properties the
+//! paper's Table I comparison depends on: a grid method's cost and its
+//! cluster recovery follow `n`, `d` and the class layout, not the
+//! attributes' meaning. `experiments table1` regenerates the resulting
+//! numbers.
 //!
 //! | name        | n       | d  | classes | character                              |
 //! |-------------|---------|----|---------|-----------------------------------------|

@@ -5,8 +5,10 @@
 //! probe per point. When a codec's packed keys are at most
 //! [`CellTable::DENSE_KEY_BITS`] wide, the key itself indexes a flat
 //! `u32` array and a probe is one load. Wider keys, which no array fits,
-//! go through a hash map, and counting them increments the grid
-//! directly, one hash update per point.
+//! go through a hash map. Counting is the same on both sides: the table
+//! maps a key to its cell's index in a [`SparseGrid`](crate::SparseGrid),
+//! and [`SparseGrid::add_interned`](crate::SparseGrid::add_interned) adds
+//! to that cell.
 //!
 //! The width cap is a constant, not an option. The side is a pure
 //! function of the codec and every result is identical on both sides, so
@@ -15,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use crate::{KeyCodec, SparseGrid};
+use crate::KeyCodec;
 
 /// A map from the packed cell keys of one [`KeyCodec`] to small integers
 /// (a cell's index in a caller's list, or its cluster id).
@@ -72,39 +74,6 @@ impl CellTable {
             Slots::Hashed(HashMap::with_capacity(capacity))
         };
         Self { slots, len: 0 }
-    }
-
-    /// Per-cell point counts of `keys`: the grid one
-    /// [`SparseGrid::increment`] per key builds, summed in the same order.
-    /// On the dense side the table maps each key to its index in a list
-    /// of occupied cells and their counts, so the grid is built from those
-    /// `m` cells and never from a scan of the array. Wider keys are
-    /// incremented straight into the grid.
-    ///
-    /// # Panics
-    /// Panics if a key is wider than `codec`'s keys on the dense side.
-    pub(crate) fn count(codec: &KeyCodec, keys: &[u128]) -> SparseGrid {
-        let mut table = Self::new(codec);
-        if !table.is_dense() {
-            let mut grid = SparseGrid::with_capacity(keys.len().min(1 << 16));
-            for &key in keys {
-                grid.increment(key);
-            }
-            return grid;
-        }
-        let mut cells: Vec<(u128, f64)> = Vec::new();
-        for &key in keys {
-            let index = table.get_or_insert(key, cells.len());
-            if index == cells.len() {
-                cells.push((key, 0.0));
-            }
-            cells[index].1 += 1.0;
-        }
-        let mut grid = SparseGrid::with_capacity(cells.len());
-        for (key, count) in cells {
-            grid.set(key, count);
-        }
-        grid
     }
 
     /// Whether keys index a flat array (`true`) or go through the hash
@@ -433,14 +402,16 @@ mod tests {
                                 let key = |p: &[f64]| q.cell_key(p);
                                 (q.quantize_with(view, rt), count_keys(view, rt, key))
                             };
+                            let (want_grid, want_keys) = want;
+                            let want = (want_grid.into_iter().collect::<SparseGrid>(), want_keys);
                             prop_assert!(got == want, "quantize: {}", context);
                             let (_, keys) = got;
                             // Thresholded transformed grid: singleton cells
                             // go, so some points map to unlabeled cells.
-                            let mut down_grid = SparseGrid::new();
-                            for &key in &keys {
-                                down_grid.increment(q.codec().remap(key, &down, levels, None));
-                            }
+                            let mut down_grid: SparseGrid = keys
+                                .iter()
+                                .map(|&key| (q.codec().remap(key, &down, levels, None), 1.0))
+                                .collect();
                             down_grid.filter_below(2.0);
                             let labels = connected_components(&down_grid, &down, connectivity);
                             // The labels' table takes the side of their codec.
@@ -449,7 +420,8 @@ mod tests {
                                 format!("{labels:?}").contains(&format!("dense: {dense}")),
                                 "labels side: {}", context
                             );
-                            let reference = reference_labels(&down_grid, &down, connectivity);
+                            let down_map: HashMap<u128, f64> = down_grid.iter().collect();
+                            let reference = reference_labels(&down_map, &down, connectivity);
                             prop_assert_eq!(
                                 &labels.iter().collect::<HashMap<_, _>>(),
                                 &reference,

@@ -134,10 +134,11 @@ impl ComponentLabels {
 /// given connectivity, assigning each cell a contiguous 0-based cluster id.
 ///
 /// Cluster ids are ordered by decreasing total density (cluster 0 is the
-/// heaviest), which makes the output deterministic regardless of hash-map
-/// iteration order. One [`CellTable`] over `codec` maps each occupied
-/// cell first to its index, for the neighbor probes here, then to its
-/// cluster id, for every later [`ComponentLabels::cluster_of`].
+/// heaviest), and the cells are visited in ascending key order, so the
+/// output does not depend on the order the grid holds its cells in. One
+/// [`CellTable`] over `codec` maps each occupied cell first to its index,
+/// for the neighbor probes here, then to its cluster id, for every later
+/// [`ComponentLabels::cluster_of`].
 ///
 /// # Panics
 /// Panics if a cell of `grid` is not a key of `codec`.
@@ -146,19 +147,16 @@ pub fn connected_components(
     codec: &KeyCodec,
     connectivity: Connectivity,
 ) -> ComponentLabels {
-    // Index the occupied cells.
-    let keys: Vec<u128> = {
-        let mut k: Vec<u128> = grid.keys().collect();
-        k.sort_unstable();
-        k
-    };
-    let mut table = CellTable::with_capacity(codec, keys.len());
-    for (i, &key) in keys.iter().enumerate() {
+    // Index the occupied cells in ascending key order.
+    let mut cells: Vec<(u128, f64)> = grid.iter().collect();
+    cells.sort_unstable_by_key(|&(key, _)| key);
+    let mut table = CellTable::with_capacity(codec, cells.len());
+    for (i, &(key, _)) in cells.iter().enumerate() {
         table.insert(key, i);
     }
 
-    let mut uf = UnionFind::new(keys.len());
-    for (i, &key) in keys.iter().enumerate() {
+    let mut uf = UnionFind::new(cells.len());
+    for (i, &(key, _)) in cells.iter().enumerate() {
         for neighbor in connectivity.neighbors(codec, key) {
             if let Some(j) = table.get(neighbor) {
                 uf.union(i, j);
@@ -169,18 +167,18 @@ pub fn connected_components(
     // Gather components and their masses.
     let mut root_to_component: HashMap<usize, usize> = HashMap::new();
     let mut mass: Vec<f64> = Vec::new();
-    let mut cells: Vec<usize> = Vec::new();
-    let mut provisional: Vec<usize> = Vec::with_capacity(keys.len());
-    for (i, &key) in keys.iter().enumerate() {
+    let mut sizes: Vec<usize> = Vec::new();
+    let mut provisional: Vec<usize> = Vec::with_capacity(cells.len());
+    for (i, &(_, density)) in cells.iter().enumerate() {
         let root = uf.find(i);
         let next_id = root_to_component.len();
         let comp = *root_to_component.entry(root).or_insert(next_id);
         if comp == mass.len() {
             mass.push(0.0);
-            cells.push(0);
+            sizes.push(0);
         }
-        mass[comp] += grid.density(key);
-        cells[comp] += 1;
+        mass[comp] += density;
+        sizes[comp] += 1;
         provisional.push(comp);
     }
 
@@ -189,7 +187,7 @@ pub fn connected_components(
     order.sort_by(|&a, &b| {
         mass[b]
             .total_cmp(&mass[a])
-            .then_with(|| cells[b].cmp(&cells[a]))
+            .then_with(|| sizes[b].cmp(&sizes[a]))
             .then_with(|| a.cmp(&b))
     });
     let mut remap = vec![0usize; mass.len()];
@@ -197,11 +195,11 @@ pub fn connected_components(
         remap[old_id] = new_id;
     }
 
-    for (&key, &comp) in keys.iter().zip(&provisional) {
+    for (&(key, _), &comp) in cells.iter().zip(&provisional) {
         table.insert(key, remap[comp]);
     }
     let cluster_mass: Vec<f64> = order.iter().map(|&old| mass[old]).collect();
-    let cluster_cells: Vec<usize> = order.iter().map(|&old| cells[old]).collect();
+    let cluster_cells: Vec<usize> = order.iter().map(|&old| sizes[old]).collect();
 
     ComponentLabels {
         cells: table,
@@ -219,11 +217,11 @@ pub(crate) mod hash_reference {
 
     /// Cell key → cluster id, with the cells indexed by a hash map.
     pub(crate) fn labels(
-        grid: &SparseGrid,
+        map: &HashMap<u128, f64>,
         codec: &KeyCodec,
         connectivity: Connectivity,
     ) -> HashMap<u128, usize> {
-        let mut keys: Vec<u128> = grid.keys().collect();
+        let mut keys: Vec<u128> = map.keys().copied().collect();
         keys.sort_unstable();
         let index: HashMap<u128, usize> = keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
         let mut uf = UnionFind::new(keys.len());
@@ -245,7 +243,7 @@ pub(crate) mod hash_reference {
                 mass.push(0.0);
                 cells.push(0);
             }
-            mass[comp] += grid.density(key);
+            mass[comp] += map[&key];
             cells[comp] += 1;
             provisional.push(comp);
         }

@@ -5,10 +5,11 @@
 //! AdaWave quantizes the feature space into `M^d` grid cells but — unlike
 //! the original WaveCluster — **only stores cells with non-zero density**.
 //! A cell is identified by its integer coordinates in each dimension,
-//! packed into a single 128-bit key, and the populated cells live in a hash
-//! map from key to density. This keeps memory proportional to the number of
-//! *occupied* cells rather than the full (exponential in `d`) grid volume,
-//! which is what lets AdaWave run on relatively high-dimensional data.
+//! packed into a single 128-bit key, and the populated cells live in one
+//! vector of `(key, density)` pairs. This keeps memory proportional to the
+//! number of *occupied* cells rather than the full (exponential in `d`)
+//! grid volume, which is what lets AdaWave run on relatively
+//! high-dimensional data.
 //!
 //! The crate provides:
 //!
@@ -21,9 +22,11 @@
 //!   at most [`CellTable::DENSE_KEY_BITS`] bits, a hash map beyond. Every
 //!   per-point count and lookup (quantization, labeling, model serving)
 //!   goes through it.
-//! * [`SparseGrid`] — the `{key: density}` map with mass/density statistics,
-//!   and its canonical dump, which [`serialize_cells_into`] and
-//!   [`deserialize_cells_from`] also write and read for a flat cell vector.
+//! * [`SparseGrid`] — the occupied cells as one `(key, density)` vector,
+//!   with mass/density statistics and its canonical dump. Counting adds
+//!   each point to its cell through a [`CellTable`]
+//!   ([`SparseGrid::add_interned`]), which interns a new key as the grid's
+//!   next cell.
 //! * [`prune_to_top`] — the cell budget of the sparse wavelet transform,
 //!   applied to a grid's cells as a flat `(key, density)` vector.
 //! * [`Connectivity`] and [`connected_components`] — grouping of adjacent
@@ -68,9 +71,7 @@ pub use key::KeyCodec;
 pub use lookup::LookupTable;
 pub use neighbors::Connectivity;
 pub use quantizer::{fill_row_keys, F32Lane, Quantizer};
-pub use sparse::{
-    deserialize_cells_from, prune_to_top, serialize_cells_into, serialized_cells_len, SparseGrid,
-};
+pub use sparse::{prune_to_top, SparseGrid};
 
 /// Errors produced by grid construction.
 #[derive(Debug, Clone, PartialEq)]

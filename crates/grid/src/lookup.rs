@@ -151,9 +151,8 @@ mod tests {
         let table = LookupTable::new(quantizer.codec().clone(), assignment);
 
         // Remove the lone middle cell to simulate noise filtering.
-        let mut filtered = grid.clone();
         let middle_key = quantizer.cell_key(&[0.5, 0.5]);
-        filtered.remove(middle_key);
+        let filtered: SparseGrid = grid.iter().filter(|&(key, _)| key != middle_key).collect();
 
         let labels = connected_components(&filtered, quantizer.codec(), Connectivity::Face);
         let t0 = table.transformed_codec(0).unwrap();
@@ -181,10 +180,10 @@ mod tests {
         let table = LookupTable::new(quantizer.codec().clone(), assignment.clone());
 
         let down_codec = table.transformed_codec(1).unwrap();
-        let mut down_grid = SparseGrid::new();
-        for &cell in &assignment {
-            down_grid.increment(quantizer.codec().remap(cell, &down_codec, 1, None));
-        }
+        let down_grid: SparseGrid = assignment
+            .iter()
+            .map(|&cell| (quantizer.codec().remap(cell, &down_codec, 1, None), 1.0))
+            .collect();
         let labels = connected_components(&down_grid, &down_codec, Connectivity::Face);
         let point_labels = table.assign_points(&labels, 1, &down_codec);
         assert_eq!(point_labels[0], point_labels[1]);

@@ -276,10 +276,11 @@ impl Quantizer {
     }
 }
 
-/// Keys first, count once: one key per row, then one pass counting them
-/// through [`CellTable::count`], which indexes a flat array when `codec`'s
-/// keys are at most [`CellTable::DENSE_KEY_BITS`] wide and makes one hash
-/// update per key otherwise.
+/// Keys first, count once: one key per row, then one pass adding each to
+/// its cell ([`SparseGrid::add_interned`]) through a [`CellTable`], which
+/// indexes a flat array when `codec`'s keys are at most
+/// [`CellTable::DENSE_KEY_BITS`] wide and hashes them otherwise. The cells
+/// come out in the order their first point arrived.
 fn count_keys(
     points: PointsView<'_>,
     codec: &KeyCodec,
@@ -288,13 +289,20 @@ fn count_keys(
 ) -> (SparseGrid, Vec<u128>) {
     let mut keys = vec![0; points.len()];
     fill_row_keys(points, runtime, &mut keys, key);
-    (CellTable::count(codec, &keys), keys)
+    let mut table = CellTable::with_capacity(codec, keys.len().min(1 << 16));
+    let mut grid = SparseGrid::new();
+    for &key in &keys {
+        grid.add_interned(&mut table, key, 1.0);
+    }
+    (grid, keys)
 }
 
 /// The per-point hash count [`count_keys`] replaced, kept as the
 /// reference both sides of the [`CellTable`] must match.
 #[cfg(test)]
 pub(crate) mod hash_reference {
+    use std::collections::HashMap;
+
     use super::*;
 
     /// Keys first, then one hash update per key.
@@ -302,12 +310,12 @@ pub(crate) mod hash_reference {
         points: PointsView<'_>,
         runtime: Runtime,
         key: impl Fn(&[f64]) -> u128 + Sync,
-    ) -> (SparseGrid, Vec<u128>) {
+    ) -> (HashMap<u128, f64>, Vec<u128>) {
         let mut keys = vec![0; points.len()];
         fill_row_keys(points, runtime, &mut keys, key);
-        let mut grid = SparseGrid::with_capacity(points.len().min(1 << 16));
+        let mut grid = HashMap::with_capacity(points.len().min(1 << 16));
         for &key in &keys {
-            grid.increment(key);
+            *grid.entry(key).or_insert(0.0) += 1.0;
         }
         (grid, keys)
     }
@@ -500,11 +508,10 @@ mod tests {
         context: &str,
     ) {
         assert_eq!(keys.len(), pts.len(), "{context}");
-        let mut tally = SparseGrid::new();
         for (i, (p, &key)) in pts.rows().zip(&keys).enumerate() {
             assert_eq!(key, key_of(p), "{context}: row {i}");
-            tally.increment(key);
         }
+        let tally: SparseGrid = keys.iter().map(|&key| (key, 1.0)).collect();
         assert_eq!(grid, tally, "{context}");
     }
 

@@ -9,19 +9,21 @@
 //! [`StreamingAdaWave`] exploits that:
 //!
 //! * [`ingest`](StreamingAdaWave::ingest) quantizes one batch at a time
-//!   into an interned cell list: one [`CellTable`] that lives as long as
-//!   the session maps each occupied cell's key to its index in a
-//!   `(key, count)` vector, and every ingested point keeps only that
-//!   index, 4 bytes (or a marker for an outlier). The batch's keys are
-//!   computed on the configured [`Runtime`](adawave_runtime::Runtime),
-//!   then each point costs one table probe and one add;
+//!   into the session's [`SparseGrid`]: one [`CellTable`] that lives as
+//!   long as the session maps each occupied cell's key to its index in the
+//!   grid's `(key, count)` vector ([`SparseGrid::add_interned`]), and every
+//!   ingested point keeps only that index, 4 bytes (or a marker for an
+//!   outlier). The batch's keys are computed on the configured
+//!   [`Runtime`](adawave_runtime::Runtime), then each point costs one
+//!   table probe and one add;
 //! * [`merge`](StreamingAdaWave::merge) combines the accumulators of two
 //!   independently-fed sessions (e.g. shards of a partitioned data set):
 //!   the other session's `m` cells are interned once, and its points are
 //!   re-indexed through that remap;
 //! * [`refit_model`](StreamingAdaWave::refit_model) re-runs the
-//!   transform → threshold → components stage on the accumulated cells in
-//!   `O(m)` — **independent of the number of points ingested** — and
+//!   transform → threshold → components stage on the accumulated grid in
+//!   `O(m)` — **independent of the number of points ingested** — through
+//!   the same [`cluster_grid`] call as one-shot [`AdaWave::fit`], and
 //!   [`refit`](StreamingAdaWave::refit) additionally labels every retained
 //!   point: each occupied cell is looked up in the model once, and each
 //!   point reads its cell's label by index (the unavoidable `O(points)`
@@ -89,7 +91,7 @@ use std::ops::Range;
 
 use adawave_api::{compact_remap, FitOutcome, PointsView, Precision};
 use adawave_core::{
-    cluster_cells, AdaWave, AdaWaveConfig, AdaWaveError, AdaWaveModel, AdaWaveResult, GridModel,
+    cluster_grid, AdaWave, AdaWaveConfig, AdaWaveError, AdaWaveModel, AdaWaveResult, GridModel,
 };
 use adawave_grid::{fill_row_keys, BoundingBox, CellTable, Quantizer, SparseGrid};
 
@@ -177,36 +179,32 @@ pub struct IngestReport {
 /// this many cells, so it is never a real index.
 const OUTLIER: u32 = u32::MAX;
 
-/// The frozen quantized space plus the cells accumulated in it: the
-/// session's sparse grid as an interned list.
+/// The frozen quantized space plus the grid accumulated in it.
 #[derive(Debug, Clone)]
 struct Frozen {
     quantizer: Quantizer,
-    /// Cell key → index into `cells`, for the session's lifetime.
+    /// Cell key → the cell's index in `grid`, for the session's lifetime.
     table: CellTable,
     /// Every occupied cell and its in-domain point count, in the order the
-    /// cells first arrived (ascending key after a restore).
-    cells: Vec<(u128, f64)>,
+    /// cells first arrived (ascending key after a restore). The session
+    /// never removes a cell, so an index stays valid for good.
+    grid: SparseGrid,
 }
 
 impl Frozen {
     fn new(quantizer: Quantizer) -> Self {
         Self {
             table: CellTable::new(quantizer.codec()),
-            cells: Vec::new(),
+            grid: SparseGrid::new(),
             quantizer,
         }
     }
 
     /// Add `count` points to the cell `key`, interning the cell on first
-    /// sight: one table probe. Returns the cell's index.
+    /// sight ([`SparseGrid::add_interned`]). Returns the cell's index.
     #[inline]
     fn add(&mut self, key: u128, count: f64) -> u32 {
-        let index = self.table.get_or_insert(key, self.cells.len());
-        if index == self.cells.len() {
-            self.cells.push((key, 0.0));
-        }
-        self.cells[index].1 += count;
+        let index = self.grid.add_interned(&mut self.table, key, count);
         u32::try_from(index)
             .ok()
             .filter(|&i| i != OUTLIER)
@@ -291,18 +289,13 @@ impl StreamingAdaWave {
     /// Occupied cells of the accumulated grid — the `m` that governs the
     /// [`refit_model`](Self::refit_model) cost.
     pub fn occupied_cells(&self) -> usize {
-        self.frozen.as_ref().map_or(0, |f| f.cells.len())
+        self.frozen.as_ref().map_or(0, |f| f.grid.occupied_cells())
     }
 
-    /// The accumulated sparse grid (per-cell in-domain point counts), built
-    /// from the session's cell list, once a domain is frozen.
-    pub fn grid(&self) -> Option<SparseGrid> {
-        let frozen = self.frozen.as_ref()?;
-        let mut grid = SparseGrid::with_capacity(frozen.cells.len());
-        for &(key, count) in &frozen.cells {
-            grid.set(key, count);
-        }
-        Some(grid)
+    /// The accumulated sparse grid (per-cell in-domain point counts), once
+    /// a domain is frozen.
+    pub fn grid(&self) -> Option<&SparseGrid> {
+        self.frozen.as_ref().map(|f| &f.grid)
     }
 
     /// Quantize a batch into the accumulator (Algorithm 2, incrementally).
@@ -474,9 +467,9 @@ impl StreamingAdaWave {
         match (&mut self.frozen, other.frozen) {
             (Some(mine), Some(theirs)) => {
                 let remap: Vec<u32> = theirs
-                    .cells
+                    .grid
                     .iter()
-                    .map(|&(key, count)| mine.add(key, count))
+                    .map(|(key, count)| mine.add(key, count))
                     .collect();
                 self.point_cells
                     .extend(other.point_cells.iter().map(|&index| match index {
@@ -497,12 +490,11 @@ impl StreamingAdaWave {
         Ok(())
     }
 
-    /// Refit the grid-level cluster model on the accumulated cells:
+    /// Refit the grid-level cluster model on the accumulated grid:
     /// transform → threshold → connected components, in `O(m)` for `m`
     /// occupied cells — the cost does **not** grow with the number of
-    /// points ingested. A copy of the cell list goes straight to the
-    /// transform ([`cluster_cells`]). Errors if no domain has been frozen
-    /// yet.
+    /// points ingested. This is the grid stage one-shot [`AdaWave::fit`]
+    /// runs ([`cluster_grid`]). Errors if no domain has been frozen yet.
     pub fn refit_model(&self) -> Result<GridModel> {
         let frozen = self
             .frozen
@@ -511,8 +503,8 @@ impl StreamingAdaWave {
                 context: "no domain frozen yet (ingest finite points or use with_domain)"
                     .to_string(),
             })?;
-        Ok(cluster_cells(
-            frozen.cells.clone(),
+        Ok(cluster_grid(
+            &frozen.grid,
             frozen.quantizer.codec(),
             self.adawave.config(),
         )?)
@@ -564,9 +556,9 @@ impl StreamingAdaWave {
         let frozen = self.frozen.as_ref().expect("caller refit the model");
         let codec = frozen.quantizer.codec();
         let cell_clusters: Vec<Option<usize>> = frozen
-            .cells
+            .grid
             .iter()
-            .map(|&(key, _)| model.cluster_of_cell(codec, key))
+            .map(|(key, _)| model.cluster_of_cell(codec, key))
             .collect();
         self.point_cells
             .iter()
@@ -638,8 +630,8 @@ mod hash_reference {
         let frozen = stream.frozen.as_ref().expect("caller refit the model");
         let codec = frozen.quantizer.codec();
         let labels: HashMap<u128, usize> = model.labels().iter().collect();
-        let cell_cluster: HashMap<u128, Option<usize>> = frozen
-            .cells
+        let cells: Vec<(u128, f64)> = frozen.grid.iter().collect();
+        let cell_cluster: HashMap<u128, Option<usize>> = cells
             .iter()
             .map(|&(key, _)| {
                 let down = codec.remap(key, model.codec(), model.levels(), None);
@@ -650,7 +642,7 @@ mod hash_reference {
             .point_cells
             .iter()
             .map(|&index| {
-                let key = frozen.cells.get(index as usize).map(|&(key, _)| key);
+                let key = cells.get(index as usize).map(|&(key, _)| key);
                 key.and_then(|key| cell_cluster.get(&key).copied().flatten())
             })
             .collect()
@@ -1314,10 +1306,11 @@ mod tests {
             stream.ingest(batch.view()).unwrap();
             assert_eq!(stream.outlier_count(), planted.len(), "threads {threads}");
             let frozen = stream.frozen.as_ref().unwrap();
+            let cells: Vec<(u128, f64)> = frozen.grid.iter().collect();
             assert_eq!(stream.point_cells.len(), batch.len());
             for (i, (p, &cell)) in batch.rows().zip(&stream.point_cells).enumerate() {
                 let expected = (!planted.contains(&i)).then(|| frozen.quantizer.cell_key(p));
-                let key = frozen.cells.get(cell as usize).map(|&(key, _)| key);
+                let key = cells.get(cell as usize).map(|&(key, _)| key);
                 assert_eq!(key, expected, "row {i}, threads {threads}");
             }
         }

@@ -27,10 +27,7 @@ use adawave_api::{
     ArtifactKind, PayloadReader,
 };
 use adawave_core::{AdaWave, AdaWaveConfig, ThresholdStrategy};
-use adawave_grid::{
-    deserialize_cells_from, serialize_cells_into, serialized_cells_len, CellTable, Connectivity,
-    Quantizer,
-};
+use adawave_grid::{CellTable, Connectivity, Quantizer, SparseGrid};
 use adawave_wavelet::{BoundaryMode, Wavelet};
 
 use crate::{Frozen, StreamingAdaWave, OUTLIER};
@@ -196,13 +193,14 @@ impl StreamingAdaWave {
     ///
     /// [`restore`]: Self::restore
     pub fn snapshot(&self) -> String {
-        let cells = self.frozen.as_ref().map_or(&[][..], |f| &f.cells[..]);
+        let empty = SparseGrid::new();
+        let grid = self.frozen.as_ref().map_or(&empty, |f| &f.grid);
         // Sized once for the point keys and the grid dump together: a
         // `String` regrown mid-dump would briefly hold two copies.
-        let grid = serialized_cells_len(cells.len());
+        let dump = grid.serialized_len();
         let quantizer = 64 + 40 * self.dims.unwrap_or(0);
         let points = KEY_LINE * self.point_cells.len();
-        let mut out = String::with_capacity(1024 + quantizer + points + grid);
+        let mut out = String::with_capacity(1024 + quantizer + points + dump);
         serialize_config(self.adawave.config(), &mut out);
         match self.dims {
             None => out.push_str("dims none\n"),
@@ -212,8 +210,8 @@ impl StreamingAdaWave {
         out.push_str(&format!("points {}\n", self.point_cells.len()));
         // Each occupied cell's key line is rendered once, then copied for
         // every point in it.
-        let mut key_lines = String::with_capacity(KEY_LINE * cells.len());
-        for &(key, _) in cells {
+        let mut key_lines = String::with_capacity(KEY_LINE * grid.occupied_cells());
+        for (key, _) in grid.iter() {
             push_hex(&mut key_lines, key, 32);
             key_lines.push('\n');
         }
@@ -233,9 +231,7 @@ impl StreamingAdaWave {
                 frozen.quantizer.serialize_into(&mut out);
                 // The dump lists cells by ascending key, whatever order the
                 // session interned them in.
-                let mut sorted = frozen.cells.clone();
-                sorted.sort_unstable_by_key(|&(key, _)| key);
-                serialize_cells_into(&sorted, &mut out);
+                frozen.grid.serialize_into(&mut out);
             }
         }
         out
@@ -245,11 +241,14 @@ impl StreamingAdaWave {
     ///
     /// Everything is re-validated on the way in: the configuration fields,
     /// the quantizer (bounds ordering, interval counts, key width), the
-    /// grid dump, whose every cell key must be a key of the frozen codec
-    /// and listed once, and the point lines, whose every key must be one
-    /// of the grid's cells. The grid dump is read straight into the
-    /// session's cell table (the cells come back in ascending key order),
-    /// and each point line becomes its cell's index.
+    /// grid dump ([`SparseGrid::deserialize_from`]), whose every cell key
+    /// must be a key of the frozen codec and listed once, and the point
+    /// lines, whose every key must be one of the grid's cells. Every grid
+    /// cell's count must equal the number of point lines naming it, which
+    /// is at least one, as in every session `ingest`, `merge` and
+    /// `restore` build. The restored grid keeps the dump's (ascending key)
+    /// order, the session's cell table maps each key to its index, and
+    /// each point line becomes its cell's index.
     /// The restored session is bit-for-bit equivalent to the snapshot one —
     /// same grid, same per-point cells, same refit labels — and merging it
     /// behaves exactly like merging the original (mismatched
@@ -287,17 +286,17 @@ impl StreamingAdaWave {
                         ));
                     }
                 }
-                let cells = deserialize_cells_from(&mut reader)?;
-                if cells.len() >= OUTLIER as usize {
+                let grid = SparseGrid::deserialize_from(&mut reader)?;
+                if grid.occupied_cells() >= OUTLIER as usize {
                     return Err(format!(
                         "the grid lists {} cells, more than a session can index",
-                        cells.len()
+                        grid.occupied_cells()
                     ));
                 }
                 // The table is indexed by the key (a flat array for narrow
                 // codecs), so none may lie outside the codec.
-                let mut table = CellTable::with_capacity(quantizer.codec(), cells.len());
-                for (index, &(key, _)) in cells.iter().enumerate() {
+                let mut table = CellTable::with_capacity(quantizer.codec(), grid.occupied_cells());
+                for (index, (key, _)) in grid.iter().enumerate() {
                     if !quantizer.codec().contains(key) {
                         return Err(
                             "the grid holds a cell key outside the frozen space".to_string()
@@ -310,12 +309,14 @@ impl StreamingAdaWave {
                 Some(Frozen {
                     quantizer,
                     table,
-                    cells,
+                    grid,
                 })
             }
             other => return Err(format!("bad frozen marker '{other}'")),
         };
         let mut point_cells = Vec::with_capacity(points.min(1 << 24));
+        // Point lines per grid cell, to check against the cells' counts.
+        let mut named = vec![0usize; frozen.as_ref().map_or(0, |f| f.grid.occupied_cells())];
         for _ in 0..points {
             let line = point_lines.line()?;
             if line == "-" {
@@ -331,8 +332,21 @@ impl StreamingAdaWave {
                 .table
                 .get(key)
                 .ok_or_else(|| format!("point cell key {line} is not one of the grid's cells"))?;
-            // Below `cells.len()`, which was checked to fit.
+            named[index] += 1;
+            // Below the grid's cell count, which was checked to fit.
             point_cells.push(index as u32);
+        }
+        if let Some(frozen) = &frozen {
+            for ((key, count), &lines) in frozen.grid.iter().zip(&named) {
+                if lines == 0 {
+                    return Err(format!("grid cell {key:032x} is named by no point line"));
+                }
+                if count != lines as f64 {
+                    return Err(format!(
+                        "grid cell {key:032x} counts {count} points but {lines} point lines name it"
+                    ));
+                }
+            }
         }
         Ok(Self {
             adawave: AdaWave::new(config),
@@ -728,6 +742,29 @@ mod tests {
                     format!("{}{}\n", &s[..dump], lines.join("\n"))
                 }),
                 "twice",
+            ),
+            (
+                // A grid cell's count raised from 1 to 100 while one point
+                // line still names it.
+                Box::new(|s: &str| {
+                    let dump = s.rfind("cells ").unwrap();
+                    let one = format!(" {}\n", f64_to_hex(1.0));
+                    let hundred = format!(" {}\n", f64_to_hex(100.0));
+                    format!("{}{}", &s[..dump], s[dump..].replacen(&one, &hundred, 1))
+                }),
+                "counts 100 points but 1 point lines name it",
+            ),
+            (
+                // The first point line names the second point's cell, so
+                // the first cell is named by none and the counts still sum
+                // to the points.
+                Box::new(|s: &str| {
+                    let at = s.find("points 2\n").unwrap() + "points 2\n".len();
+                    let (_, rest) = s[at..].split_once('\n').unwrap();
+                    let second = rest.lines().next().unwrap();
+                    format!("{}{second}\n{rest}", &s[..at])
+                }),
+                "is named by no point line",
             ),
         ] {
             let err = StreamingAdaWave::restore(&mutate(&good)).unwrap_err();

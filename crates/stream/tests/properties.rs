@@ -1,6 +1,6 @@
 //! Property tests for the streaming accumulator (the `to_bits()`-equality
 //! style of `crates/runtime/tests/properties.rs`): over random point sets
-//! and random batch partitions, `SparseGrid::merge` + batched `ingest`
+//! and random batch partitions, `StreamingAdaWave::merge` + batched `ingest`
 //! must reproduce the one-shot quantized grid and the one-shot labels
 //! exactly, bit for bit.
 
@@ -73,7 +73,7 @@ proptest! {
         // The accumulated grid is bit-identical to quantizing in one shot.
         let quantizer = adawave.quantizer_for(&domain).unwrap();
         let (reference_grid, _) = quantizer.quantize(points.view());
-        prop_assert_eq!(grid_bits(&stream.grid().unwrap()), grid_bits(&reference_grid));
+        prop_assert_eq!(grid_bits(stream.grid().unwrap()), grid_bits(&reference_grid));
 
         // And the refit labels (plus stats and density curve) match fit.
         let refit = stream.refit().unwrap();
@@ -107,7 +107,7 @@ proptest! {
         left.merge(right).unwrap();
 
         prop_assert_eq!(left.points_ingested(), points.len());
-        prop_assert_eq!(grid_bits(&left.grid().unwrap()), grid_bits(&whole.grid().unwrap()));
+        prop_assert_eq!(grid_bits(left.grid().unwrap()), grid_bits(whole.grid().unwrap()));
         prop_assert_eq!(left.refit().unwrap(), whole.refit().unwrap());
     }
 
@@ -147,7 +147,7 @@ proptest! {
 
         let merged = merged.unwrap();
         prop_assert_eq!(merged.points_ingested(), points.len());
-        prop_assert_eq!(grid_bits(&merged.grid().unwrap()), grid_bits(&whole.grid().unwrap()));
+        prop_assert_eq!(grid_bits(merged.grid().unwrap()), grid_bits(whole.grid().unwrap()));
         prop_assert_eq!(merged.refit().unwrap(), whole.refit().unwrap());
     }
 
@@ -190,7 +190,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
 
         prop_assert_eq!(resumed.points_ingested(), points.len());
-        prop_assert_eq!(grid_bits(&resumed.grid().unwrap()), grid_bits(&reference.grid().unwrap()));
+        prop_assert_eq!(grid_bits(resumed.grid().unwrap()), grid_bits(reference.grid().unwrap()));
         prop_assert_eq!(resumed.refit().unwrap(), reference.refit().unwrap());
     }
 }

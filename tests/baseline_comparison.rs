@@ -112,7 +112,8 @@ fn adawave_and_wavecluster_share_machinery_but_only_adawave_adapts() {
     // The paper's central comparison is AdaWave vs its ancestor WaveCluster
     // under heavy noise. Note: our WaveCluster baseline already uses a
     // data-dependent (mean-density) cut-off, which is stronger than the
-    // original's fixed threshold (see EXPERIMENTS.md), so the decisive
+    // original's fixed threshold: it follows the data's density level
+    // instead of one absolute count, so the decisive
     // adaptive-vs-fixed comparison lives in
     // `end_to_end::adawave_survives_extreme_noise_better_than_threshold_free_wavecluster`.
     // Here we check that on the same 80%-noise workload both grid methods

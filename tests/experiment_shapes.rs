@@ -1,6 +1,7 @@
 //! Integration tests that check the *shape* of the paper's headline results
 //! on reduced copies of each experiment: who wins, roughly by how much, and
-//! where the trends go. (EXPERIMENTS.md records the full-scale numbers.)
+//! where the trends go. (`experiments fig2`, `fig8` and `table1` print the
+//! full-scale numbers; `--full` runs the paper-size workloads.)
 
 use adawave_bench::experiments;
 use adawave_bench::Algorithm;
@@ -19,7 +20,7 @@ fn fig2_adawave_handles_the_running_example() {
     // fails on the non-unimodal projections. On this *reduced* copy the
     // clusters are much smaller and more compact than the paper's
     // 5600-point shapes, which makes the centroid baselines stronger than
-    // in the paper (see EXPERIMENTS.md); the claims we pin down here are
+    // in the paper (see `experiments fig2`); the claims we pin down here are
     // the ones that survive the down-scaling: AdaWave scores well, finds at
     // least the five planted clusters, and beats SkinnyDip.
     let rows = experiments::fig2_running_example(500, 99);
@@ -54,7 +55,7 @@ fn fig8_trend_adawave_degrades_most_gracefully() {
         "AdaWave collapsed: {adawave_low} -> {adawave_high}"
     );
     // Every Fig. 8 algorithm produced a score for both noise levels
-    // (the full dataset x algorithm matrix is what EXPERIMENTS.md records;
+    // (the full dataset x algorithm matrix is what `experiments fig8` prints;
     // on this reduced copy the compact clusters keep the centroid baselines
     // artificially strong, so cross-algorithm margins are not asserted here
     // — see baseline_comparison.rs for the shape-sensitivity claims).
