@@ -4,7 +4,7 @@
 //! An artifact is a dependency-free line-oriented text file:
 //!
 //! ```text
-//! <magic> v1
+//! <magic> <version>
 //! algorithm <name>
 //! <kind-specific payload>
 //! ```
@@ -15,14 +15,13 @@
 //! `adawave-stream` for shard ingestion and checkpoint/resume). Both share
 //! the header discipline here, the [`PayloadReader`] line parser and the
 //! [`f64_to_hex`] bit-exact float encoding, so a save → load round trip
-//! reproduces the in-memory artifact bit for bit. The version is checked
-//! on load; changing a payload shape means bumping [`ARTIFACT_VERSION`].
+//! reproduces the in-memory artifact bit for bit. Each kind has its own
+//! version ([`ArtifactKind::version`]): changing a payload shape bumps
+//! it, and a load accepts only the versions the kind still reads
+//! ([`ArtifactKind::readable_versions`]).
 
 use std::io::Write;
 use std::path::Path;
-
-/// Current version of every artifact format; part of the header line.
-pub const ARTIFACT_VERSION: &str = "v1";
 
 /// The kinds of on-disk artifact the workspace knows, each with its own
 /// leading magic so a model file can never be mistaken for an accumulator.
@@ -50,6 +49,26 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Model => "model",
             ArtifactKind::Accumulator => "accumulator",
+        }
+    }
+
+    /// The format version every file of this kind is written in, part of
+    /// its header line: `v1` for models, `v2` for accumulators (whose
+    /// point lines name cells by their position in the grid dump).
+    pub fn version(self) -> &'static str {
+        match self {
+            ArtifactKind::Model => "v1",
+            ArtifactKind::Accumulator => "v2",
+        }
+    }
+
+    /// Every format version a file of this kind may carry to be read,
+    /// oldest first: the written [`version`](Self::version) and the
+    /// older ones a loader still converts (`v1` accumulators).
+    pub fn readable_versions(self) -> &'static [&'static str] {
+        match self {
+            ArtifactKind::Model => &["v1"],
+            ArtifactKind::Accumulator => &["v1", "v2"],
         }
     }
 }
@@ -93,49 +112,61 @@ impl std::error::Error for ArtifactError {
     }
 }
 
-/// The decoded pieces of an artifact file: the algorithm named in the
-/// header plus the kind-specific payload (header lines stripped).
+/// The decoded pieces of an artifact file: the format version and the
+/// algorithm named in the header plus the kind-specific payload (header
+/// lines stripped).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
+    /// The header's format version, one of the kind's
+    /// [`readable_versions`](ArtifactKind::readable_versions): which
+    /// payload layout follows.
+    pub version: &'static str,
     /// The `algorithm <name>` header value.
     pub algorithm: String,
     /// Everything after the two header lines, verbatim.
     pub payload: String,
 }
 
-/// The two header lines (magic and version, then the algorithm) every
-/// artifact file opens with.
+/// The two header lines (magic and the kind's version, then the
+/// algorithm) every artifact file opens with.
 fn header(kind: ArtifactKind, algorithm: &str) -> String {
     format!(
-        "{} {ARTIFACT_VERSION}\nalgorithm {algorithm}\n",
-        kind.magic()
+        "{} {}\nalgorithm {algorithm}\n",
+        kind.magic(),
+        kind.version()
     )
 }
 
-/// Split an artifact file's text into its algorithm name and payload,
-/// validating the magic and version. The error contexts name the exact
-/// missing or mismatched piece. The payload is the tail of `text` with
+/// Split an artifact file's text into its version, algorithm name and
+/// payload, validating the magic and checking the version is one the
+/// kind reads. The error contexts name the exact missing or mismatched
+/// piece. The payload is the tail of `text` with
 /// the two header lines stripped in place, so a payload that runs to
 /// megabytes is never copied into a second string.
 pub fn decode_artifact(kind: ArtifactKind, mut text: String) -> Result<Artifact, ArtifactError> {
     let format = |context: String| ArtifactError::Format { kind, context };
     let mut lines = text.lines();
     let header = lines.next().ok_or_else(|| format("empty file".into()))?;
-    match header.split_once(' ') {
-        Some((magic, version)) if magic == kind.magic() => {
-            if version != ARTIFACT_VERSION {
-                return Err(format(format!(
-                    "format version '{version}' (this build reads {ARTIFACT_VERSION})"
-                )));
-            }
-        }
+    let readable = kind.readable_versions();
+    let version = match header.split_once(' ') {
+        Some((magic, version)) if magic == kind.magic() => readable
+            .iter()
+            .find(|&&known| known == version)
+            .copied()
+            .ok_or_else(|| {
+                format(format!(
+                    "format version '{version}' (this build reads {})",
+                    readable.join(", ")
+                ))
+            })?,
         _ => {
             return Err(format(format!(
-                "missing '{} {ARTIFACT_VERSION}' header",
-                kind.magic()
+                "missing '{} {}' header",
+                kind.magic(),
+                kind.version()
             )))
         }
-    }
+    };
     let algorithm = lines
         .next()
         .and_then(|line| line.strip_prefix("algorithm "))
@@ -148,6 +179,7 @@ pub fn decode_artifact(kind: ArtifactKind, mut text: String) -> Result<Artifact,
         .len();
     text.drain(..text.len() - payload_len);
     Ok(Artifact {
+        version,
         algorithm,
         payload: text,
     })
@@ -166,7 +198,8 @@ fn write_artifact(
     file.write_all(payload.as_bytes())
 }
 
-/// Write an artifact file in one shot.
+/// Write an artifact file in one shot, headed by the kind's
+/// [`version`](ArtifactKind::version).
 pub fn save_artifact(
     path: &Path,
     kind: ArtifactKind,
@@ -209,9 +242,10 @@ pub fn f64_to_hex(value: f64) -> String {
 
 /// Append the `digits` low-order hex digits of `value`, zero-padded and
 /// lowercase: what `format!("{value:0digits$x}")` writes for a value
-/// below `16^digits`, without the allocation. Payloads write every grid
-/// key as 32 digits and every float's bits as 16 ([`f64_to_hex`]). The
-/// digits are formed in a stack buffer and appended with one `push_str`.
+/// below `16^digits`, without the allocation. Payloads write grid keys at
+/// their codec's width and every float's bits as 16 ([`f64_to_hex`]). The
+/// digits are formed in a stack buffer and appended with one `push_str`;
+/// [`parse_hex`] reads them back.
 ///
 /// # Panics
 /// Panics if `digits` exceeds 32, the width of a `u128`.
@@ -234,6 +268,45 @@ pub fn push_hex(out: &mut String, value: u128, digits: u32) {
     // Hex digits are ASCII, so the conversion never falls back.
     out.push_str(std::str::from_utf8(buf).unwrap_or_default());
 }
+
+/// Parse exactly `digits` lowercase hex digits, the form [`push_hex`]
+/// writes, with `digits` from 1 to 32. Any other length, a sign, an
+/// upper-case digit or any other byte gives `None`, so a payload field
+/// read with this has one spelling only.
+///
+/// ```
+/// use adawave_api::parse_hex;
+///
+/// assert_eq!(parse_hex("00be", 4), Some(0xbe));
+/// assert_eq!(parse_hex("be", 4), None);
+/// assert_eq!(parse_hex("00BE", 4), None);
+/// assert_eq!(parse_hex("+0be", 4), None);
+/// ```
+pub fn parse_hex(text: &str, digits: u32) -> Option<u128> {
+    if !(1..=32).contains(&digits) || text.len() != digits as usize {
+        return None;
+    }
+    // One table read a digit and no branch on its value: a point index
+    // is a handful of random digits, which a per-digit `match` mispredicts.
+    let (mut value, mut seen) = (0u128, 0u8);
+    for byte in text.bytes() {
+        let digit = HEX_DIGITS[usize::from(byte)];
+        seen |= digit;
+        value = value << 4 | u128::from(digit & 0xf);
+    }
+    (seen < 16).then_some(value)
+}
+
+/// The value of every lowercase hex digit, and 0xff for every other byte.
+static HEX_DIGITS: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut digit = 0;
+    while digit < 16 {
+        table[b"0123456789abcdef"[digit] as usize] = digit as u8;
+        digit += 1;
+    }
+    table
+};
 
 /// Parse an [`f64_to_hex`]-encoded float back, bit for bit.
 pub fn f64_from_hex(text: &str) -> Option<f64> {
@@ -387,12 +460,47 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trips_both_kinds() {
-        for kind in [ArtifactKind::Model, ArtifactKind::Accumulator] {
+        for (kind, version) in [
+            (ArtifactKind::Model, "v1"),
+            (ArtifactKind::Accumulator, "v2"),
+        ] {
             let text = header(kind, "adawave") + "dims 2\npayload body\n";
-            assert!(text.starts_with(&format!("{} v1\nalgorithm adawave\n", kind.magic())));
+            let head = format!("{} {version}\nalgorithm adawave\n", kind.magic());
+            assert!(text.starts_with(&head), "{text:?}");
             let artifact = decode_artifact(kind, text).unwrap();
+            assert_eq!(artifact.version, version);
             assert_eq!(artifact.algorithm, "adawave");
             assert_eq!(artifact.payload, "dims 2\npayload body\n");
+        }
+        // An accumulator written before the bump still decodes, and says
+        // which layout its payload has.
+        let old = "adawave-accumulator v1\nalgorithm adawave\ndims 2\n".to_string();
+        let artifact = decode_artifact(ArtifactKind::Accumulator, old).unwrap();
+        assert_eq!(artifact.version, "v1");
+        assert_eq!(artifact.payload, "dims 2\n");
+    }
+
+    #[test]
+    fn parse_hex_reads_only_what_push_hex_writes() {
+        for (value, digits) in [(0u128, 1), (0xbeef, 4), (0xbeef, 7), (u128::MAX, 32)] {
+            let mut text = String::new();
+            push_hex(&mut text, value, digits);
+            assert_eq!(parse_hex(&text, digits), Some(value), "{text}");
+        }
+        for (text, digits) in [
+            ("", 0),
+            ("", 1),
+            ("0", 0),
+            ("00", 1),
+            ("0", 2),
+            ("+f", 2),
+            ("-f", 2),
+            ("0F", 2),
+            ("0g", 2),
+            (" f", 2),
+            ("0000000000000000000000000000000000", 33),
+        ] {
+            assert_eq!(parse_hex(text, digits), None, "{text:?} at {digits}");
         }
     }
 
@@ -403,7 +511,14 @@ mod tests {
             ("", "empty"),
             ("wrong-magic v1\n", "header"),
             ("adawave-model v1\nalgorithm adawave\nx\n", "header"),
-            ("adawave-accumulator v999\nalgorithm adawave\n", "version"),
+            (
+                "adawave-accumulator v999\nalgorithm adawave\n",
+                "reads v1, v2",
+            ),
+            (
+                "adawave-accumulator v3\nalgorithm adawave\nx\n",
+                "version 'v3'",
+            ),
             ("adawave-accumulator v1\nno-algo\n", "algorithm"),
             ("adawave-accumulator v1\nalgorithm adawave", "payload"),
         ] {
@@ -411,6 +526,13 @@ mod tests {
             assert!(err.to_string().contains(needle), "{text:?} -> {err}");
             assert!(err.to_string().contains("accumulator"), "{err}");
         }
+        // Models were never bumped: an accumulator's version is no model's.
+        let err = decode_artifact(
+            ArtifactKind::Model,
+            "adawave-model v2\nalgorithm adawave\nx\n".to_string(),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("(this build reads v1)"), "{err}");
     }
 
     #[test]

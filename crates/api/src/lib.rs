@@ -117,8 +117,8 @@ pub mod render;
 pub mod scan;
 
 pub use artifact::{
-    decode_artifact, f64_from_hex, f64_to_hex, load_artifact, push_hex, save_artifact,
-    save_artifact_atomic, Artifact, ArtifactError, ArtifactKind, PayloadReader, ARTIFACT_VERSION,
+    decode_artifact, f64_from_hex, f64_to_hex, load_artifact, parse_hex, push_hex, save_artifact,
+    save_artifact_atomic, Artifact, ArtifactError, ArtifactKind, PayloadReader,
 };
 pub use clusterer::{closest_matches, validate_fit_input, ClusterError, Clusterer};
 pub use clustering::Clustering;

@@ -72,7 +72,7 @@ fn main() {
     let domain = BoundingBox::from_points(points).unwrap();
     let split = total / 2;
     let mut report = bench.report(
-        "accumulator artifacts cost O(m) to snapshot, restore and merge for m occupied cells (plus the per-point cell-key table), independent of how many points were ingested; checkpointing adds a bounded per-row overhead amortized over the flush interval",
+        "accumulator artifacts cost O(m) to snapshot, restore and merge for m occupied cells (plus one fixed-width cell-index line per point), independent of how many points were ingested; checkpointing adds a bounded per-row overhead amortized over the flush interval",
         "asserted in-process before timing at every scale: snapshot->restore->refit and half-shard snapshot->restore->merge->refit both equal the one-shot AdaWave::fit labels exactly",
         Row::new()
             .int("batch_rows", BATCH_ROWS)

@@ -838,20 +838,22 @@ fn prescan_domain(path: &Path, batch_rows: usize) -> CliResult<(BoundingBox, usi
     Ok((domain, rows))
 }
 
-/// Read the CSV at `path` in batches of `batch_rows` and ingest the rows
-/// with an index in `range` into `stream`, borrowed from each batch rather
-/// than copied. `on_batch` sees the session, every batch read and how many
-/// of its rows were ingested. Reading stops after the batch that holds the
-/// last row of `range`; returns the number of rows read.
+/// Ingest the rows of `csv` (the batches of the CSV at `path`, read from
+/// its row `first` on) with an index in `range` into `stream`, borrowed
+/// from each batch rather than copied. `on_batch` sees the session, every
+/// batch read and how many of its rows were ingested. Reading stops after
+/// the batch that holds the last row of `range`; returns the index one
+/// past the last row read.
 fn ingest_rows(
     path: &Path,
-    batch_rows: usize,
+    csv: CsvBatches,
+    first: usize,
     range: Range<usize>,
     stream: &mut StreamingAdaWave,
     mut on_batch: impl FnMut(&StreamingAdaWave, &Dataset, usize) -> CliResult<()>,
 ) -> CliResult<usize> {
-    let mut row = 0usize;
-    for batch in CsvBatches::open(path, batch_rows).map_err(file_error("reading", path))? {
+    let mut row = first;
+    for batch in csv {
         let batch = batch.map_err(file_error("reading", path))?;
         let n = batch.points.len();
         let lo = range.start.clamp(row, row + n) - row;
@@ -928,10 +930,13 @@ pub fn run_stream(
     let mut truth = Vec::new();
     let mut batches = 0usize;
     let ingest_start = Instant::now();
-    // Rows the checkpoint already holds are skipped, not re-ingested.
+    // Rows the checkpoint already holds are read but not re-ingested: no
+    // pass of this run has parsed them yet.
+    let csv = CsvBatches::open(path, batch_rows).map_err(file_error("reading", path))?;
     let rows = ingest_rows(
         path,
-        batch_rows,
+        csv,
+        0,
         resumed_points..usize::MAX,
         &mut stream,
         |stream, batch, ingested| {
@@ -1085,13 +1090,20 @@ fn shard_ingest(args: &ParsedArgs) -> CliResult<String> {
     let (domain, total) = prescan_domain(path, batch_rows)?;
     let rows = shard(total);
 
-    // Pass 2: ingest only this shard's contiguous row slice.
+    // Pass 2: ingest only this shard's contiguous row slice. The prescan
+    // has parsed every row, so the rows before the slice are passed over
+    // unparsed.
     let mut stream =
         StreamingAdaWave::with_domain(config, domain).map_err(file_error("streaming", path))?;
     let start = Instant::now();
+    let mut csv = CsvBatches::open(path, batch_rows).map_err(file_error("reading", path))?;
+    let first = csv
+        .skip_rows(rows.start)
+        .map_err(file_error("reading", path))?;
     ingest_rows(
         path,
-        batch_rows,
+        csv,
+        first,
         rows.clone(),
         &mut stream,
         |_, _, _| Ok(()),
@@ -2585,6 +2597,256 @@ mod tests {
         }
         std::fs::remove_file(&data).ok();
         std::fs::remove_file(&fit_out).ok();
+    }
+
+    /// `points` as CSV text with a `#` header, a blank line every 7 rows,
+    /// `\r\n` endings on every third row and a comment line right before
+    /// the first row of every `i/k` slice for k in 2, 3 and 5. Returns the
+    /// text and the 1-based line number of every row.
+    fn awkward_csv(points: &PointMatrix, truth: &[usize]) -> (String, Vec<usize>) {
+        let n = points.len();
+        let starts: Vec<usize> = [2, 3, 5]
+            .iter()
+            .flat_map(|&k| (1..k).map(move |i| n * i / k))
+            .collect();
+        let mut text = String::from("# x,y,class\n");
+        let mut line = 1;
+        let mut lines = Vec::new();
+        for (row, (point, label)) in points.rows().zip(truth).enumerate() {
+            if starts.contains(&row) {
+                text.push_str("# slice boundary\n");
+                line += 1;
+            }
+            if row % 7 == 3 {
+                text.push('\n');
+                line += 1;
+            }
+            let ending = if row % 3 == 0 { "\r\n" } else { "\n" };
+            text.push_str(&format!("{},{},{label}{ending}", point[0], point[1]));
+            line += 1;
+            lines.push(line);
+        }
+        (text, lines)
+    }
+
+    #[test]
+    fn shard_ingest_skips_to_its_slice_through_comments_blanks_and_crlf() {
+        let (points, truth) = toy_points();
+        let n = points.len();
+        let dir = std::env::temp_dir();
+        let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let data = file("adawave_cli_shard_skip.csv");
+        let (text, lines) = awkward_csv(&points, &truth);
+        std::fs::write(&data, &text).unwrap();
+        let run = |argv: &[&str]| dispatch(&ParsedArgs::parse(argv.iter().copied()).unwrap());
+        let shard = |spec: &str, out: &str| {
+            run(&[
+                "shard-ingest",
+                "--input",
+                &data,
+                "--shard",
+                spec,
+                "--scale",
+                "32",
+                "--batch-rows",
+                "16",
+                "--out",
+                out,
+            ])
+        };
+        let fit = file("adawave_cli_shard_skip_fit.csv");
+        run(&[
+            "cluster", "--input", &data, "--scale", "32", "--out", &fit, "--quiet",
+        ])
+        .unwrap();
+        let config = adawave_config_from_args(
+            &ParsedArgs::parse(["shard-ingest", "--scale", "32"]).unwrap(),
+        )
+        .unwrap();
+        let domain = adawave_stream::finite_bounds(points.view()).unwrap();
+        let expected = file("adawave_cli_shard_skip_expected.awa");
+        for k in [2, 3, 5] {
+            let mut merge = vec!["merge-accumulators".to_string()];
+            for i in 1..=k {
+                let spec = format!("{i}/{k}");
+                let acc = file(&format!("adawave_cli_shard_skip_{i}_{k}.awa"));
+                shard(&spec, &acc).unwrap();
+                // The shard holds exactly its rows, as one session fed them
+                // would write them.
+                let rows = (adawave_stream::shard_rows(&spec).unwrap().2)(n);
+                let mut session =
+                    StreamingAdaWave::with_domain(config.clone(), domain.clone()).unwrap();
+                let flat = &points.as_slice()[rows.start * 2..rows.end * 2];
+                session
+                    .ingest(PointsView::from_flat(flat, 2).unwrap())
+                    .unwrap();
+                save_accumulator(Path::new(&expected), &session).unwrap();
+                assert!(
+                    std::fs::read(&acc).unwrap() == std::fs::read(&expected).unwrap(),
+                    "shard {spec}"
+                );
+                merge.extend(["--input".to_string(), acc]);
+            }
+            let merged = file(&format!("adawave_cli_shard_skip_merged_{k}.csv"));
+            merge.extend(["--out".to_string(), merged.clone(), "--quiet".to_string()]);
+            run(&merge.iter().map(String::as_str).collect::<Vec<_>>()).unwrap();
+            assert_eq!(
+                std::fs::read_to_string(&merged).unwrap(),
+                std::fs::read_to_string(&fit).unwrap(),
+                "{k} shards"
+            );
+            for f in merge
+                .iter()
+                .filter(|a| a.ends_with(".awa"))
+                .chain([&merged])
+            {
+                std::fs::remove_file(f).ok();
+            }
+        }
+
+        // A malformed row fails every shard, in the prescan, under its
+        // absolute line number: before, inside and after each slice.
+        for row in [0, 150, n - 1] {
+            let mut text_lines: Vec<&str> = text.split_inclusive('\n').collect();
+            let line = lines[row];
+            text_lines[line - 1] = "0.5,oops,1\n";
+            std::fs::write(&data, text_lines.concat()).unwrap();
+            for i in 1..=3 {
+                let err = shard(&format!("{i}/3"), &expected).unwrap_err().to_string();
+                let want = format!("line {line}: bad feature value 'oops'");
+                assert!(err.contains(&want), "row {row}, shard {i}/3: {err}");
+            }
+        }
+        for f in [&data, &fit, &expected] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    /// The rows of the session in `tests/fixtures/accumulator_v1.awa` (see
+    /// `tests/golden_accumulator.rs`), in arrival order: 300 rows that
+    /// froze the domain, then a non-finite, an out-of-domain and an
+    /// in-domain row.
+    fn golden_rows() -> Vec<Vec<f64>> {
+        let mut rows = Vec::new();
+        for i in 0..240 {
+            let t = i as f64 / 240.0;
+            let (cx, cy) = [(0.25, 0.3), (0.7, 0.75), (0.6, 0.2)][i % 3];
+            rows.push(vec![
+                cx + 0.08 * (t * 17.0).fract() - 0.04,
+                cy + 0.08 * (t * 29.0).fract() - 0.04,
+            ]);
+        }
+        for i in 0..60 {
+            let t = i as f64;
+            rows.push(vec![(t * 0.618034).fract(), (t * 0.414214).fract()]);
+        }
+        rows.extend([vec![f64::NAN, 0.5], vec![2.0, 2.0], vec![0.5, 0.5]]);
+        rows
+    }
+
+    #[test]
+    fn v1_accumulators_merge_and_resume_like_v2_ones() {
+        const V1: &str = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/accumulator_v1.awa"
+        );
+        // The v1 file's rows, then 120 more inside its domain.
+        let mut rows = golden_rows();
+        let held = rows.len();
+        rows.extend((0..120).map(|i| {
+            let t = f64::from(i) / 120.0;
+            let (cx, cy) = [(0.25, 0.3), (0.7, 0.75), (0.5, 0.5)][i as usize % 3];
+            vec![
+                cx + 0.06 * (t * 13.0).fract() - 0.03,
+                cy + 0.06 * (t * 7.0).fract() - 0.03,
+            ]
+        }));
+        let dir = std::env::temp_dir();
+        let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let data = file("adawave_cli_v1_compat.csv");
+        let text: String = rows
+            .iter()
+            .map(|r| format!("{},{},0\n", r[0], r[1]))
+            .collect();
+        std::fs::write(&data, text).unwrap();
+        let config =
+            adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", "32"]).unwrap())
+                .unwrap();
+
+        // The one-shot fit of the in-domain rows; the non-finite and the
+        // out-of-domain row are noise.
+        let outlier = |i: usize| i == held - 3 || i == held - 2;
+        let inside = PointMatrix::from_rows(
+            (0..rows.len())
+                .filter(|&i| !outlier(i))
+                .map(|i| rows[i].clone())
+                .collect(),
+        )
+        .unwrap();
+        let fit = adawave_core::AdaWave::new(config.clone())
+            .fit(inside.view())
+            .unwrap();
+        let mut fitted = fit.assignment().iter();
+        let expected: Vec<Option<usize>> = (0..rows.len())
+            .map(|i| {
+                if outlier(i) {
+                    None
+                } else {
+                    *fitted.next().unwrap()
+                }
+            })
+            .collect();
+        let expected = adawave_api::Clustering::new(expected).to_labels(NOISE_LABEL);
+
+        // A v1 shard merged with a v2 shard of the remaining rows.
+        let v1 = load_accumulator(Path::new(V1)).unwrap();
+        assert_eq!(v1.points_ingested(), held);
+        let mut tail =
+            StreamingAdaWave::with_domain(config.clone(), v1.domain().unwrap().clone()).unwrap();
+        let extra = PointMatrix::from_rows(rows[held..].to_vec()).unwrap();
+        tail.ingest(extra.view()).unwrap();
+        let v2 = file("adawave_cli_v1_compat_tail.awa");
+        save_accumulator(Path::new(&v2), &tail).unwrap();
+        let merged = file("adawave_cli_v1_compat_merged.csv");
+        dispatch(
+            &ParsedArgs::parse([
+                "merge-accumulators",
+                "--input",
+                V1,
+                "--input",
+                &v2,
+                "--out",
+                &merged,
+                "--quiet",
+            ])
+            .unwrap(),
+        )
+        .unwrap();
+        let labels = std::fs::read_to_string(&merged).unwrap();
+        assert_eq!(labels, labels_to_text(&expected));
+
+        // A stream that resumes from a copy of the v1 file skips its rows,
+        // labels every row like the fit, and rewrites the checkpoint as v2:
+        // the bytes the merged session saves to.
+        let ckpt = file("adawave_cli_v1_compat_ckpt.awa");
+        std::fs::copy(V1, &ckpt).unwrap();
+        let spec = CheckpointSpec {
+            path: ckpt.clone().into(),
+            every: 50,
+        };
+        let outcome = run_stream(Path::new(&data), 64, false, config, Some(&spec), false).unwrap();
+        assert_eq!(outcome.resumed_points, held);
+        assert_eq!(outcome.labels, expected);
+        let mut session = v1;
+        session.merge(tail).unwrap();
+        let want = file("adawave_cli_v1_compat_want.awa");
+        save_accumulator(Path::new(&want), &session).unwrap();
+        let written = std::fs::read(&ckpt).unwrap();
+        assert!(written.starts_with(b"adawave-accumulator v2\n"));
+        assert!(written == std::fs::read(&want).unwrap());
+        for f in [&data, &v2, &merged, &ckpt, &want] {
+            std::fs::remove_file(f).ok();
+        }
     }
 
     #[test]

@@ -68,6 +68,23 @@ fn invalid_utf8() -> CsvError {
     ))
 }
 
+/// Read the next line of `reader` into `buf`, counting it in `line_no`:
+/// its text, or `None` at the end of the input.
+fn read_line<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+    line_no: &mut usize,
+) -> Result<Option<&'a str>, CsvError> {
+    buf.clear();
+    if reader.read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    *line_no += 1;
+    std::str::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| invalid_utf8())
+}
+
 /// The data content of a raw line: `None` for blank and `#` comment lines.
 fn data_line(raw: &str) -> Option<&str> {
     let line = raw.trim();
@@ -263,17 +280,40 @@ impl CsvBatches {
         })
     }
 
+    /// Pass over the next `rows` data rows without parsing them and return
+    /// how many there were (fewer than `rows` at the end of the input).
+    /// Lines are still read, checked to be UTF-8 and counted, and blank and
+    /// `#` lines are told apart from rows by the same rule as
+    /// [`next`](Iterator::next)'s, so the rows after the skipped ones are
+    /// read and numbered exactly as if those had been parsed. No value is
+    /// scanned: a malformed row among the skipped ones goes unreported, and
+    /// the first row parsed afterwards fixes the arity if none did before.
+    /// That suits a caller that has already parsed the same file once, as
+    /// `shard-ingest` has in its prescan. An I/O or UTF-8 error ends the
+    /// iteration, as it does in `next`.
+    pub fn skip_rows(&mut self, rows: usize) -> Result<usize, CsvError> {
+        let mut skipped = 0;
+        while skipped < rows && !self.failed {
+            match read_line(&mut self.reader, &mut self.line, &mut self.line_no) {
+                Ok(Some(text)) => skipped += usize::from(data_line(text).is_some()),
+                Ok(None) => break,
+                Err(e) => {
+                    self.failed = true;
+                    return Err(e);
+                }
+            }
+        }
+        Ok(skipped)
+    }
+
     /// Parse the next `batch_rows` rows into `points` (created on the
     /// first row when the arity is not known yet) and return their labels.
     fn fill(&mut self, points: &mut Option<PointMatrix>) -> Result<Vec<usize>, CsvError> {
         let mut labels = Vec::new();
         while labels.len() < self.batch_rows {
-            self.line.clear();
-            if self.reader.read_until(b'\n', &mut self.line)? == 0 {
+            let Some(text) = read_line(&mut self.reader, &mut self.line, &mut self.line_no)? else {
                 break;
-            }
-            self.line_no += 1;
-            let text = std::str::from_utf8(&self.line).map_err(|_| invalid_utf8())?;
+            };
             if let Some(line) = data_line(text) {
                 labels.push(parse_row(self.line_no, line, self.dims, &mut self.row)?);
                 let matrix = points.get_or_insert_with(|| PointMatrix::new(self.row.len()));
@@ -449,6 +489,28 @@ mod tests {
         let mut batches = CsvBatches::open(&path, 2).unwrap();
         assert!(batches.next().unwrap().is_ok());
         assert!(batches.next().unwrap().is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn skipped_rows_keep_line_numbers_and_stop_at_the_end() {
+        let path = write_temp(
+            "adawave_csv_skip_test.csv",
+            "# x,y,class\n1,2,0\n\nbad,row,0\n3,4,1\r\n# note\n5,6,7,1\n",
+        );
+        let mut batches = CsvBatches::open(&path, 10).unwrap();
+        // Lines 2 and 4 go unparsed, the malformed one included.
+        assert_eq!(batches.skip_rows(2).unwrap(), 2);
+        // Line 5 fixes the arity; line 7 breaks it, under its own number.
+        let err = batches.next().unwrap().unwrap_err();
+        assert_eq!(err.to_string(), "line 7: expected 2 features, found 3");
+        assert!(batches.next().is_none());
+        // Skipping past the end returns the rows there were.
+        let mut batches = CsvBatches::open(&path, 10).unwrap();
+        assert_eq!(batches.skip_rows(1).unwrap(), 1);
+        assert_eq!(batches.skip_rows(100).unwrap(), 3);
+        assert_eq!(batches.skip_rows(1).unwrap(), 0);
+        assert!(batches.next().is_none());
         std::fs::remove_file(&path).ok();
     }
 
@@ -747,6 +809,68 @@ mod tests {
             for (got, expected) in batches {
                 proptest::prop_assert_eq!(&got, &expected, "input {:?}", bytes);
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(200))]
+
+        /// After `skip_rows(n)`, the batches left equal the reference
+        /// batches of the same input with its first `n` data rows blanked
+        /// (so every later line keeps its number), and the count returned
+        /// is how many rows there were to skip. A line that is not UTF-8
+        /// before the `n`-th row fails the skip and ends the iteration.
+        #[test]
+        fn skipped_rows_leave_the_batches_of_the_rest(
+            dims in 1usize..4,
+            lines in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..1000), 0..60),
+            (bad_from, crlf, final_newline) in (0usize..80, 0u32..3, 0u8..4),
+            skip in 0usize..70,
+        ) {
+            let bytes = gen_input(dims, &lines, bad_from, crlf, final_newline != 0);
+            let mut blanked = Vec::new();
+            let (mut rows, mut bad_utf8) = (0, false);
+            for line in bytes.split_inclusive(|&b| b == b'\n') {
+                let data = match std::str::from_utf8(line) {
+                    _ if rows == skip || bad_utf8 => false,
+                    Ok(text) => data_line(text).is_some(),
+                    Err(_) => {
+                        bad_utf8 = true;
+                        false
+                    }
+                };
+                if data {
+                    rows += 1;
+                    let ending = if line.ends_with(b"\r\n") { 2 } else { usize::from(line.ends_with(b"\n")) };
+                    blanked.extend_from_slice(&line[line.len() - ending..]);
+                } else {
+                    blanked.extend_from_slice(line);
+                }
+            }
+            let (path, reference_path) = (temp_file(&bytes), temp_file(&blanked));
+            let unnamed = |o: Outcome| o.map(|(_, d, p, l)| (d, p, l));
+            for batch_rows in [1, 7, 8192] {
+                let mut batches = CsvBatches::open(&path, batch_rows).unwrap();
+                let skipped = batches.skip_rows(skip).map_err(|e| e.to_string());
+                let rest: Vec<_> = batches.map(outcome).map(unnamed).collect();
+                if bad_utf8 {
+                    proptest::prop_assert_eq!(
+                        skipped,
+                        Err("io error: stream did not contain valid UTF-8".to_string())
+                    );
+                    proptest::prop_assert!(rest.is_empty());
+                    continue;
+                }
+                let expected: Vec<_> = reference::batches(&reference_path, batch_rows)
+                    .into_iter()
+                    .map(outcome)
+                    .map(unnamed)
+                    .collect();
+                proptest::prop_assert_eq!(skipped, Ok(rows), "input {:?}", bytes);
+                proptest::prop_assert_eq!(&rest, &expected, "input {:?}", bytes);
+            }
+            std::fs::remove_file(&path).ok();
+            std::fs::remove_file(&reference_path).ok();
         }
     }
 

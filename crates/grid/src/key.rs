@@ -97,6 +97,20 @@ impl KeyCodec {
         self.bits.iter().sum()
     }
 
+    /// Hex digits of a packed key written at the codec's width:
+    /// [`key_bits`](Self::key_bits) / 4, rounded up — the width of the
+    /// keys in an accumulator's grid dump.
+    ///
+    /// ```
+    /// use adawave_grid::KeyCodec;
+    ///
+    /// assert_eq!(KeyCodec::new(&[16, 10, 1]).unwrap().key_hex_digits(), 3);
+    /// assert_eq!(KeyCodec::new(&[128, 128]).unwrap().key_hex_digits(), 4);
+    /// ```
+    pub fn key_hex_digits(&self) -> u32 {
+        self.key_bits().div_ceil(4)
+    }
+
     /// Whether `key` is a cell of this codec: no bit above
     /// [`key_bits`](Self::key_bits) is set and every coordinate lies
     /// below its dimension's interval count. Every key the codec packs

@@ -2,7 +2,7 @@
 //! densities as one `(key, density)` vector, which realizes the paper's
 //! "only store the grids with non-zero density" strategy.
 
-use adawave_api::{f64_from_hex, push_hex, PayloadReader};
+use adawave_api::{f64_from_hex, parse_hex, push_hex, PayloadReader};
 
 use crate::CellTable;
 
@@ -110,35 +110,57 @@ impl SparseGrid {
     }
 
     /// Append the grid to an artifact payload: a `cells N` line followed
-    /// by one `<key:032x> <density-hex>` line per occupied cell in
-    /// ascending key order. Sorting makes the dump canonical — two grids
-    /// with equal cells serialize to identical bytes whatever order they
-    /// hold them in — and the hex densities make the round trip through
+    /// by one `<key> <density-hex>` line per occupied cell in ascending
+    /// key order, each key as `key_digits` hex digits (its codec's
+    /// [`key_hex_digits`](crate::KeyCodec::key_hex_digits)). Sorting makes
+    /// the dump canonical — two grids with equal cells serialize to
+    /// identical bytes whatever order they hold them in — and the hex
+    /// densities make the round trip through
     /// [`deserialize_from`](Self::deserialize_from) bit-exact.
-    pub fn serialize_into(&self, out: &mut String) {
-        out.reserve(self.serialized_len());
+    ///
+    /// Returns where each cell landed: the `i`-th cell of
+    /// [`iter`](Self::iter) is the dump's `positions[i]`-th cell line.
+    pub fn serialize_into(&self, out: &mut String, key_digits: u32) -> Vec<usize> {
+        out.reserve(self.serialized_len(key_digits));
         out.push_str(&format!("cells {}\n", self.cells.len()));
-        for (key, density) in self.sorted() {
-            push_hex(out, key, 32);
+        // Each cell carries its density and index through the sort, so the
+        // lines are written from one sequential pass over the sorted copy.
+        let mut sorted: Vec<(u128, f64, usize)> = self
+            .cells
+            .iter()
+            .enumerate()
+            .map(|(index, &(key, density))| (key, density, index))
+            .collect();
+        sorted.sort_unstable_by_key(|&(key, _, _)| key);
+        let mut positions = vec![0; sorted.len()];
+        for (position, &(key, density, index)) in sorted.iter().enumerate() {
+            push_hex(out, key, key_digits);
             out.push(' ');
             push_hex(out, u128::from(density.to_bits()), 16);
             out.push('\n');
+            positions[index] = position;
         }
+        positions
     }
 
     /// An upper bound on the bytes [`serialize_into`](Self::serialize_into)
-    /// appends: the `cells N` line plus 50 bytes per cell, so a caller can
+    /// appends with `key_digits`-digit keys: the `cells N` line plus a key,
+    /// a space, 16 density digits and a newline per cell, so a caller can
     /// size a payload buffer that holds the dump once.
-    pub fn serialized_len(&self) -> usize {
-        32 + 50 * self.cells.len()
+    pub fn serialized_len(&self, key_digits: u32) -> usize {
+        32 + (key_digits as usize + 18) * self.cells.len()
     }
 
-    /// Read a grid dump written by [`serialize_into`](Self::serialize_into),
-    /// the cells in the order listed and every density verbatim. Nothing
-    /// here checks that the keys are distinct: a caller that indexes them
-    /// rejects a repeated key itself, as a stream restore does through its
-    /// cell table.
-    pub fn deserialize_from(reader: &mut PayloadReader<'_>) -> Result<Self, String> {
+    /// Read a grid dump written by [`serialize_into`](Self::serialize_into)
+    /// with `key_digits`-digit keys, the cells in the order listed and
+    /// every density verbatim. A key of any other width, or not in
+    /// lowercase hex, is rejected. Nothing here checks that the keys are
+    /// distinct: a caller that indexes them rejects a repeated key itself,
+    /// as a stream restore does through its cell table.
+    pub fn deserialize_from(
+        reader: &mut PayloadReader<'_>,
+        key_digits: u32,
+    ) -> Result<Self, String> {
         let count: usize = reader.scalar("cells")?;
         // The count is untrusted: it bounds the pre-allocation, never more.
         let mut cells: Vec<(u128, f64)> = Vec::with_capacity(count.min(1 << 20));
@@ -147,8 +169,9 @@ impl SparseGrid {
             let (key_hex, density_hex) = line
                 .split_once(' ')
                 .ok_or_else(|| format!("bad cell line '{line}'"))?;
-            let key = u128::from_str_radix(key_hex, 16)
-                .map_err(|_| format!("bad cell key '{key_hex}'"))?;
+            let key = parse_hex(key_hex, key_digits).ok_or_else(|| {
+                format!("bad cell key '{key_hex}' (expected {key_digits} hex digits)")
+            })?;
             let density = f64_from_hex(density_hex)
                 .ok_or_else(|| format!("bad cell density bits '{density_hex}'"))?;
             cells.push((key, density));
@@ -213,6 +236,7 @@ pub fn prune_to_top(cells: &mut Vec<(u128, f64)>, budget: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adawave_api::f64_to_hex;
 
     /// A cell's density, 0.0 if the grid does not hold it.
     fn density(grid: &SparseGrid, key: u128) -> f64 {
@@ -315,7 +339,8 @@ mod tests {
             (7, f64::MAX),
         ]);
         let mut payload = String::new();
-        g.serialize_into(&mut payload);
+        // Each cell's position in the dump, in the grid's order.
+        assert_eq!(g.serialize_into(&mut payload, 32), vec![3, 0, 2, 1]);
         // Canonical: keys ascend, so equal grids dump identical bytes.
         assert!(payload.starts_with("cells 4\n"));
         let keys: Vec<&str> = payload
@@ -326,15 +351,37 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
-        let back = SparseGrid::deserialize_from(&mut PayloadReader::new(&payload)).unwrap();
+        let back = SparseGrid::deserialize_from(&mut PayloadReader::new(&payload), 32).unwrap();
         assert_eq!(back.occupied_cells(), 4);
         for (key, want) in g.iter() {
             assert_eq!(density(&back, key).to_bits(), want.to_bits(), "{key}");
         }
         // A second serialization of the restored grid is byte-identical.
         let mut again = String::new();
-        back.serialize_into(&mut again);
+        back.serialize_into(&mut again, 32);
         assert_eq!(again, payload);
+        assert!(payload.len() <= g.serialized_len(32));
+    }
+
+    #[test]
+    fn serde_writes_keys_at_the_given_width() {
+        let g = SparseGrid::from_cells(vec![(0x3f, 2.0), (0, 1.0)]);
+        let mut payload = String::new();
+        assert_eq!(g.serialize_into(&mut payload, 2), vec![1, 0]);
+        assert_eq!(
+            payload,
+            format!("cells 2\n00 {}\n3f {}\n", f64_to_hex(1.0), f64_to_hex(2.0))
+        );
+        assert!(payload.len() <= g.serialized_len(2));
+        let back = SparseGrid::deserialize_from(&mut PayloadReader::new(&payload), 2).unwrap();
+        assert_eq!(back, g);
+        // The width is part of the format: the same keys read at another
+        // width are rejected.
+        let err = SparseGrid::deserialize_from(&mut PayloadReader::new(&payload), 3).unwrap_err();
+        assert!(
+            err.contains("bad cell key '00' (expected 3 hex digits)"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -342,12 +389,21 @@ mod tests {
         for (payload, needle) in [
             ("", "truncated"),
             ("cells banana\n", "banana"),
-            ("cells 2\n0000 3ff0000000000000\n", "truncated"),
+            (
+                "cells 2\n00000000000000000000000000000000 3ff0000000000000\n",
+                "truncated",
+            ),
             ("cells 1\nnospace\n", "bad cell line"),
             ("cells 1\nzz 3ff0000000000000\n", "bad cell key"),
+            ("cells 1\n1 3ff0000000000000\n", "bad cell key"),
+            (
+                "cells 1\n0000000000000000000000000000000A 3ff0000000000000\n",
+                "bad cell key",
+            ),
             ("cells 1\n00000000000000000000000000000001 zz\n", "density"),
         ] {
-            let err = SparseGrid::deserialize_from(&mut PayloadReader::new(payload)).unwrap_err();
+            let err =
+                SparseGrid::deserialize_from(&mut PayloadReader::new(payload), 32).unwrap_err();
             assert!(err.contains(needle), "{payload:?} -> {err}");
         }
     }

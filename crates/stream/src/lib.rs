@@ -867,9 +867,11 @@ mod tests {
     }
 
     /// The snapshot a session holding `order`'s rows must write, rendered
-    /// from the rows alone: the configuration, each row's `cell_key` (or
-    /// `-` for an outlier), then the quantizer and the dump of the grid
-    /// that quantizing the in-domain rows in one shot builds.
+    /// from the rows alone: the configuration, the quantizer and the dump
+    /// of the grid that quantizing the in-domain rows in one shot builds,
+    /// keys at the codec's hex width, then for each row the position of its
+    /// `cell_key` among the dump's ascending keys, as many hex digits wide
+    /// as the last position needs (or `-` for an outlier).
     fn reference_snapshot(
         config: &AdaWaveConfig,
         quantizer: &Quantizer,
@@ -885,33 +887,47 @@ mod tests {
         }
         let outliers = order.iter().filter(|&&i| kinds[i] != Row::Inside).count();
         out.push_str(&format!("outliers {outliers}\npoints {}\n", order.len()));
-        let lane = quantizer.f32_lane();
-        let mut inside = PointMatrix::new(points.dims());
-        for &i in order {
-            let row = points.view().row(i);
-            if kinds[i] != Row::Inside {
-                out.push_str("-\n");
-                continue;
-            }
-            let key = match config.precision {
-                Precision::F64 => quantizer.cell_key(row),
-                Precision::F32 => quantizer.cell_key_f32(&lane, row),
-            };
-            adawave_api::push_hex(&mut out, key, 32);
-            out.push('\n');
-            inside.push_row(row);
-        }
         if !frozen {
+            // Nothing lands in a cell before a domain is frozen.
             out.push_str("frozen none\n");
+            out.push_str(&"-\n".repeat(order.len()));
             return out;
         }
         out.push_str("frozen some\n");
         quantizer.serialize_into(&mut out);
+        let lane = quantizer.f32_lane();
+        let mut inside = PointMatrix::new(points.dims());
+        let keys: Vec<Option<u128>> = order
+            .iter()
+            .map(|&i| {
+                let row = points.view().row(i);
+                (kinds[i] == Row::Inside).then(|| {
+                    inside.push_row(row);
+                    match config.precision {
+                        Precision::F64 => quantizer.cell_key(row),
+                        Precision::F32 => quantizer.cell_key_f32(&lane, row),
+                    }
+                })
+            })
+            .collect();
         let (grid, _) = match config.precision {
             Precision::F64 => quantizer.quantize_with(inside.view(), config.runtime),
             Precision::F32 => quantizer.quantize_f32_with(inside.view(), config.runtime),
         };
-        grid.serialize_into(&mut out);
+        let digits = quantizer.codec().key_bits().div_ceil(4);
+        grid.serialize_into(&mut out, digits);
+        let mut dump: Vec<u128> = grid.iter().map(|(key, _)| key).collect();
+        dump.sort_unstable();
+        let width = format!("{:x}", dump.len().saturating_sub(1)).len();
+        for key in keys {
+            match key {
+                None => out.push_str("-\n"),
+                Some(key) => {
+                    let position = dump.binary_search(&key).unwrap();
+                    out.push_str(&format!("{position:0width$x}\n"));
+                }
+            }
+        }
         out
     }
 

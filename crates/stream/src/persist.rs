@@ -4,15 +4,24 @@
 //!
 //! The snapshot captures the session's *entire* mergeable state — model
 //! configuration (worker-pool runtime excluded; it never affects results),
-//! the frozen quantized space, the accumulated sparse grid and the
-//! per-point cell keys — with every float as the hex of its IEEE-754 bits,
-//! so a save → load round trip is bit-exact: a restored session merges,
-//! refits and labels exactly like the original. That is what turns the
-//! in-process shard merge of [`StreamingAdaWave::merge`] into a
-//! distributed one: independent processes each ingest a slice of the data,
-//! write their accumulators with [`save_accumulator`], and a coordinator
-//! [`load_accumulator`]s and merges them — with mismatched domains or
-//! configurations rejected exactly like an in-process merge.
+//! the frozen quantized space, the accumulated sparse grid and, for every
+//! ingested point, which cell it fell in — with every float as the hex of
+//! its IEEE-754 bits, so a save → load round trip is bit-exact: a restored
+//! session merges, refits and labels exactly like the original. That is
+//! what turns the in-process shard merge of [`StreamingAdaWave::merge`]
+//! into a distributed one: independent processes each ingest a slice of
+//! the data, write their accumulators with [`save_accumulator`], and a
+//! coordinator [`load_accumulator`]s and merges them — with mismatched
+//! domains or configurations rejected exactly like an in-process merge.
+//!
+//! The files are written as `adawave-accumulator v2`: the grid dump comes
+//! first, its keys at the codec's hex width, and each point line names its
+//! cell by the cell's position in that dump, in as few fixed-width hex
+//! digits as the cell count allows (5 bytes a point for noisy2d's ~16k
+//! cells, where `v1` spent a 33-byte key line), so a restore reads every
+//! line once. `v1` files, whose point lines carry 32-digit cell keys
+//! ahead of the grid, still load through their own reader; nothing writes
+//! them any more.
 //!
 //! [`Checkpointer`] adds crash tolerance on top: every `every` ingested
 //! rows it rewrites the accumulator file atomically (write to a `.tmp`
@@ -23,11 +32,11 @@
 use std::path::{Path, PathBuf};
 
 use adawave_api::{
-    f64_from_hex, f64_to_hex, load_artifact, push_hex, save_artifact_atomic, ArtifactError,
-    ArtifactKind, PayloadReader,
+    f64_from_hex, f64_to_hex, load_artifact, parse_hex, push_hex, save_artifact_atomic,
+    ArtifactError, ArtifactKind, PayloadReader,
 };
 use adawave_core::{AdaWave, AdaWaveConfig, ThresholdStrategy};
-use adawave_grid::{CellTable, Connectivity, Quantizer, SparseGrid};
+use adawave_grid::{CellTable, Connectivity, KeyCodec, Quantizer, SparseGrid};
 use adawave_wavelet::{BoundaryMode, Wavelet};
 
 use crate::{Frozen, StreamingAdaWave, OUTLIER};
@@ -37,9 +46,6 @@ const KIND: ArtifactKind = ArtifactKind::Accumulator;
 
 /// The algorithm named in every accumulator header.
 const ALGORITHM: &str = "adawave";
-
-/// Bytes of one point's key line: 32 hex digits and a newline.
-const KEY_LINE: usize = 33;
 
 fn boundary_name(mode: BoundaryMode) -> &'static str {
     match mode {
@@ -185,22 +191,30 @@ fn parse_config(reader: &mut PayloadReader<'_>) -> Result<AdaWaveConfig, String>
 
 impl StreamingAdaWave {
     /// Serialize the session's complete mergeable state into the
-    /// accumulator payload (header excluded): configuration, frozen
-    /// quantized space, accumulated grid and per-point cell keys, all
-    /// bit-exact. The worker-pool runtime is deliberately *not* part of
-    /// the snapshot — it never affects results, and [`restore`]d sessions
-    /// pick it up from the environment like any fresh session.
+    /// accumulator payload (header excluded), all bit-exact: the
+    /// configuration, the `dims`, `outliers` and `points` lines, the
+    /// frozen quantized space, the accumulated grid dumped in ascending key
+    /// order with keys at the codec's width, then one line per point in
+    /// arrival order: its cell's position in that dump, in fixed-width hex
+    /// (as many digits as the last position needs), or `-` for an outlier.
+    /// The worker-pool runtime is deliberately *not* part of the snapshot —
+    /// it never affects results, and [`restore`]d sessions pick it up from
+    /// the environment like any fresh session.
     ///
     /// [`restore`]: Self::restore
     pub fn snapshot(&self) -> String {
-        let empty = SparseGrid::new();
-        let grid = self.frozen.as_ref().map_or(&empty, |f| &f.grid);
-        // Sized once for the point keys and the grid dump together: a
-        // `String` regrown mid-dump would briefly hold two copies.
-        let dump = grid.serialized_len();
+        let cells = self.occupied_cells();
+        let width = index_digits(cells);
+        let index_line = width as usize + 1;
+        // Sized once for the grid dump and the point lines together: a
+        // `String` regrown mid-render would briefly hold two copies.
+        let (key_digits, dump) = self.frozen.as_ref().map_or((0, 0), |f| {
+            let digits = f.quantizer.codec().key_hex_digits();
+            (digits, f.grid.serialized_len(digits))
+        });
         let quantizer = 64 + 40 * self.dims.unwrap_or(0);
-        let points = KEY_LINE * self.point_cells.len();
-        let mut out = String::with_capacity(1024 + quantizer + points + dump);
+        let points = index_line * self.point_cells.len();
+        let mut out = String::with_capacity(1024 + quantizer + dump + points);
         serialize_config(self.adawave.config(), &mut out);
         match self.dims {
             None => out.push_str("dims none\n"),
@@ -208,180 +222,288 @@ impl StreamingAdaWave {
         }
         out.push_str(&format!("outliers {}\n", self.outliers));
         out.push_str(&format!("points {}\n", self.point_cells.len()));
-        // Each occupied cell's key line is rendered once, then copied for
-        // every point in it.
-        let mut key_lines = String::with_capacity(KEY_LINE * grid.occupied_cells());
-        for (key, _) in grid.iter() {
-            push_hex(&mut key_lines, key, 32);
-            key_lines.push('\n');
+        let positions = match &self.frozen {
+            None => {
+                out.push_str("frozen none\n");
+                Vec::new()
+            }
+            Some(frozen) => {
+                out.push_str("frozen some\n");
+                frozen.quantizer.serialize_into(&mut out);
+                // The dump lists cells by ascending key, whatever order the
+                // session interned them in, and says where each one went.
+                frozen.grid.serialize_into(&mut out, key_digits)
+            }
+        };
+        // Each cell's index line is rendered once, then copied for every
+        // point in it.
+        let mut index_lines = String::with_capacity(index_line * cells);
+        for position in positions {
+            push_hex(&mut index_lines, position as u128, width);
+            index_lines.push('\n');
         }
         for &index in &self.point_cells {
             out.push_str(match index {
                 OUTLIER => "-\n",
                 index => {
-                    let at = index as usize * KEY_LINE;
-                    &key_lines[at..at + KEY_LINE]
+                    let at = index as usize * index_line;
+                    &index_lines[at..at + index_line]
                 }
             });
-        }
-        match &self.frozen {
-            None => out.push_str("frozen none\n"),
-            Some(frozen) => {
-                out.push_str("frozen some\n");
-                frozen.quantizer.serialize_into(&mut out);
-                // The dump lists cells by ascending key, whatever order the
-                // session interned them in.
-                frozen.grid.serialize_into(&mut out);
-            }
         }
         out
     }
 
-    /// Rebuild a session from a [`snapshot`](Self::snapshot) payload.
+    /// Rebuild a session from a [`snapshot`](Self::snapshot) payload, in
+    /// one pass over its lines.
     ///
     /// Everything is re-validated on the way in: the configuration fields,
     /// the quantizer (bounds ordering, interval counts, key width), the
-    /// grid dump ([`SparseGrid::deserialize_from`]), whose every cell key
-    /// must be a key of the frozen codec and listed once, and the point
-    /// lines, whose every key must be one of the grid's cells. Every grid
-    /// cell's count must equal the number of point lines naming it, which
-    /// is at least one, as in every session `ingest`, `merge` and
-    /// `restore` build. The restored grid keeps the dump's (ascending key)
-    /// order, the session's cell table maps each key to its index, and
-    /// each point line becomes its cell's index.
+    /// grid dump ([`SparseGrid::deserialize_from`] at the codec's key
+    /// width), whose every cell key must be a key of the frozen codec and
+    /// listed once, and the point lines, each `-` or exactly as many
+    /// lowercase hex digits as the dump's last position needs, naming a
+    /// position below the dump's cell count (so none in a session without
+    /// a frozen space). The `-` lines must number the `outliers` line's
+    /// count, and every grid cell's count must equal the number of point
+    /// lines naming it, which is at least one, as in every session
+    /// `ingest`, `merge` and `restore` build. The restored grid keeps the
+    /// dump's (ascending key) order, the session's cell table maps each key
+    /// to its index, and each point line's position is its cell's index.
     /// The restored session is bit-for-bit equivalent to the snapshot one —
     /// same grid, same per-point cells, same refit labels — and merging it
     /// behaves exactly like merging the original (mismatched
     /// domains/configurations are rejected the same way).
     pub fn restore(payload: &str) -> Result<Self, String> {
         let mut reader = PayloadReader::new(payload);
-        let config = parse_config(&mut reader)?;
+        let head = Head::read(&mut reader)?;
+        let frozen = read_frozen(&mut reader, head.dims, KeyCodec::key_hex_digits)?;
+        let cells = frozen.as_ref().map_or(0, |f| f.grid.occupied_cells());
+        let width = index_digits(cells);
+        let mut point_cells = Vec::with_capacity(head.points.min(1 << 24));
+        // Point lines per grid cell, to check against the cells' counts.
+        let mut named = vec![0usize; cells];
+        let mut noise = 0usize;
+        for _ in 0..head.points {
+            let line = reader.line()?;
+            if line == "-" {
+                noise += 1;
+                point_cells.push(OUTLIER);
+                continue;
+            }
+            if frozen.is_none() {
+                return Err("in-domain point cells listed but no frozen space".to_string());
+            }
+            let index = parse_hex(line, width)
+                .ok_or_else(|| format!("bad point index '{line}' (expected {width} hex digits)"))?;
+            if index >= cells as u128 {
+                return Err(format!(
+                    "point index {line} is past the grid's {cells} cells"
+                ));
+            }
+            named[index as usize] += 1;
+            // Below the grid's cell count, which was checked to fit.
+            point_cells.push(index as u32);
+        }
+        check_outliers(head.outliers, noise)?;
+        check_counts(frozen.as_ref(), &named)?;
+        Ok(head.session(frozen, point_cells))
+    }
+}
+
+/// Hex digits of a point line in a grid of `cells` cells: as many as the
+/// last dump position, `cells - 1`, needs, and at least one.
+fn index_digits(cells: usize) -> u32 {
+    (usize::BITS - cells.saturating_sub(1).leading_zeros())
+        .div_ceil(4)
+        .max(1)
+}
+
+/// The lines both accumulator layouts open with: the configuration, then
+/// `dims`, `outliers` and `points`.
+struct Head {
+    config: AdaWaveConfig,
+    dims: Option<usize>,
+    outliers: usize,
+    points: usize,
+}
+
+impl Head {
+    fn read(reader: &mut PayloadReader<'_>) -> Result<Self, String> {
+        let config = parse_config(reader)?;
         let dims = match reader.field("dims")? {
             "none" => None,
             raw => Some(raw.parse().map_err(|_| format!("bad dims '{raw}'"))?),
         };
-        let outliers: usize = reader.scalar("outliers")?;
-        let points: usize = reader.scalar("points")?;
-        // The point lines come before the grid they index: count their
-        // noise lines now and map their keys once the table is built.
-        let mut point_lines = reader.clone();
-        let mut noise = 0usize;
-        for _ in 0..points {
-            noise += usize::from(reader.line()? == "-");
-        }
-        if noise != outliers {
-            return Err(format!(
-                "outlier count {outliers} does not match the {noise} noise cells listed"
-            ));
-        }
-        let frozen = match reader.field("frozen")? {
-            "none" => None,
-            "some" => {
-                let quantizer = Quantizer::deserialize_from(&mut reader)?;
-                if let Some(d) = dims {
-                    if quantizer.dims() != d {
-                        return Err(format!(
-                            "frozen space has {} dimensions but the session says {d}",
-                            quantizer.dims()
-                        ));
-                    }
-                }
-                let grid = SparseGrid::deserialize_from(&mut reader)?;
-                if grid.occupied_cells() >= OUTLIER as usize {
-                    return Err(format!(
-                        "the grid lists {} cells, more than a session can index",
-                        grid.occupied_cells()
-                    ));
-                }
-                // The table is indexed by the key (a flat array for narrow
-                // codecs), so none may lie outside the codec.
-                let mut table = CellTable::with_capacity(quantizer.codec(), grid.occupied_cells());
-                for (index, (key, _)) in grid.iter().enumerate() {
-                    if !quantizer.codec().contains(key) {
-                        return Err(
-                            "the grid holds a cell key outside the frozen space".to_string()
-                        );
-                    }
-                    if table.insert(key, index).is_some() {
-                        return Err(format!("the grid lists cell key {key:032x} twice"));
-                    }
-                }
-                Some(Frozen {
-                    quantizer,
-                    table,
-                    grid,
-                })
-            }
-            other => return Err(format!("bad frozen marker '{other}'")),
-        };
-        let mut point_cells = Vec::with_capacity(points.min(1 << 24));
-        // Point lines per grid cell, to check against the cells' counts.
-        let mut named = vec![0usize; frozen.as_ref().map_or(0, |f| f.grid.occupied_cells())];
-        for _ in 0..points {
-            let line = point_lines.line()?;
-            if line == "-" {
-                point_cells.push(OUTLIER);
-                continue;
-            }
-            let key = u128::from_str_radix(line, 16)
-                .map_err(|_| format!("bad point cell key '{line}'"))?;
-            let frozen = frozen
-                .as_ref()
-                .ok_or("in-domain point cells listed but no frozen space")?;
-            let index = frozen
-                .table
-                .get(key)
-                .ok_or_else(|| format!("point cell key {line} is not one of the grid's cells"))?;
-            named[index] += 1;
-            // Below the grid's cell count, which was checked to fit.
-            point_cells.push(index as u32);
-        }
-        if let Some(frozen) = &frozen {
-            for ((key, count), &lines) in frozen.grid.iter().zip(&named) {
-                if lines == 0 {
-                    return Err(format!("grid cell {key:032x} is named by no point line"));
-                }
-                if count != lines as f64 {
-                    return Err(format!(
-                        "grid cell {key:032x} counts {count} points but {lines} point lines name it"
-                    ));
-                }
-            }
-        }
         Ok(Self {
-            adawave: AdaWave::new(config),
+            config,
+            dims,
+            outliers: reader.scalar("outliers")?,
+            points: reader.scalar("points")?,
+        })
+    }
+
+    /// The session these lines describe, holding `frozen` and one cell
+    /// index (or [`OUTLIER`]) per point.
+    fn session(self, frozen: Option<Frozen>, point_cells: Vec<u32>) -> StreamingAdaWave {
+        StreamingAdaWave {
+            adawave: AdaWave::new(self.config),
             frozen,
             point_cells,
-            outliers,
-            dims,
-        })
+            outliers: self.outliers,
+            dims: self.dims,
+        }
     }
 }
 
+/// Read the `frozen` marker and, for a frozen session, the quantizer and
+/// the grid dump, whose keys are `key_digits(codec)` hex digits wide. The
+/// table is indexed by the key (a flat array for narrow codecs), so no key
+/// may lie outside the codec, and none may be listed twice.
+fn read_frozen(
+    reader: &mut PayloadReader<'_>,
+    dims: Option<usize>,
+    key_digits: fn(&KeyCodec) -> u32,
+) -> Result<Option<Frozen>, String> {
+    let quantizer = match reader.field("frozen")? {
+        "none" => return Ok(None),
+        "some" => Quantizer::deserialize_from(reader)?,
+        other => return Err(format!("bad frozen marker '{other}'")),
+    };
+    if let Some(d) = dims {
+        if quantizer.dims() != d {
+            return Err(format!(
+                "frozen space has {} dimensions but the session says {d}",
+                quantizer.dims()
+            ));
+        }
+    }
+    let grid = SparseGrid::deserialize_from(reader, key_digits(quantizer.codec()))?;
+    if grid.occupied_cells() >= OUTLIER as usize {
+        return Err(format!(
+            "the grid lists {} cells, more than a session can index",
+            grid.occupied_cells()
+        ));
+    }
+    let mut table = CellTable::with_capacity(quantizer.codec(), grid.occupied_cells());
+    for (index, (key, _)) in grid.iter().enumerate() {
+        if !quantizer.codec().contains(key) {
+            return Err("the grid holds a cell key outside the frozen space".to_string());
+        }
+        if table.insert(key, index).is_some() {
+            return Err(format!("the grid lists cell key {key:032x} twice"));
+        }
+    }
+    Ok(Some(Frozen {
+        quantizer,
+        table,
+        grid,
+    }))
+}
+
+/// The `outliers` line must count the `-` point lines.
+fn check_outliers(outliers: usize, noise: usize) -> Result<(), String> {
+    if noise != outliers {
+        return Err(format!(
+            "outlier count {outliers} does not match the {noise} noise cells listed"
+        ));
+    }
+    Ok(())
+}
+
+/// Every grid cell's count must equal the `named` point lines naming it,
+/// and at least one must.
+fn check_counts(frozen: Option<&Frozen>, named: &[usize]) -> Result<(), String> {
+    let Some(frozen) = frozen else {
+        return Ok(());
+    };
+    for ((key, count), &lines) in frozen.grid.iter().zip(named) {
+        if lines == 0 {
+            return Err(format!("grid cell {key:032x} is named by no point line"));
+        }
+        if count != lines as f64 {
+            return Err(format!(
+                "grid cell {key:032x} counts {count} points but {lines} point lines name it"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Rebuild a session from a `v1` payload, the layout before point lines
+/// became dump positions: the head lines, one 32-digit cell key (or `-`)
+/// per point, then the `frozen` section with 32-digit dump keys. The
+/// point lines come before the grid they index, so they are read twice:
+/// once to count the noise lines and reach the grid, once to map each
+/// key to its cell. Every check of [`StreamingAdaWave::restore`] applies,
+/// and a point key must be one of the grid's cells.
+fn restore_v1(payload: &str) -> Result<StreamingAdaWave, String> {
+    let mut reader = PayloadReader::new(payload);
+    let head = Head::read(&mut reader)?;
+    let mut point_lines = reader.clone();
+    let mut noise = 0usize;
+    for _ in 0..head.points {
+        noise += usize::from(reader.line()? == "-");
+    }
+    check_outliers(head.outliers, noise)?;
+    let frozen = read_frozen(&mut reader, head.dims, |_| 32)?;
+    let mut point_cells = Vec::with_capacity(head.points.min(1 << 24));
+    let mut named = vec![0usize; frozen.as_ref().map_or(0, |f| f.grid.occupied_cells())];
+    for _ in 0..head.points {
+        let line = point_lines.line()?;
+        if line == "-" {
+            point_cells.push(OUTLIER);
+            continue;
+        }
+        let key =
+            u128::from_str_radix(line, 16).map_err(|_| format!("bad point cell key '{line}'"))?;
+        let frozen = frozen
+            .as_ref()
+            .ok_or("in-domain point cells listed but no frozen space")?;
+        let index = frozen
+            .table
+            .get(key)
+            .ok_or_else(|| format!("point cell key {line} is not one of the grid's cells"))?;
+        named[index] += 1;
+        // Below the grid's cell count, which was checked to fit.
+        point_cells.push(index as u32);
+    }
+    check_counts(frozen.as_ref(), &named)?;
+    Ok(head.session(frozen, point_cells))
+}
+
 /// Write a session's accumulator to `path` atomically (`.tmp` sibling,
-/// then rename): a process killed mid-write leaves the previous file
-/// intact, never a torn one for a checkpoint resume or a merge to read.
+/// then rename), in the current layout (`adawave-accumulator v2`): a
+/// process killed mid-write leaves the previous file intact, never a torn
+/// one for a checkpoint resume or a merge to read.
 pub fn save_accumulator(path: &Path, stream: &StreamingAdaWave) -> Result<(), ArtifactError> {
     save_artifact_atomic(path, KIND, ALGORITHM, &stream.snapshot())
 }
 
 /// Load an accumulator file written by [`save_accumulator`] back into a
-/// session.
+/// session. The header's version picks the reader: `v2` files go through
+/// [`StreamingAdaWave::restore`], `v1` files (written before point lines
+/// became dump positions) through the reader of that layout, and any other
+/// version is rejected, naming the two.
 pub fn load_accumulator(path: &Path) -> Result<StreamingAdaWave, ArtifactError> {
-    let artifact = load_artifact(path, KIND)?;
-    if artifact.algorithm != ALGORITHM {
-        return Err(ArtifactError::Format {
-            kind: KIND,
-            context: format!(
-                "accumulators are written by '{ALGORITHM}', found algorithm '{}'",
-                artifact.algorithm
-            ),
-        });
-    }
-    StreamingAdaWave::restore(&artifact.payload).map_err(|context| ArtifactError::Format {
+    let format = |context: String| ArtifactError::Format {
         kind: KIND,
         context,
-    })
+    };
+    let artifact = load_artifact(path, KIND)?;
+    if artifact.algorithm != ALGORITHM {
+        return Err(format(format!(
+            "accumulators are written by '{ALGORITHM}', found algorithm '{}'",
+            artifact.algorithm
+        )));
+    }
+    // The header check let through only the versions accumulators read.
+    let restore = if artifact.version == "v1" {
+        restore_v1
+    } else {
+        StreamingAdaWave::restore
+    };
+    restore(&artifact.payload).map_err(format)
 }
 
 /// Periodic checkpointing for a long ingestion: counts ingested rows and
@@ -669,15 +791,127 @@ mod tests {
         assert!(restored.domain().is_some());
     }
 
+    /// The `v1` payload of a scale-8 session that adopted the unit square
+    /// from its one batch, (0, 0) and (1, 1): two cells of the 6-bit
+    /// 8 x 8 codec, keys 0 and 3f, one point each.
+    const V1_TWO_POINTS: &str = "config-scale 8
+config-per-dimension-scale none
+config-wavelet cdf22
+config-levels 1
+config-boundary zero
+config-epsilon 3e112e0be826d695
+config-threshold three-segment
+config-connectivity face
+config-auto-reduce-scale true
+config-max-transformed-cells 1000000
+config-precision f64
+dims 2
+outliers 0
+points 2
+00000000000000000000000000000000
+0000000000000000000000000000003f
+frozen some
+dims 2
+min 0000000000000000 0000000000000000
+max 3ff0000000000000 3ff0000000000000
+intervals 8 8
+cells 2
+00000000000000000000000000000000 3ff0000000000000
+0000000000000000000000000000003f 3ff0000000000000
+";
+
+    /// The session behind [`V1_TWO_POINTS`].
+    fn two_point_session() -> StreamingAdaWave {
+        let mut stream = StreamingAdaWave::new(AdaWaveConfig::builder().scale(8).build());
+        let pts = PointMatrix::from_rows(vec![vec![0.0, 0.0], vec![1.0, 1.0]]).unwrap();
+        stream.ingest(pts.view()).unwrap();
+        stream
+    }
+
+    /// `payload` with its `cells` dump section (the `cells N` line and the
+    /// N cell lines) handed to `edit` as lines, the `cells` line first.
+    fn edit_dump(payload: &str, edit: impl Fn(&mut Vec<String>)) -> String {
+        let at = payload.rfind("cells ").unwrap();
+        let (head, dump) = payload.split_at(at);
+        let mut lines: Vec<String> = dump.lines().map(String::from).collect();
+        let count: usize = lines[0]["cells ".len()..].parse().unwrap();
+        let tail = lines.split_off(count + 1);
+        edit(&mut lines);
+        let mut out = head.to_string();
+        for line in lines.iter().chain(&tail) {
+            out.push_str(line);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// `payload` with its `n`-th line from the end replaced by `line`.
+    fn replace_line_from_end(payload: &str, n: usize, line: &str) -> String {
+        let mut lines: Vec<&str> = payload.lines().collect();
+        let at = lines.len() - n;
+        lines[at] = line;
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn the_v1_reader_loads_the_v1_layout() {
+        let session = two_point_session();
+        let restored = restore_v1(V1_TWO_POINTS).unwrap();
+        assert_eq!(restored.snapshot(), session.snapshot());
+        assert_eq!(restored.refit().unwrap(), session.refit().unwrap());
+        // The v2 layout is no v1 payload, nor the other way round.
+        assert!(restore_v1(&session.snapshot()).is_err());
+        assert!(StreamingAdaWave::restore(V1_TWO_POINTS).is_err());
+    }
+
+    #[test]
+    fn snapshots_name_cells_by_dump_position_at_the_codec_width() {
+        // Two points, so the key line of (1, 1) is 3f at the codec's two
+        // hex digits and a point line is one digit.
+        let payload = two_point_session().snapshot();
+        let tail = format!(
+            "outliers 0\npoints 2\nfrozen some\ndims 2\n\
+             min 0000000000000000 0000000000000000\nmax 3ff0000000000000 3ff0000000000000\n\
+             intervals 8 8\ncells 2\n00 {one}\n3f {one}\n0\n1\n",
+            one = f64_to_hex(1.0)
+        );
+        assert!(payload.ends_with(&tail), "{payload}");
+
+        // 17 cells need two digits a point line; an arrival order that is
+        // not the key order still names each cell by its dump position.
+        let mut stream = StreamingAdaWave::new(AdaWaveConfig::builder().scale(32).build());
+        let mut rows = vec![vec![0.0, 0.0], vec![1.0, 1.0]];
+        rows.extend((0..15).rev().map(|i| vec![0.05 * f64::from(i) + 0.01, 0.5]));
+        rows.push(vec![f64::NAN, 0.0]);
+        let points = PointMatrix::from_rows(rows).unwrap();
+        stream.ingest(points.view()).unwrap();
+        assert_eq!(stream.occupied_cells(), 17);
+        let payload = stream.snapshot();
+        let dump: Vec<&str> = payload[payload.rfind("cells 17").unwrap()..]
+            .lines()
+            .skip(1)
+            .take(17)
+            .map(|line| line.split_once(' ').unwrap().0)
+            .collect();
+        assert!(dump.iter().all(|key| key.len() == 3), "{dump:?}");
+        let point_lines: Vec<&str> = payload.lines().rev().take(18).collect();
+        assert_eq!(point_lines[0], "-");
+        for (line, row) in point_lines[1..].iter().zip(points.rows().rev().skip(1)) {
+            assert_eq!(line.len(), 2, "{line}");
+            let position = usize::from_str_radix(line, 16).unwrap();
+            let key = u128::from_str_radix(dump[position], 16).unwrap();
+            let frozen = stream.frozen.as_ref().unwrap();
+            assert_eq!(key, frozen.quantizer.cell_key(row), "{row:?}");
+        }
+        let restored = StreamingAdaWave::restore(&payload).unwrap();
+        assert_eq!(restored.snapshot(), payload);
+    }
+
     #[test]
     fn malformed_payloads_are_rejected_with_context() {
-        let good = {
-            let mut stream = StreamingAdaWave::new(AdaWaveConfig::builder().scale(8).build());
-            let pts = PointMatrix::from_rows(vec![vec![0.0, 0.0], vec![1.0, 1.0]]).unwrap();
-            stream.ingest(pts.view()).unwrap();
-            stream.snapshot()
-        };
-        // Targeted corruptions of a known-good payload.
+        // Targeted corruptions of a known-good v1 payload, read by the v1
+        // reader.
+        let good = V1_TWO_POINTS;
         for (mutate, needle) in [
             (
                 Box::new(|s: &str| s.replace("config-wavelet cdf22", "config-wavelet wat"))
@@ -767,8 +1001,81 @@ mod tests {
                 "is named by no point line",
             ),
         ] {
-            let err = StreamingAdaWave::restore(&mutate(&good)).unwrap_err();
-            assert!(err.contains(needle), "{needle:?} not in {err:?}");
+            let err = restore_v1(&mutate(good)).unwrap_err();
+            assert!(err.contains(needle), "v1: {needle:?} not in {err:?}");
+        }
+
+        // The same session's v2 payload: cell lines `00` and `3f`, then
+        // the point lines `0` and `1`.
+        let good = two_point_session().snapshot();
+        assert!(good.ends_with("\n0\n1\n"), "{good}");
+        let unfrozen = {
+            let mut stream = StreamingAdaWave::new(AdaWaveConfig::default());
+            let nan = PointMatrix::from_rows(vec![vec![f64::NAN, 0.5]]).unwrap();
+            stream.ingest(nan.view()).unwrap();
+            stream.snapshot()
+        };
+        assert!(unfrozen.ends_with("frozen none\n-\n"), "{unfrozen}");
+        for (payload, needle) in [
+            // A point index at the cell count, and one far past it.
+            (
+                replace_line_from_end(&good, 1, "2"),
+                "point index 2 is past the grid's 2 cells",
+            ),
+            (
+                replace_line_from_end(&good, 1, "f"),
+                "is past the grid's 2 cells",
+            ),
+            // Not a lowercase hex index of the dump's width.
+            (replace_line_from_end(&good, 1, "g"), "bad point index 'g'"),
+            (
+                replace_line_from_end(&good, 1, "01"),
+                "bad point index '01'",
+            ),
+            (replace_line_from_end(&good, 1, "+1"), "bad point index"),
+            (replace_line_from_end(&good, 1, ""), "bad point index"),
+            // An index line where a session without a frozen space can
+            // only list outliers.
+            (replace_line_from_end(&unfrozen, 1, "0"), "no frozen space"),
+            // The point section cut short.
+            (good[..good.len() - 2].to_string(), "truncated"),
+            // A cell count that differs from the lines naming the cell.
+            (
+                edit_dump(&good, |lines| {
+                    lines[1] = format!("00 {}", f64_to_hex(100.0));
+                }),
+                "counts 100 points but 1 point lines name it",
+            ),
+            // The first cell named by no line: both lines name the second.
+            (
+                replace_line_from_end(&good, 2, "1"),
+                "is named by no point line",
+            ),
+            (good.replace("outliers 0", "outliers 7"), "outlier count"),
+            (
+                edit_dump(&good, |lines| {
+                    lines[0] = "cells 3".to_string();
+                    lines.insert(1, lines[1].clone());
+                }),
+                "twice",
+            ),
+            // A dump key with a bit above the 6-bit codec, at its width.
+            (
+                edit_dump(&good, |lines| {
+                    lines[1] = lines[1].replacen("00 ", "40 ", 1);
+                }),
+                "outside the frozen space",
+            ),
+            // A dump key at v1's 32 digits instead of the codec's two.
+            (
+                edit_dump(&good, |lines| {
+                    lines[1] = format!("{:032x} {}", 0, f64_to_hex(1.0));
+                }),
+                "expected 2 hex digits",
+            ),
+        ] {
+            let err = StreamingAdaWave::restore(&payload).unwrap_err();
+            assert!(err.contains(needle), "v2: {needle:?} not in {err:?}");
         }
     }
 
@@ -783,6 +1090,33 @@ mod tests {
         std::fs::write(&path, "adawave-accumulator v1\nalgorithm kmeans\nx\n").unwrap();
         let err = load_accumulator(&path).unwrap_err();
         assert!(err.to_string().contains("kmeans"), "{err}");
+        // A version this build does not read is refused, naming the ones
+        // it does.
+        std::fs::write(&path, "adawave-accumulator v3\nalgorithm adawave\nx\n").unwrap();
+        let err = load_accumulator(&path).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("format version 'v3' (this build reads v1, v2)"),
+            "{err}"
+        );
+        // Both layouts load, each through its own reader.
+        let header = |version: &str| format!("adawave-accumulator {version}\nalgorithm adawave\n");
+        let session = two_point_session();
+        for text in [
+            header("v1") + V1_TWO_POINTS,
+            header("v2") + &session.snapshot(),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            assert_eq!(
+                load_accumulator(&path).unwrap().snapshot(),
+                session.snapshot()
+            );
+        }
+        // A header that does not match its payload's layout is refused.
+        std::fs::write(&path, header("v2") + V1_TWO_POINTS).unwrap();
+        assert!(load_accumulator(&path).is_err());
+        std::fs::write(&path, header("v1") + &session.snapshot()).unwrap();
+        assert!(load_accumulator(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 }

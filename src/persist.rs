@@ -55,7 +55,7 @@ const FALLBACK_ALGORITHMS: [&str; 9] = [
 ];
 
 /// The typed artifact kind model files use; its magic (`adawave-model`)
-/// and the shared [`adawave_api::ARTIFACT_VERSION`] form the header.
+/// and its version ([`ArtifactKind::version`], `v1`) form the header.
 const KIND: ArtifactKind = ArtifactKind::Model;
 
 /// Errors produced while saving or loading a model file.

@@ -1,6 +1,7 @@
 //! The accumulator artifact format is frozen: a session built the same
-//! way must save to the checked-in golden file byte for byte, whatever
-//! the writer's internals.
+//! way must save to the checked-in golden `v2` file byte for byte,
+//! whatever the writer's internals, and the `v1` file the previous writer
+//! made of the same session must still load into it.
 
 use std::path::Path;
 
@@ -9,6 +10,13 @@ use adawave_core::AdaWaveConfig;
 use adawave_stream::{load_accumulator, save_accumulator, StreamingAdaWave};
 
 const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/accumulator_v2.awa"
+);
+
+/// The same session as written before point lines became dump
+/// positions: 32-digit point keys ahead of the grid.
+const GOLDEN_V1: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/accumulator_v1.awa"
 );
@@ -58,4 +66,18 @@ fn save_accumulator_writes_the_golden_bytes() {
     let loaded = load_accumulator(Path::new(GOLDEN)).unwrap();
     assert_eq!(loaded.snapshot(), session.snapshot());
     assert_eq!(loaded.refit().unwrap(), session.refit().unwrap());
+}
+
+#[test]
+fn the_v1_golden_file_loads_into_the_golden_session() {
+    let golden = std::fs::read_to_string(GOLDEN_V1).unwrap();
+    assert!(golden.starts_with("adawave-accumulator v1\n"));
+    let session = golden_session();
+    let loaded = load_accumulator(Path::new(GOLDEN_V1)).unwrap();
+    assert_eq!(loaded.points_ingested(), session.points_ingested());
+    assert_eq!(loaded.outlier_count(), session.outlier_count());
+    assert_eq!(loaded.grid(), session.grid());
+    assert_eq!(loaded.refit().unwrap(), session.refit().unwrap());
+    // Its snapshot is the session's, in the current layout.
+    assert_eq!(loaded.snapshot(), session.snapshot());
 }
