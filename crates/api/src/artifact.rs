@@ -335,7 +335,7 @@ impl<'a> PayloadReader<'a> {
     pub fn line(&mut self) -> Result<&'a str, String> {
         self.lines
             .next()
-            .ok_or_else(|| "truncated model payload".to_string())
+            .ok_or_else(|| "truncated payload".to_string())
     }
 
     /// The value part of the next line, which must be `<name> <value...>`.

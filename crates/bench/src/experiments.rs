@@ -4,7 +4,6 @@
 
 use std::time::Instant;
 
-use adawave_baselines::{kmeans, KMeansConfig};
 use adawave_core::{AdaWave, AdaWaveConfig, ThresholdStrategy};
 use adawave_data::synthetic::{
     running_example, runtime_scaling_dataset, synthetic_benchmark, SYNTHETIC_NOISE_LABEL,
@@ -716,17 +715,6 @@ pub fn print_ablation(rows: &[AblationRow]) {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Baseline comparison used by the k-means post-processing protocol
-// ---------------------------------------------------------------------------
-
-/// Run plain k-means on a dataset with the true `k` (helper used by the
-/// examples and by sanity tests to compare against AdaWave).
-pub fn kmeans_reference(ds: &Dataset, seed: u64) -> f64 {
-    let result = kmeans(ds.view(), &KMeansConfig::new(dataset_true_k(ds), seed));
-    ami(&ds.labels, &result.clustering.to_labels(NOISE_LABEL))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,6 +732,24 @@ mod tests {
         for (_, t, surviving) in &data.thresholds {
             assert!(*t >= 0.0);
             assert!(*surviving <= data.cells);
+        }
+    }
+
+    #[test]
+    fn fig5_subband_energy_is_pinned_bit_for_bit() {
+        // `dwt2d` (both bands of every axis pass; no other caller runs the
+        // detail band) on a small copy of the running example, pinned bit
+        // for bit: a change to the filter loop's summation order fails here.
+        let expected: [(&str, u64); 4] = [
+            ("LL (average signal)", 0x408d1fde00000000),
+            ("LH (horizontal)", 0x4070095000000000),
+            ("HL (vertical)", 0x4072f04000000000),
+            ("HH (diagonal)", 0x406330ffffffffff),
+        ];
+        let energies = fig5_subband_energy(100, 5);
+        for ((name, energy), (want_name, want_bits)) in energies.iter().zip(expected) {
+            assert_eq!(name, want_name);
+            assert_eq!(energy.to_bits(), want_bits, "{name}: {energy}");
         }
     }
 

@@ -603,7 +603,7 @@ mod tests {
         for count in ["4611686018427387904", "100000000000"] {
             let forged = payload.replace(&count_line, &format!("cells {count}\n"));
             let err = AdaWaveModel::deserialize(&forged).unwrap_err();
-            assert!(err.contains("truncated model payload"), "{count}: {err}");
+            assert!(err.contains("truncated payload"), "{count}: {err}");
         }
         // The transformed grid is 24 x 24 (10 key bits): a key above the
         // width, and one with an x coordinate of 24, are both refused.

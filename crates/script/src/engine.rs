@@ -34,15 +34,15 @@ pub struct Engine {
     load_hook: Option<LoadHook>,
     script_dir: PathBuf,
     scratch_dir: PathBuf,
-    scratch_owned: bool,
 }
 
 impl Engine {
     /// Build an engine over an algorithm registry. Until
     /// [`with_persistence`](Self::with_persistence) is called, `save` and
-    /// `load model` steps fail with an explanatory error; the scratch
-    /// directory defaults to a fresh per-engine subdirectory of the
-    /// system temp dir (removed on drop).
+    /// `load model` steps fail with an explanatory error. Relative paths
+    /// of the files a script saves (models, accumulators) resolve against
+    /// a fresh per-engine subdirectory of the system temp dir, removed on
+    /// drop.
     pub fn new(registry: AlgorithmRegistry) -> Self {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -57,7 +57,6 @@ impl Engine {
             load_hook: None,
             script_dir: PathBuf::from("."),
             scratch_dir,
-            scratch_owned: true,
         }
     }
 
@@ -72,15 +71,6 @@ impl Engine {
     /// (typically the script file's parent).
     pub fn with_script_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.script_dir = dir.into();
-        self
-    }
-
-    /// Resolve relative `save`/`load model` paths against this directory
-    /// instead of the engine-owned temp scratch (the caller then owns
-    /// cleanup).
-    pub fn with_scratch_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.scratch_dir = dir.into();
-        self.scratch_owned = false;
         self
     }
 
@@ -132,10 +122,8 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        if self.scratch_owned {
-            // Best-effort cleanup of the per-engine scratch directory.
-            let _ = std::fs::remove_dir_all(&self.scratch_dir);
-        }
+        // Best-effort cleanup of the per-engine scratch directory.
+        let _ = std::fs::remove_dir_all(&self.scratch_dir);
     }
 }
 

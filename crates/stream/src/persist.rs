@@ -769,6 +769,22 @@ mod tests {
     }
 
     #[test]
+    fn a_cut_accumulator_file_reports_a_truncated_payload_not_a_model() {
+        let mut stream = StreamingAdaWave::new(AdaWaveConfig::builder().scale(32).build());
+        stream.ingest(two_blob_points().view()).unwrap();
+        let path = temp_path("cut");
+        save_accumulator(&path, &stream).unwrap();
+        // Drop the last point line.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let cut = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+        std::fs::write(&path, &text[..cut]).unwrap();
+        let err = load_accumulator(&path).unwrap_err().to_string();
+        assert!(err.contains("truncated payload"), "{err}");
+        assert!(!err.contains("model"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn unfrozen_and_prefreeze_outlier_sessions_round_trip() {
         // A fresh session (no domain, no dims).
         let stream = StreamingAdaWave::new(AdaWaveConfig::default());

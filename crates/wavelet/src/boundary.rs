@@ -8,8 +8,8 @@ pub enum BoundaryMode {
     /// empty cell outside the populated bounding box really has density 0.
     #[default]
     Zero,
-    /// The signal wraps around (circular convolution). Required for exact
-    /// perfect-reconstruction tests with orthogonal filter banks.
+    /// The signal wraps around (circular convolution). With an orthogonal
+    /// filter bank and an even length, the transform then conserves energy.
     Periodic,
     /// Half-sample symmetric reflection (`… x1 x0 | x0 x1 …`), the usual
     /// choice in image compression.

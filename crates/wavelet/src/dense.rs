@@ -8,7 +8,7 @@
 
 use adawave_runtime::Runtime;
 
-use crate::{dwt1d, dwt1d_lowpass, BoundaryMode, FilterBank, Result, WaveletError};
+use crate::{dwt1d, smooth_downsample, BoundaryMode, FilterBank, Result, WaveletError};
 
 /// Lanes per parallel work unit of the `*_with` axis transforms. Fixed
 /// (independent of the thread count) so the per-lane outputs are produced
@@ -118,11 +118,6 @@ impl DenseGrid {
         self.data.iter().sum()
     }
 
-    /// Number of cells strictly greater than `threshold`.
-    pub fn count_above(&self, threshold: f64) -> usize {
-        self.data.iter().filter(|&&v| v > threshold).count()
-    }
-
     /// Iterate over (lane start offsets, stride) pairs for walking the grid
     /// along `axis`: each lane is a 1-D signal of length `shape[axis]` whose
     /// elements are `data[start + k * stride]`.
@@ -149,6 +144,19 @@ impl DenseGrid {
     fn read_lane(&self, start: usize, stride: usize, lane: &mut [f64]) {
         for (k, v) in lane.iter_mut().enumerate() {
             *v = self.data[start + k * stride];
+        }
+    }
+
+    /// Scatter `lane` into the lane starting at `start` (stride `stride`),
+    /// with one contiguous copy for the innermost axis.
+    #[inline]
+    fn write_lane(&mut self, start: usize, stride: usize, lane: &[f64]) {
+        if stride == 1 {
+            self.data[start..start + lane.len()].copy_from_slice(lane);
+        } else {
+            for (k, &v) in lane.iter().enumerate() {
+                self.data[start + k * stride] = v;
+            }
         }
     }
 
@@ -191,30 +199,12 @@ impl DenseGrid {
             .collect()
     }
 
-    /// [`transform_lanes`](Self::transform_lanes) for single-output lane
-    /// transforms: scatter each transformed lane (of length `new_len`)
-    /// into a grid whose axis was resized to `new_len`, sequentially in
-    /// lane order.
-    fn map_lanes_with<F>(&self, axis: usize, new_len: usize, runtime: Runtime, f: F) -> DenseGrid
-    where
-        F: Fn(&[f64]) -> Vec<f64> + Sync,
-    {
-        let mut new_shape = self.shape.clone();
-        new_shape[axis] = new_len;
-        let mut out = DenseGrid::zeros(&new_shape);
-        let (new_starts, new_stride) = out.lanes(axis);
-        let transformed: Vec<Vec<f64>> = self.transform_lanes(axis, runtime, f);
-        for (lane_out, &new_start) in transformed.iter().zip(new_starts.iter()) {
-            if new_stride == 1 {
-                // Contiguous scatter for the innermost axis.
-                out.data[new_start..new_start + lane_out.len()].copy_from_slice(lane_out);
-            } else {
-                for (k, &v) in lane_out.iter().enumerate() {
-                    out.data[new_start + k * new_stride] = v;
-                }
-            }
-        }
-        out
+    /// A grid of zeros of this shape with `axis` halved (rounded up): the
+    /// output of one downsampling pass along `axis`.
+    fn halved(&self, axis: usize) -> DenseGrid {
+        let mut shape = self.shape.clone();
+        shape[axis] = shape[axis].div_ceil(2);
+        DenseGrid::zeros(&shape)
     }
 
     /// Apply a single-level full DWT along one axis, returning the
@@ -239,78 +229,22 @@ impl DenseGrid {
         mode: BoundaryMode,
         runtime: Runtime,
     ) -> (DenseGrid, DenseGrid) {
-        let new_len = self.shape[axis].div_ceil(2);
-        let mut new_shape = self.shape.clone();
-        new_shape[axis] = new_len;
-        let mut approx = DenseGrid::zeros(&new_shape);
-        let mut detail = DenseGrid::zeros(&new_shape);
-
+        let mut approx = self.halved(axis);
+        let mut detail = self.halved(axis);
         let (new_starts, new_stride) = approx.lanes(axis);
         let transformed: Vec<(Vec<f64>, Vec<f64>)> =
             self.transform_lanes(axis, runtime, |lane| dwt1d(lane, bank, mode));
         for ((a, d), &new_start) in transformed.iter().zip(new_starts.iter()) {
-            if new_stride == 1 {
-                // Contiguous scatter for the innermost axis.
-                approx.data[new_start..new_start + a.len()].copy_from_slice(a);
-                detail.data[new_start..new_start + d.len()].copy_from_slice(d);
-            } else {
-                for (k, &v) in a.iter().enumerate() {
-                    approx.data[new_start + k * new_stride] = v;
-                }
-                for (k, &v) in d.iter().enumerate() {
-                    detail.data[new_start + k * new_stride] = v;
-                }
-            }
+            approx.write_lane(new_start, new_stride, a);
+            detail.write_lane(new_start, new_stride, d);
         }
         (approx, detail)
     }
 
-    /// Apply the low-pass branch only along one axis (what WaveCluster /
-    /// AdaWave keep), using an arbitrary smoothing kernel.
-    pub fn lowpass_axis(&self, axis: usize, kernel: &[f64], mode: BoundaryMode) -> DenseGrid {
-        self.lowpass_axis_with(axis, kernel, mode, Runtime::sequential())
-    }
-
-    /// [`lowpass_axis`](Self::lowpass_axis) with the lanes fanned out over
-    /// `runtime`.
-    pub fn lowpass_axis_with(
-        &self,
-        axis: usize,
-        kernel: &[f64],
-        mode: BoundaryMode,
-        runtime: Runtime,
-    ) -> DenseGrid {
-        let new_len = self.shape[axis].div_ceil(2);
-        self.map_lanes_with(axis, new_len, runtime, |lane| {
-            dwt1d_lowpass(lane, kernel, mode)
-        })
-    }
-
-    /// Separable low-pass transform along every axis (one level): the
-    /// "average signal" subband `L…L` that grid clustering operates on.
-    pub fn lowpass_all_axes(&self, kernel: &[f64], mode: BoundaryMode) -> DenseGrid {
-        self.lowpass_all_axes_with(kernel, mode, Runtime::sequential())
-    }
-
-    /// [`lowpass_all_axes`](Self::lowpass_all_axes) with every axis pass
-    /// fanned out over `runtime`.
-    pub fn lowpass_all_axes_with(
-        &self,
-        kernel: &[f64],
-        mode: BoundaryMode,
-        runtime: Runtime,
-    ) -> DenseGrid {
-        let mut current = self.clone();
-        for axis in 0..self.ndim() {
-            current = current.lowpass_axis_with(axis, kernel, mode, runtime);
-        }
-        current
-    }
-
     /// Centered smoothing + downsample along one axis (see
-    /// [`crate::transform::smooth_downsample`]). Keeps cell `c` aligned with
-    /// cell `c >> 1` of the output, which grid-clustering lookup tables rely
-    /// on.
+    /// [`smooth_downsample`]): the low-pass branch WaveCluster keeps. Keeps
+    /// cell `c` aligned with cell `c >> 1` of the output, which
+    /// grid-clustering lookup tables rely on.
     pub fn smooth_axis(&self, axis: usize, kernel: &[f64], mode: BoundaryMode) -> DenseGrid {
         self.smooth_axis_with(axis, kernel, mode, Runtime::sequential())
     }
@@ -324,13 +258,18 @@ impl DenseGrid {
         mode: BoundaryMode,
         runtime: Runtime,
     ) -> DenseGrid {
-        let new_len = self.shape[axis].div_ceil(2);
-        self.map_lanes_with(axis, new_len, runtime, |lane| {
-            crate::transform::smooth_downsample(lane, kernel, mode)
-        })
+        let mut out = self.halved(axis);
+        let (new_starts, new_stride) = out.lanes(axis);
+        let smoothed =
+            self.transform_lanes(axis, runtime, |lane| smooth_downsample(lane, kernel, mode));
+        for (lane, &new_start) in smoothed.iter().zip(new_starts.iter()) {
+            out.write_lane(new_start, new_stride, lane);
+        }
+        out
     }
 
-    /// Centered smoothing + downsample along every axis (one level).
+    /// Centered smoothing + downsample along every axis (one level): the
+    /// "average signal" subband `L…L` that grid clustering operates on.
     pub fn smooth_all_axes(&self, kernel: &[f64], mode: BoundaryMode) -> DenseGrid {
         self.smooth_all_axes_with(kernel, mode, Runtime::sequential())
     }
@@ -408,7 +347,6 @@ mod tests {
         assert_eq!(g.get(&[1, 2]), 7.0);
         assert_eq!(g.get(&[0, 0]), 0.0);
         assert_eq!(g.total(), 7.0);
-        assert_eq!(g.count_above(0.0), 1);
     }
 
     #[test]
@@ -489,8 +427,8 @@ mod tests {
                             .collect();
                         let (ar, dr) = dwt1d(&lane, &bank, mode);
                         let kernel = wavelet.density_smoothing_kernel();
-                        let lr = crate::dwt1d_lowpass(&lane, &kernel, mode);
-                        let low = g.lowpass_axis(axis, &kernel, mode);
+                        let sr = smooth_downsample(&lane, &kernel, mode);
+                        let smooth = g.smooth_axis(axis, &kernel, mode);
                         for k in 0..lane_len.div_ceil(2) {
                             let mut idx = [0usize; 2];
                             idx[axis] = k;
@@ -506,9 +444,9 @@ mod tests {
                                 "{wavelet} {mode:?} axis {axis} detail"
                             );
                             assert_eq!(
-                                low.get(&idx).to_bits(),
-                                lr[k].to_bits(),
-                                "{wavelet} {mode:?} axis {axis} lowpass"
+                                smooth.get(&idx).to_bits(),
+                                sr[k].to_bits(),
+                                "{wavelet} {mode:?} axis {axis} smooth"
                             );
                         }
                     }
@@ -518,21 +456,13 @@ mod tests {
     }
 
     #[test]
-    fn lowpass_all_axes_halves_every_axis() {
-        let g = DenseGrid::zeros(&[8, 8, 8]);
-        let kernel = Wavelet::Cdf22.density_smoothing_kernel();
-        let out = g.lowpass_all_axes(&kernel, BoundaryMode::Zero);
-        assert_eq!(out.shape(), &[4, 4, 4]);
-    }
-
-    #[test]
     fn lowpass_preserves_flat_density_with_periodic_extension() {
         let mut g = DenseGrid::zeros(&[8, 8]);
         for v in g.as_mut_slice() {
             *v = 3.0;
         }
         let kernel = Wavelet::Cdf22.density_smoothing_kernel();
-        let out = g.lowpass_all_axes(&kernel, BoundaryMode::Periodic);
+        let out = g.smooth_all_axes(&kernel, BoundaryMode::Periodic);
         for &v in out.as_slice() {
             assert!((v - 3.0).abs() < 1e-12);
         }
@@ -612,22 +542,16 @@ mod tests {
                 assert_eq!(a_seq, a_par, "dwt approx axis {axis} threads {threads}");
                 assert_eq!(d_seq, d_par, "dwt detail axis {axis} threads {threads}");
                 assert_eq!(
-                    g.lowpass_axis(axis, &kernel, BoundaryMode::Zero),
-                    g.lowpass_axis_with(axis, &kernel, BoundaryMode::Zero, rt),
-                );
-                assert_eq!(
                     g.smooth_axis(axis, &kernel, BoundaryMode::Zero),
                     g.smooth_axis_with(axis, &kernel, BoundaryMode::Zero, rt),
                 );
             }
-            assert_eq!(
-                g.smooth_all_axes(&kernel, BoundaryMode::Zero),
-                g.smooth_all_axes_with(&kernel, BoundaryMode::Zero, rt),
-            );
-            assert_eq!(
-                g.lowpass_all_axes(&kernel, BoundaryMode::Periodic),
-                g.lowpass_all_axes_with(&kernel, BoundaryMode::Periodic, rt),
-            );
+            for mode in [BoundaryMode::Zero, BoundaryMode::Periodic] {
+                assert_eq!(
+                    g.smooth_all_axes(&kernel, mode),
+                    g.smooth_all_axes_with(&kernel, mode, rt),
+                );
+            }
         }
     }
 
@@ -646,7 +570,7 @@ mod tests {
             g.set(&[i, j], 10.0);
         }
         let kernel = Wavelet::Cdf22.density_smoothing_kernel();
-        let out = g.lowpass_all_axes(&kernel, BoundaryMode::Zero);
+        let out = g.smooth_all_axes(&kernel, BoundaryMode::Zero);
         // The centre of the block keeps a high value...
         assert!(out.get(&[6, 6]) > 5.0);
         // ...while the isolated noise cells end up well below it.

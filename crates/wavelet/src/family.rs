@@ -19,8 +19,8 @@ pub enum Wavelet {
     /// Cohen–Daubechies–Feauveau (2,2) biorthogonal wavelet, also known as
     /// the LeGall 5/3 wavelet. This is the basis the paper uses for AdaWave.
     Cdf22,
-    /// Cohen–Daubechies–Feauveau (1,3) biorthogonal wavelet; low-pass
-    /// analysis identical to Haar but with a wider synthesis support.
+    /// Cohen–Daubechies–Feauveau (1,3) biorthogonal wavelet: a 6-tap
+    /// analysis low-pass and the 2-tap Haar high-pass.
     Cdf13,
 }
 
@@ -61,16 +61,7 @@ impl Wavelet {
         }
     }
 
-    /// Whether the family is orthogonal (analysis and synthesis filters are
-    /// time-reversals of each other); biorthogonal families are not.
-    pub fn is_orthogonal(&self) -> bool {
-        matches!(
-            self,
-            Wavelet::Haar | Wavelet::Daubechies2 | Wavelet::Daubechies3
-        )
-    }
-
-    /// Analysis/synthesis filter bank for this family.
+    /// Analysis filter bank for this family.
     pub fn filter_bank(&self) -> FilterBank {
         match self {
             Wavelet::Haar => {
@@ -102,17 +93,13 @@ impl Wavelet {
                 FilterBank::orthogonal(dec_lo)
             }
             Wavelet::Cdf22 => {
-                // LeGall 5/3 analysis/synthesis filters, sqrt(2) normalized.
-                // Analysis low-pass  (5 taps): [-1/8, 1/4, 3/4, 1/4, -1/8] * sqrt(2)
-                // Analysis high-pass (3 taps): [-1/2, 1, -1/2] / sqrt(2)
-                // Synthesis low-pass (3 taps): [ 1/2, 1,  1/2] / sqrt(2)
-                // Synthesis high-pass(5 taps): [-1/8, -1/4, 3/4, -1/4, -1/8] * sqrt(2)
+                // LeGall 5/3 analysis filters, sqrt(2) normalized.
+                // Low-pass  (5 taps): [-1/8, 1/4, 3/4, 1/4, -1/8] * sqrt(2)
+                // High-pass (3 taps): [-1/2, 1, -1/2] / sqrt(2)
                 let s2 = std::f64::consts::SQRT_2;
                 let dec_lo = vec![-0.125 * s2, 0.25 * s2, 0.75 * s2, 0.25 * s2, -0.125 * s2];
                 let dec_hi = vec![-0.5 / s2, 1.0 / s2, -0.5 / s2];
-                let rec_lo = vec![0.5 / s2, 1.0 / s2, 0.5 / s2];
-                let rec_hi = vec![-0.125 * s2, -0.25 * s2, 0.75 * s2, -0.25 * s2, -0.125 * s2];
-                FilterBank::biorthogonal(dec_lo, dec_hi, rec_lo, rec_hi)
+                FilterBank::biorthogonal(dec_lo, dec_hi)
             }
             Wavelet::Cdf13 => {
                 // CDF(1,3): analysis low-pass has 6 taps, high-pass 2 taps.
@@ -126,16 +113,7 @@ impl Wavelet {
                     -1.0 / 16.0 * s2,
                 ];
                 let dec_hi = vec![-0.5 * s2, 0.5 * s2];
-                let rec_lo = vec![0.5 * s2, 0.5 * s2];
-                let rec_hi = vec![
-                    -1.0 / 16.0 * s2,
-                    -1.0 / 16.0 * s2,
-                    0.5 * s2,
-                    -0.5 * s2,
-                    1.0 / 16.0 * s2,
-                    1.0 / 16.0 * s2,
-                ];
-                FilterBank::biorthogonal(dec_lo, dec_hi, rec_lo, rec_hi)
+                FilterBank::biorthogonal(dec_lo, dec_hi)
             }
         }
     }
@@ -241,12 +219,16 @@ mod tests {
 
     #[test]
     fn db2_filter_is_orthogonal_to_even_shifts() {
-        // <h, h shifted by 2> = 0 for orthonormal Daubechies filters.
-        let h = Wavelet::Daubechies2.filter_bank().dec_lo().to_vec();
-        let mut inner = 0.0;
-        for i in 0..h.len() - 2 {
-            inner += h[i] * h[i + 2];
+        // <h, h shifted by 2s> = 0 for every s > 0 for the orthonormal
+        // families (with unit energy at s = 0, checked above): the filter
+        // half of perfect reconstruction, which pins the published
+        // coefficients.
+        for w in [Wavelet::Haar, Wavelet::Daubechies2, Wavelet::Daubechies3] {
+            let h = w.filter_bank().dec_lo().to_vec();
+            for shift in (2..h.len()).step_by(2) {
+                let inner: f64 = (0..h.len() - shift).map(|i| h[i] * h[i + shift]).sum();
+                assert!(inner.abs() < 1e-12, "{w} shift {shift}: {inner}");
+            }
         }
-        assert!(inner.abs() < 1e-12);
     }
 }

@@ -1,27 +1,19 @@
-//! Filter banks: the quadruple of analysis/synthesis low/high-pass filters
-//! that defines a discrete wavelet transform in the Mallat formulation.
+//! Filter banks: the pair of analysis low/high-pass filters that defines
+//! one step of a discrete wavelet transform in the Mallat formulation.
 
-/// A two-channel filter bank.
-///
-/// `dec_*` are the analysis (decomposition) filters applied before
-/// downsampling; `rec_*` are the synthesis (reconstruction) filters applied
-/// after upsampling. For orthogonal wavelets the synthesis filters are the
-/// time-reversed analysis filters.
+/// A two-channel analysis filter bank: the low-pass (`dec_lo`) and
+/// high-pass (`dec_hi`) filters applied before downsampling.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FilterBank {
     dec_lo: Vec<f64>,
     dec_hi: Vec<f64>,
-    rec_lo: Vec<f64>,
-    rec_hi: Vec<f64>,
-    orthogonal: bool,
 }
 
 impl FilterBank {
     /// Build an orthogonal filter bank from its low-pass analysis filter.
     ///
     /// The high-pass analysis filter is the quadrature mirror
-    /// `g[k] = (-1)^k h[L-1-k]`, and the synthesis filters equal the
-    /// analysis filters (the inverse transform handles the time reversal).
+    /// `g[k] = (-1)^k h[L-1-k]`.
     pub fn orthogonal(dec_lo: Vec<f64>) -> Self {
         let l = dec_lo.len();
         let dec_hi: Vec<f64> = (0..l)
@@ -30,30 +22,12 @@ impl FilterBank {
                 sign * dec_lo[l - 1 - k]
             })
             .collect();
-        Self {
-            rec_lo: dec_lo.clone(),
-            rec_hi: dec_hi.clone(),
-            dec_lo,
-            dec_hi,
-            orthogonal: true,
-        }
+        Self { dec_lo, dec_hi }
     }
 
-    /// Build a biorthogonal filter bank from explicit analysis and synthesis
-    /// filters.
-    pub fn biorthogonal(
-        dec_lo: Vec<f64>,
-        dec_hi: Vec<f64>,
-        rec_lo: Vec<f64>,
-        rec_hi: Vec<f64>,
-    ) -> Self {
-        Self {
-            dec_lo,
-            dec_hi,
-            rec_lo,
-            rec_hi,
-            orthogonal: false,
-        }
+    /// Build a biorthogonal filter bank from explicit analysis filters.
+    pub fn biorthogonal(dec_lo: Vec<f64>, dec_hi: Vec<f64>) -> Self {
+        Self { dec_lo, dec_hi }
     }
 
     /// Analysis low-pass filter.
@@ -64,30 +38,6 @@ impl FilterBank {
     /// Analysis high-pass filter.
     pub fn dec_hi(&self) -> &[f64] {
         &self.dec_hi
-    }
-
-    /// Synthesis low-pass filter.
-    pub fn rec_lo(&self) -> &[f64] {
-        &self.rec_lo
-    }
-
-    /// Synthesis high-pass filter.
-    pub fn rec_hi(&self) -> &[f64] {
-        &self.rec_hi
-    }
-
-    /// Whether this bank was constructed as orthogonal.
-    pub fn is_orthogonal(&self) -> bool {
-        self.orthogonal
-    }
-
-    /// Length of the longest filter in the bank.
-    pub fn max_len(&self) -> usize {
-        self.dec_lo
-            .len()
-            .max(self.dec_hi.len())
-            .max(self.rec_lo.len())
-            .max(self.rec_hi.len())
     }
 }
 
@@ -101,21 +51,13 @@ mod tests {
         let bank = FilterBank::orthogonal(h.clone());
         // g[k] = (-1)^k h[L-1-k]
         assert_eq!(bank.dec_hi(), &[0.4, -0.3, 0.2, -0.1]);
-        assert_eq!(bank.rec_lo(), h.as_slice());
-        assert!(bank.is_orthogonal());
+        assert_eq!(bank.dec_lo(), h.as_slice());
     }
 
     #[test]
     fn biorthogonal_keeps_given_filters() {
-        let bank = FilterBank::biorthogonal(
-            vec![1.0, 2.0, 1.0],
-            vec![1.0, -1.0],
-            vec![0.5, 0.5],
-            vec![1.0, -2.0, 1.0],
-        );
+        let bank = FilterBank::biorthogonal(vec![1.0, 2.0, 1.0], vec![1.0, -1.0]);
         assert_eq!(bank.dec_lo(), &[1.0, 2.0, 1.0]);
-        assert_eq!(bank.rec_hi(), &[1.0, -2.0, 1.0]);
-        assert!(!bank.is_orthogonal());
-        assert_eq!(bank.max_len(), 3);
+        assert_eq!(bank.dec_hi(), &[1.0, -1.0]);
     }
 }

@@ -1,6 +1,6 @@
 //! # adawave-wavelet
 //!
-//! Discrete wavelet transform (DWT) substrate for the AdaWave reproduction.
+//! Discrete wavelet analysis for the AdaWave reproduction.
 //!
 //! The paper (§III) relies on the Mallat pyramid algorithm: a signal is
 //! repeatedly split into a *scale space* (low-pass, "outline of the signal")
@@ -13,71 +13,52 @@
 //! This crate provides:
 //!
 //! * [`Wavelet`] — the filter families used in the paper's discussion
-//!   (Haar, Daubechies, CDF biorthogonal) with their analysis/synthesis
-//!   filter banks.
-//! * [`dwt1d`] / [`idwt1d`] — single-level 1-D analysis and synthesis with
-//!   selectable [`BoundaryMode`].
-//! * [`wavedec`] / [`waverec`] — multi-level Mallat decomposition.
-//! * [`lifting`] — an exact perfect-reconstruction implementation of the
-//!   CDF(2,2) (LeGall 5/3) wavelet via the lifting scheme.
+//!   (Haar, Daubechies, CDF biorthogonal) with their analysis filter banks
+//!   and unit-sum density smoothing kernels.
+//! * [`dwt1d`] — single-level 1-D analysis with selectable
+//!   [`BoundaryMode`], and [`smooth_downsample`], the centred low-pass
+//!   step grid clustering runs.
 //! * [`DenseGrid`] and separable d-dimensional transforms, used by the
-//!   WaveCluster baseline and by the Fig. 5 experiment.
-//! * Coefficient [`denoise`] helpers (hard/soft thresholding).
+//!   WaveCluster baseline and by the Fig. 5 experiment ([`dwt2d`]).
 //!
 //! No external wavelet crate is used: everything is implemented from the
-//! published filter coefficients and tested for orthogonality, perfect
-//! reconstruction and energy conservation.
+//! published filter coefficients and tested for orthogonality, vanishing
+//! moments and energy conservation.
 //!
 //! ```
-//! use adawave_wavelet::{dwt1d, idwt1d, BoundaryMode, Wavelet};
+//! use adawave_wavelet::{dwt1d, smooth_downsample, BoundaryMode, Wavelet};
 //!
-//! let signal = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+//! let signal = [1.0, 3.0, 2.0, 8.0];
 //! let bank = Wavelet::Haar.filter_bank();
 //! let (approx, detail) = dwt1d(&signal, &bank, BoundaryMode::Periodic);
-//! let rebuilt = idwt1d(&approx, &detail, &bank, signal.len());
-//! for (a, b) in signal.iter().zip(rebuilt.iter()) {
-//!     assert!((a - b).abs() < 1e-10);
-//! }
+//! let s = std::f64::consts::FRAC_1_SQRT_2;
+//! assert!((approx[1] - 10.0 * s).abs() < 1e-12);
+//! assert!((detail[1] + 6.0 * s).abs() < 1e-12);
+//!
+//! // The unit-sum Haar kernel averages each pair of samples.
+//! let kernel = Wavelet::Haar.density_smoothing_kernel();
+//! let smoothed = smooth_downsample(&signal, &kernel, BoundaryMode::Zero);
+//! assert_eq!(smoothed, vec![2.0, 5.0]);
 //! ```
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod boundary;
-pub mod denoise;
 pub mod dense;
 pub mod family;
 pub mod filter;
-pub mod lifting;
 pub mod transform;
 
 pub use boundary::BoundaryMode;
-pub use denoise::{hard_threshold, soft_threshold, universal_threshold};
 pub use dense::{dwt2d, DenseGrid, Subbands2d};
 pub use family::Wavelet;
 pub use filter::FilterBank;
-pub use transform::{
-    dwt1d, dwt1d_lowpass, idwt1d, smooth_downsample, wavedec, waverec, MultiLevelDecomposition,
-};
+pub use transform::{dwt1d, smooth_downsample};
 
 /// Errors produced by wavelet routines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WaveletError {
-    /// The signal is too short for the requested operation.
-    SignalTooShort {
-        /// Length of the provided signal.
-        len: usize,
-        /// Minimum length required.
-        required: usize,
-    },
-    /// The requested number of decomposition levels exceeds what the signal
-    /// length allows.
-    TooManyLevels {
-        /// Levels requested.
-        requested: usize,
-        /// Maximum possible for the signal length.
-        max: usize,
-    },
     /// Dense-grid shape mismatch.
     ShapeMismatch {
         /// Human readable description.
@@ -88,12 +69,6 @@ pub enum WaveletError {
 impl std::fmt::Display for WaveletError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WaveletError::SignalTooShort { len, required } => {
-                write!(f, "signal of length {len} is too short (need {required})")
-            }
-            WaveletError::TooManyLevels { requested, max } => {
-                write!(f, "{requested} levels requested, at most {max} possible")
-            }
             WaveletError::ShapeMismatch { context } => write!(f, "shape mismatch: {context}"),
         }
     }

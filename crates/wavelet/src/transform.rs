@@ -1,7 +1,7 @@
-//! Single-level and multi-level 1-D discrete wavelet transforms
-//! (the Mallat pyramid algorithm, Fig. 3 of the paper).
+//! Single-level 1-D discrete wavelet analysis (one step of the Mallat
+//! pyramid, Fig. 3 of the paper).
 
-use crate::{BoundaryMode, FilterBank, Result, WaveletError};
+use crate::{BoundaryMode, FilterBank};
 
 /// Single-level analysis: split `signal` into (approximation, detail)
 /// coefficient vectors, each of length `ceil(n / 2)`.
@@ -14,225 +14,47 @@ use crate::{BoundaryMode, FilterBank, Result, WaveletError};
 /// Panics if `signal` is empty.
 pub fn dwt1d(signal: &[f64], bank: &FilterBank, mode: BoundaryMode) -> (Vec<f64>, Vec<f64>) {
     assert!(!signal.is_empty(), "dwt1d: empty signal");
-    let half = signal.len().div_ceil(2);
-    let mut approx = vec![0.0; half];
-    let mut detail = vec![0.0; half];
-    for i in 0..half {
-        let base = 2 * i as isize;
-        let mut a = 0.0;
-        for (t, &h) in bank.dec_lo().iter().enumerate() {
-            a += h * mode.sample(signal, base + t as isize);
-        }
-        approx[i] = a;
-        let mut d = 0.0;
-        for (t, &g) in bank.dec_hi().iter().enumerate() {
-            d += g * mode.sample(signal, base + t as isize);
-        }
-        detail[i] = d;
-    }
-    (approx, detail)
-}
-
-/// Low-pass-only analysis: compute just the approximation coefficients.
-///
-/// AdaWave discards the detail coefficients entirely (§IV-B), so the grid
-/// smoothing path only needs this half of the filter bank. The `kernel` is
-/// an arbitrary low-pass filter (normally
-/// [`Wavelet::density_smoothing_kernel`](crate::Wavelet::density_smoothing_kernel)).
-pub fn dwt1d_lowpass(signal: &[f64], kernel: &[f64], mode: BoundaryMode) -> Vec<f64> {
-    assert!(!signal.is_empty(), "dwt1d_lowpass: empty signal");
-    let half = signal.len().div_ceil(2);
-    let mut approx = vec![0.0; half];
-    for (i, out) in approx.iter_mut().enumerate() {
-        let base = 2 * i as isize;
-        let mut a = 0.0;
-        for (t, &h) in kernel.iter().enumerate() {
-            a += h * mode.sample(signal, base + t as isize);
-        }
-        *out = a;
-    }
-    approx
-}
-
-/// Single-level synthesis for **orthogonal** filter banks with periodic
-/// extension: rebuild a signal of length `output_len` from its
-/// approximation and detail coefficients.
-///
-/// For orthogonal banks the synthesis operator is the adjoint of the
-/// analysis operator, i.e. `x[2i + t] += rec_lo[t]·a[i] + rec_hi[t]·d[i]`
-/// with periodic wrapping. Perfect reconstruction holds when `output_len`
-/// is even; odd lengths are reconstructed approximately (the trailing
-/// sample is shared).
-///
-/// # Panics
-/// Panics if `approx` and `detail` have different lengths.
-pub fn idwt1d(approx: &[f64], detail: &[f64], bank: &FilterBank, output_len: usize) -> Vec<f64> {
-    assert_eq!(
-        approx.len(),
-        detail.len(),
-        "idwt1d: approx/detail length mismatch"
-    );
-    let n = output_len as isize;
-    let mut out = vec![0.0; output_len];
-    if output_len == 0 {
-        return out;
-    }
-    for i in 0..approx.len() {
-        let base = 2 * i as isize;
-        for (t, &h) in bank.rec_lo().iter().enumerate() {
-            let k = (base + t as isize).rem_euclid(n) as usize;
-            out[k] += h * approx[i];
-        }
-        for (t, &g) in bank.rec_hi().iter().enumerate() {
-            let k = (base + t as isize).rem_euclid(n) as usize;
-            out[k] += g * detail[i];
-        }
-    }
-    out
+    (
+        filter_downsample(signal, bank.dec_lo(), 0, mode),
+        filter_downsample(signal, bank.dec_hi(), 0, mode),
+    )
 }
 
 /// Centered low-pass smoothing + downsample by two.
 ///
-/// Unlike [`dwt1d_lowpass`] (which uses the causal filter phase of the
+/// Unlike the analysis filters of [`dwt1d`] (the causal filter phase of the
 /// Mallat recursion), the kernel here is centred on the retained sample:
 /// `out[i] = Σ_t kernel[t] · x[2i + t - (len-1)/2]`. This keeps cell `c` of
 /// a quantized grid aligned with cell `c >> 1` of the smoothed grid, which
 /// is what the grid-clustering lookup tables assume.
+///
+/// # Panics
+/// Panics if `signal` is empty.
 pub fn smooth_downsample(signal: &[f64], kernel: &[f64], mode: BoundaryMode) -> Vec<f64> {
     assert!(!signal.is_empty(), "smooth_downsample: empty signal");
     let offset = (kernel.len() as isize - 1) / 2;
-    let half = signal.len().div_ceil(2);
-    let mut approx = vec![0.0; half];
-    for (i, out) in approx.iter_mut().enumerate() {
-        let base = 2 * i as isize - offset;
-        let mut a = 0.0;
-        for (t, &h) in kernel.iter().enumerate() {
-            a += h * mode.sample(signal, base + t as isize);
-        }
-        *out = a;
-    }
-    approx
+    filter_downsample(signal, kernel, offset, mode)
 }
 
-/// A multi-level Mallat decomposition: the final approximation plus the
-/// detail bands for every level (level 0 = finest).
-#[derive(Debug, Clone)]
-pub struct MultiLevelDecomposition {
-    /// Approximation (scale-space) coefficients at the coarsest level.
-    pub approx: Vec<f64>,
-    /// Detail (wavelet-space) coefficients, `details[0]` being the finest
-    /// level (first decomposition step).
-    pub details: Vec<Vec<f64>>,
-    /// Original signal length, needed for reconstruction.
-    pub original_len: usize,
-}
-
-impl MultiLevelDecomposition {
-    /// Number of decomposition levels.
-    pub fn levels(&self) -> usize {
-        self.details.len()
-    }
-
-    /// Total energy (sum of squares) across all coefficient bands.
-    pub fn total_energy(&self) -> f64 {
-        let approx_e: f64 = self.approx.iter().map(|c| c * c).sum();
-        let detail_e: f64 = self
-            .details
-            .iter()
-            .flat_map(|d| d.iter())
-            .map(|c| c * c)
-            .sum();
-        approx_e + detail_e
-    }
-}
-
-/// Maximum number of useful decomposition levels for a signal of length `n`
-/// with a filter of length `filter_len`.
-pub fn max_levels(n: usize, filter_len: usize) -> usize {
-    if n < filter_len || filter_len < 2 {
-        return 0;
-    }
-    let mut levels = 0;
-    let mut len = n;
-    while len >= filter_len {
-        len = len.div_ceil(2);
-        levels += 1;
-    }
-    levels
-}
-
-/// Multi-level analysis ("wavedec"): repeatedly split the approximation
-/// band, `levels` times.
-///
-/// Returns [`WaveletError::TooManyLevels`] if the signal is too short for
-/// the requested depth, and [`WaveletError::SignalTooShort`] for an empty
-/// signal.
-pub fn wavedec(
-    signal: &[f64],
-    bank: &FilterBank,
-    mode: BoundaryMode,
-    levels: usize,
-) -> Result<MultiLevelDecomposition> {
-    if signal.is_empty() {
-        return Err(WaveletError::SignalTooShort {
-            len: 0,
-            required: 1,
-        });
-    }
-    let max = max_levels(signal.len(), bank.dec_lo().len());
-    if levels > max {
-        return Err(WaveletError::TooManyLevels {
-            requested: levels,
-            max,
-        });
-    }
-    let mut approx = signal.to_vec();
-    let mut details = Vec::with_capacity(levels);
-    for _ in 0..levels {
-        let (a, d) = dwt1d(&approx, bank, mode);
-        details.push(d);
-        approx = a;
-    }
-    Ok(MultiLevelDecomposition {
-        approx,
-        details,
-        original_len: signal.len(),
-    })
-}
-
-/// Multi-level synthesis ("waverec") for orthogonal banks with periodic
-/// extension; inverse of [`wavedec`].
-pub fn waverec(decomposition: &MultiLevelDecomposition, bank: &FilterBank) -> Vec<f64> {
-    let mut lengths = Vec::with_capacity(decomposition.levels() + 1);
-    // Recompute the band lengths produced by wavedec.
-    let mut len = decomposition.original_len;
-    for _ in 0..decomposition.levels() {
-        lengths.push(len);
-        len = len.div_ceil(2);
-    }
-    let mut approx = decomposition.approx.clone();
-    for (level, detail) in decomposition.details.iter().enumerate().rev() {
-        let target_len = lengths[level];
-        approx = idwt1d(&approx, detail, bank, target_len);
-    }
-    approx
+/// `out[i] = Σ_t taps[t] · x[2i + t - offset]` for `i < ceil(n / 2)`,
+/// summed in ascending tap order from `0.0`.
+fn filter_downsample(signal: &[f64], taps: &[f64], offset: isize, mode: BoundaryMode) -> Vec<f64> {
+    (0..signal.len().div_ceil(2))
+        .map(|i| {
+            let base = 2 * i as isize - offset;
+            let mut sum = 0.0;
+            for (t, &h) in taps.iter().enumerate() {
+                sum += h * mode.sample(signal, base + t as isize);
+            }
+            sum
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Wavelet;
-
-    fn reconstruct_error(signal: &[f64], wavelet: Wavelet) -> f64 {
-        let bank = wavelet.filter_bank();
-        let (a, d) = dwt1d(signal, &bank, BoundaryMode::Periodic);
-        let rebuilt = idwt1d(&a, &d, &bank, signal.len());
-        signal
-            .iter()
-            .zip(rebuilt.iter())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
 
     #[test]
     fn haar_of_constant_signal_has_zero_detail() {
@@ -257,15 +79,6 @@ mod tests {
         assert!((a[1] - (2.0 + 8.0) * s).abs() < 1e-12);
         assert!((d[0] - (1.0 - 3.0) * s).abs() < 1e-12);
         assert!((d[1] - (2.0 - 8.0) * s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn perfect_reconstruction_orthogonal_families() {
-        let signal: Vec<f64> = (0..32).map(|i| ((i * 37) % 11) as f64 - 3.0).collect();
-        for w in [Wavelet::Haar, Wavelet::Daubechies2, Wavelet::Daubechies3] {
-            let err = reconstruct_error(&signal, w);
-            assert!(err < 1e-10, "{w}: reconstruction error {err}");
-        }
     }
 
     #[test]
@@ -295,36 +108,19 @@ mod tests {
     }
 
     #[test]
-    fn lowpass_only_matches_full_transform() {
-        let signal: Vec<f64> = (0..16).map(|i| (i % 5) as f64).collect();
-        let bank = Wavelet::Daubechies2.filter_bank();
-        let (a, _) = dwt1d(&signal, &bank, BoundaryMode::Zero);
-        let a_only = dwt1d_lowpass(&signal, bank.dec_lo(), BoundaryMode::Zero);
-        for (x, y) in a.iter().zip(a_only.iter()) {
-            assert!((x - y).abs() < 1e-14);
-        }
-    }
-
-    #[test]
     fn cdf22_lowpass_smooths_impulse_noise() {
-        // A unit impulse (isolated noisy grid) spreads and shrinks, while a
-        // flat dense block keeps its level: the de-noising behaviour the
-        // paper relies on.
+        // A unit impulse (isolated noisy grid) spreads and shrinks: the
+        // de-noising behaviour the paper relies on. A flat dense block
+        // keeps its level (`smooth_downsample_preserves_flat_signal`).
         let mut impulse = vec![0.0; 16];
         impulse[7] = 1.0;
         let kernel = Wavelet::Cdf22.density_smoothing_kernel();
-        let smoothed = dwt1d_lowpass(&impulse, &kernel, BoundaryMode::Zero);
+        let smoothed = smooth_downsample(&impulse, &kernel, BoundaryMode::Zero);
         let max_after = smoothed.iter().cloned().fold(f64::MIN, f64::max);
         assert!(
             max_after < 1.0,
             "impulse should be attenuated, got {max_after}"
         );
-
-        let block = vec![1.0; 16];
-        let smoothed_block = dwt1d_lowpass(&block, &kernel, BoundaryMode::Periodic);
-        for &v in &smoothed_block {
-            assert!((v - 1.0).abs() < 1e-12, "flat block should stay flat");
-        }
     }
 
     #[test]
@@ -346,12 +142,13 @@ mod tests {
 
     #[test]
     fn smooth_downsample_preserves_flat_signal() {
-        let signal = vec![2.0; 20];
         let kernel = Wavelet::Cdf22.density_smoothing_kernel();
-        let out = smooth_downsample(&signal, &kernel, BoundaryMode::Periodic);
-        assert_eq!(out.len(), 10);
-        for &v in &out {
-            assert!((v - 2.0).abs() < 1e-12);
+        for (level, len) in [(2.0, 20), (1.0, 16)] {
+            let out = smooth_downsample(&vec![level; len], &kernel, BoundaryMode::Periodic);
+            assert_eq!(out.len(), len / 2);
+            for &v in &out {
+                assert!((v - level).abs() < 1e-12, "flat block should stay flat");
+            }
         }
     }
 
@@ -361,71 +158,5 @@ mod tests {
         let kernel = Wavelet::Haar.density_smoothing_kernel(); // [0.5, 0.5]
         let out = smooth_downsample(&signal, &kernel, BoundaryMode::Zero);
         assert_eq!(out, vec![2.0, 6.0]);
-    }
-
-    #[test]
-    fn wavedec_levels_and_lengths() {
-        let signal: Vec<f64> = (0..32).map(|i| i as f64).collect();
-        let bank = Wavelet::Haar.filter_bank();
-        let dec = wavedec(&signal, &bank, BoundaryMode::Periodic, 3).unwrap();
-        assert_eq!(dec.levels(), 3);
-        assert_eq!(dec.details[0].len(), 16);
-        assert_eq!(dec.details[1].len(), 8);
-        assert_eq!(dec.details[2].len(), 4);
-        assert_eq!(dec.approx.len(), 4);
-    }
-
-    #[test]
-    fn wavedec_waverec_roundtrip() {
-        let signal: Vec<f64> = (0..64)
-            .map(|i| (i as f64 * 0.21).cos() * 3.0 + (i % 7) as f64)
-            .collect();
-        let bank = Wavelet::Daubechies2.filter_bank();
-        for levels in 1..=3 {
-            let dec = wavedec(&signal, &bank, BoundaryMode::Periodic, levels).unwrap();
-            let rec = waverec(&dec, &bank);
-            assert_eq!(rec.len(), signal.len());
-            for (x, y) in signal.iter().zip(rec.iter()) {
-                assert!((x - y).abs() < 1e-9, "levels={levels}");
-            }
-        }
-    }
-
-    #[test]
-    fn wavedec_rejects_too_many_levels() {
-        let signal = vec![1.0, 2.0, 3.0, 4.0];
-        let bank = Wavelet::Haar.filter_bank();
-        assert!(matches!(
-            wavedec(&signal, &bank, BoundaryMode::Periodic, 10),
-            Err(WaveletError::TooManyLevels { .. })
-        ));
-    }
-
-    #[test]
-    fn wavedec_rejects_empty_signal() {
-        let bank = Wavelet::Haar.filter_bank();
-        assert!(matches!(
-            wavedec(&[], &bank, BoundaryMode::Periodic, 1),
-            Err(WaveletError::SignalTooShort { .. })
-        ));
-    }
-
-    #[test]
-    fn max_levels_examples() {
-        assert_eq!(max_levels(0, 2), 0);
-        assert_eq!(max_levels(1, 2), 0);
-        assert_eq!(max_levels(2, 2), 1);
-        assert_eq!(max_levels(8, 2), 3);
-        assert_eq!(max_levels(8, 4), 2);
-        assert_eq!(max_levels(3, 4), 0);
-    }
-
-    #[test]
-    fn total_energy_matches_signal_energy_for_orthogonal() {
-        let signal: Vec<f64> = (0..128).map(|i| ((i * 13) % 17) as f64 - 8.0).collect();
-        let bank = Wavelet::Haar.filter_bank();
-        let dec = wavedec(&signal, &bank, BoundaryMode::Periodic, 4).unwrap();
-        let sig_e: f64 = signal.iter().map(|x| x * x).sum();
-        assert!((dec.total_energy() - sig_e).abs() < 1e-8 * sig_e);
     }
 }

@@ -1,17 +1,13 @@
 //! Property-based tests for the wavelet substrate.
 
-use adawave_wavelet::lifting::{cdf22_forward, cdf22_inverse, cdf22_wavedec, cdf22_waverec};
-use adawave_wavelet::{
-    dwt1d, hard_threshold, idwt1d, soft_threshold, wavedec, waverec, BoundaryMode, DenseGrid,
-    Wavelet,
-};
+use adawave_wavelet::{dwt1d, BoundaryMode, DenseGrid, Wavelet};
 use proptest::prelude::*;
 
 fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-50.0f64..50.0, 2..max_len)
 }
 
-/// Even-length signals, where periodic orthogonal DWT is exactly invertible.
+/// Even-length signals, where the periodic orthogonal DWT conserves energy.
 fn even_signal_strategy(max_half: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..max_half)
         .prop_map(|pairs| pairs.into_iter().flat_map(|(a, b)| [a, b]).collect())
@@ -19,96 +15,12 @@ fn even_signal_strategy(max_half: usize) -> impl Strategy<Value = Vec<f64>> {
 
 proptest! {
     #[test]
-    fn orthogonal_roundtrip_even_signals(signal in even_signal_strategy(64)) {
-        for w in [Wavelet::Haar, Wavelet::Daubechies2, Wavelet::Daubechies3] {
-            let bank = w.filter_bank();
-            let (a, d) = dwt1d(&signal, &bank, BoundaryMode::Periodic);
-            let rec = idwt1d(&a, &d, &bank, signal.len());
-            for (x, y) in signal.iter().zip(rec.iter()) {
-                prop_assert!((x - y).abs() < 1e-8, "{w}: {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
     fn orthogonal_energy_conservation(signal in even_signal_strategy(64)) {
         let bank = Wavelet::Haar.filter_bank();
         let (a, d) = dwt1d(&signal, &bank, BoundaryMode::Periodic);
         let sig_e: f64 = signal.iter().map(|x| x * x).sum();
         let coef_e: f64 = a.iter().chain(d.iter()).map(|x| x * x).sum();
         prop_assert!((sig_e - coef_e).abs() <= 1e-8 * (1.0 + sig_e));
-    }
-
-    #[test]
-    fn lifting_roundtrip_any_length(signal in signal_strategy(200)) {
-        let dec = cdf22_forward(&signal);
-        let rec = cdf22_inverse(&dec);
-        prop_assert_eq!(rec.len(), signal.len());
-        for (x, y) in signal.iter().zip(rec.iter()) {
-            prop_assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn lifting_multilevel_roundtrip(signal in signal_strategy(128), levels in 1usize..5) {
-        let (_, steps) = cdf22_wavedec(&signal, levels);
-        let rec = cdf22_waverec(&steps);
-        if !steps.is_empty() {
-            prop_assert_eq!(rec.len(), signal.len());
-            for (x, y) in signal.iter().zip(rec.iter()) {
-                prop_assert!((x - y).abs() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
-    fn lifting_band_lengths(signal in signal_strategy(200)) {
-        let dec = cdf22_forward(&signal);
-        prop_assert_eq!(dec.approx.len(), signal.len().div_ceil(2));
-        prop_assert_eq!(dec.detail.len(), signal.len() / 2);
-    }
-
-    #[test]
-    fn wavedec_waverec_roundtrip(signal in even_signal_strategy(48), levels in 1usize..4) {
-        let bank = Wavelet::Haar.filter_bank();
-        let max = adawave_wavelet::transform::max_levels(signal.len(), 2);
-        let levels = levels.min(max);
-        prop_assume!(levels >= 1);
-        // Restrict to power-of-two-compatible lengths by only checking when
-        // every intermediate length stays even (otherwise the periodic
-        // adjoint is not exactly orthogonal).
-        let mut len = signal.len();
-        let mut all_even = true;
-        for _ in 0..levels {
-            if !len.is_multiple_of(2) { all_even = false; break; }
-            len /= 2;
-        }
-        prop_assume!(all_even);
-        let dec = wavedec(&signal, &bank, BoundaryMode::Periodic, levels).unwrap();
-        let rec = waverec(&dec, &bank);
-        for (x, y) in signal.iter().zip(rec.iter()) {
-            prop_assert!((x - y).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn hard_threshold_never_increases_magnitude(mut coeffs in signal_strategy(100), t in 0.0f64..10.0) {
-        let before = coeffs.clone();
-        hard_threshold(&mut coeffs, t);
-        for (a, b) in coeffs.iter().zip(before.iter()) {
-            prop_assert!(a.abs() <= b.abs() + 1e-15);
-        }
-    }
-
-    #[test]
-    fn soft_threshold_shrinks_towards_zero(mut coeffs in signal_strategy(100), t in 0.0f64..10.0) {
-        let before = coeffs.clone();
-        soft_threshold(&mut coeffs, t);
-        for (a, b) in coeffs.iter().zip(before.iter()) {
-            prop_assert!(a.abs() <= b.abs() + 1e-15);
-            // sign never flips
-            prop_assert!(*a == 0.0 || a.signum() == b.signum());
-        }
     }
 
     #[test]
@@ -127,7 +39,7 @@ proptest! {
         // mass at the boundary, never create it.
         let grid = DenseGrid::from_vec(&[8, 8], values).unwrap();
         let kernel = Wavelet::Cdf22.density_smoothing_kernel();
-        let out = grid.lowpass_all_axes(&kernel, BoundaryMode::Zero);
+        let out = grid.smooth_all_axes(&kernel, BoundaryMode::Zero);
         // Negative lobes of CDF(2,2) can slightly overshoot; allow 25% slack.
         prop_assert!(out.total() <= grid.total() * 1.25 + 1e-9);
     }

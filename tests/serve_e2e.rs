@@ -368,7 +368,7 @@ fn reloading_a_corrupt_adawave_model_keeps_version_1_serving() {
         std::fs::write(&path, &forged).unwrap();
         let err = store.reload("wave").unwrap_err();
         assert!(
-            err.contains("truncated model payload") || err.contains("outside the transformed"),
+            err.contains("truncated payload") || err.contains("outside the transformed"),
             "{err}"
         );
         let entry = store.get("wave").unwrap();
