@@ -1,7 +1,8 @@
 //! Raw-speed kernel microbenchmarks: what the shared autovectorized
 //! distance/argmin kernels, the f32 quantization lane, the cell-grid /
-//! kd-index neighbor acceleration and the contiguous wavelet-lane fast
-//! path buy over the scalar paths they replaced.
+//! kd-index neighbor acceleration, the contiguous wavelet-lane fast path
+//! and the sparse transform's dense lanes buy over the paths they
+//! replaced, plus the occupancy sweep behind the dense lanes' rule.
 //!
 //! Every timed claim is gated by an in-process parity assertion against an
 //! embedded copy of the pre-optimization reference implementation: the
@@ -15,11 +16,14 @@
 //! `--smoke` for a seconds-long variant that still runs every parity
 //! assertion — the mode CI drives under multiple thread counts.
 
-use adawave_api::{Model as _, PointsView, Precision};
+use std::collections::HashSet;
+
+use adawave_api::{Model as _, PointMatrix, PointsView, Precision};
 use adawave_baselines::{dbscan, KdTree, NearestTrainingModel};
 use adawave_bench::harness::{best_of, Bench, Row};
-use adawave_core::{AdaWave, AdaWaveConfig};
-use adawave_grid::{BoundingBox, Quantizer};
+use adawave_core::{sparse_wavelet_smooth_on, AdaWave, AdaWaveConfig, TransformPath};
+use adawave_data::Rng;
+use adawave_grid::{BoundingBox, KeyCodec, Quantizer, SparseGrid};
 use adawave_linalg::{nearest_row, squared_distance};
 use adawave_runtime::Runtime;
 use adawave_wavelet::{smooth_downsample, BoundaryMode, DenseGrid, Wavelet};
@@ -69,13 +73,89 @@ fn kernel_row(
         .text("parity", parity)
 }
 
+/// Five 4-d Gaussian blobs of `per_cluster` points (σ 0.03) plus three
+/// uniform noise points per blob point, quantized at `scale`: the shape of
+/// the end-to-end benchmark's sparse4d workload (scale 32, 10,000 points
+/// per blob), whose noise leaves most points in a cell of their own.
+fn sparse4d_grid(per_cluster: usize, scale: u32) -> (SparseGrid, KeyCodec) {
+    const CENTRES: [[f64; 4]; 5] = [
+        [0.25, 0.25, 0.25, 0.25],
+        [0.75, 0.25, 0.75, 0.25],
+        [0.25, 0.75, 0.75, 0.75],
+        [0.75, 0.75, 0.25, 0.50],
+        [0.50, 0.50, 0.50, 0.80],
+    ];
+    let mut rng = Rng::new(3);
+    let mut points = PointMatrix::new(4);
+    for centre in &CENTRES {
+        for _ in 0..per_cluster {
+            let row: Vec<f64> = centre.iter().map(|c| c + 0.03 * rng.normal()).collect();
+            points.push_row(&row);
+        }
+    }
+    for _ in 0..15 * per_cluster {
+        let row: Vec<f64> = (0..4).map(|_| rng.uniform()).collect();
+        points.push_row(&row);
+    }
+    let quantizer = Quantizer::fit(points.view(), scale).expect("4-d fits 128 bits");
+    let (grid, _) = quantizer.quantize(points.view());
+    (grid, quantizer.codec().clone())
+}
+
+/// Roughly one cell in `slots_per_cell` of `codec`'s key space, each
+/// holding a small count.
+fn grid_at_occupancy(codec: &KeyCodec, slots_per_cell: u32, rng: &mut Rng) -> SparseGrid {
+    let mut cells = Vec::new();
+    for key in 0..1u128 << codec.key_bits() {
+        if rng.below(slots_per_cell as usize) == 0 {
+            cells.push((key, 1.0 + rng.below(3) as f64));
+        }
+    }
+    SparseGrid::from_cells(cells)
+}
+
+/// `codec` with dimension `dim` halved, as a transform pass writes it.
+fn halved(codec: &KeyCodec, dim: usize) -> KeyCodec {
+    let mut intervals = codec.all_intervals().to_vec();
+    intervals[dim] = intervals[dim].div_ceil(2);
+    KeyCodec::new(&intervals).expect("halving never widens a key")
+}
+
+/// The cells of every pass of one level on the sorted path, input first,
+/// under the zero boundary: an output cell exists when a cell of its line
+/// reaches it through a nonzero tap, which is how the scatter fills its
+/// vector (no budget binds here).
+fn pass_cells(grid: &SparseGrid, codec: &KeyCodec, kernel: &[f64]) -> Vec<usize> {
+    let offset = (kernel.len() - 1) / 2;
+    let mut keys: Vec<u128> = grid.iter().map(|(key, _)| key).collect();
+    let mut codec = codec.clone();
+    let mut counts = vec![keys.len()];
+    for dim in 0..codec.dims() {
+        let out = halved(&codec, dim);
+        let mut reached = HashSet::new();
+        for &key in &keys {
+            let c = codec.coordinate(key, dim) as usize;
+            for (t, _) in kernel.iter().enumerate().filter(|(_, &h)| h != 0.0) {
+                let n = (c + offset).checked_sub(t);
+                if let Some(n) = n.filter(|n| n % 2 == 0 && n / 2 < out.intervals(dim) as usize) {
+                    reached.insert(codec.remap(key, &out, 0, Some((dim, (n / 2) as u32))));
+                }
+            }
+        }
+        keys = reached.into_iter().collect();
+        counts.push(keys.len());
+        codec = out;
+    }
+    counts
+}
+
 fn main() {
     let bench = Bench::from_args("kernels", 5_000);
     let repeats = bench.pick(REPEATS, 2);
     let points = bench.points();
     let n = points.len();
     let mut report = bench.report(
-        "each optimized kernel is timed against an embedded copy of the scalar path it replaced, and a parity assertion gates every timed claim: f64 kernels are bit-identical to their references, accelerated neighbor paths are label-identical, and the opt-in f32 lane is deterministic across thread counts with near-total cell agreement",
+        "each optimized kernel is timed against an embedded copy of the scalar path it replaced (the sparse transform's dense lanes against its sorted-cell path, with the occupancy sweep that bounds them), and a parity assertion gates every timed claim: f64 kernels are bit-identical to their references, accelerated neighbor paths are label-identical, and the opt-in f32 lane is deterministic across thread counts with near-total cell agreement",
         "asserted in-process before timing: each row's parity check, plus full f64 and f32 AdaWave fits identical at 1, 2 and 4 threads",
         Row::new().int("repeats", repeats).text("timing", "best-of"),
     );
@@ -378,6 +458,105 @@ fn main() {
             new_seconds,
             &format!("bit-identical coefficients on a {side}x{side} grid"),
         ));
+    }
+
+    // ---- kernel 7: dense lanes for a grid that fills its key space --------
+    // The sparse transform's passes on a sparse4d-shaped grid: flat lanes
+    // over the whole key space against the sorted cell vector, which
+    // re-sorts by line in every pass. The rule picks the dense lanes for
+    // this grid under the default cell budget, and both paths return the
+    // same cells in the same order, bit for bit.
+    let kernel = Wavelet::Cdf22.density_smoothing_kernel();
+    let sorted = TransformPath::SortedCells {
+        cell_budget: usize::MAX,
+    };
+    let transform = |path, grid: &SparseGrid, codec: &KeyCodec| {
+        sparse_wavelet_smooth_on(path, grid, codec, &kernel, BoundaryMode::Zero, 1)
+            .expect("transform")
+    };
+    // The output codec and cells, densities as bits, in the grid's order.
+    let bits = |(out, out_codec): (SparseGrid, KeyCodec)| {
+        let cells: Vec<(u128, u64)> = out.iter().map(|(k, v)| (k, v.to_bits())).collect();
+        (out_codec, cells)
+    };
+    {
+        let (grid, codec) = sparse4d_grid(bench.pick(10_000, 1_000), bench.pick(32, 16));
+        let budget = AdaWaveConfig::default().max_transformed_cells;
+        assert_eq!(
+            TransformPath::choose(&codec, grid.occupied_cells(), budget),
+            TransformPath::DenseLanes,
+            "the rule no longer picks the dense lanes for a sparse4d-shaped grid"
+        );
+        assert_eq!(
+            bits(transform(TransformPath::DenseLanes, &grid, &codec)),
+            bits(transform(sorted, &grid, &codec)),
+            "dense lanes diverged from the sorted cells"
+        );
+        let ref_seconds = best_of(repeats, || transform(sorted, &grid, &codec));
+        let new_seconds = best_of(repeats, || {
+            transform(TransformPath::DenseLanes, &grid, &codec)
+        });
+        report.row(kernel_row(
+            "sparse-transform-dense-lanes",
+            "sorted cell vector, re-sorted per pass",
+            ref_seconds,
+            new_seconds,
+            &format!(
+                "bit-identical cells in the same order: 4-d, {} intervals, {} of {} slots occupied, CDF(2,2), 1 level",
+                codec.intervals(0),
+                grid.occupied_cells(),
+                1u128 << codec.key_bits()
+            ),
+        ));
+    }
+
+    // ---- the occupancy sweep behind `TransformPath::DENSE_SLOTS_PER_CELL`
+    // Both paths on one 4-d key space filled at falling occupancy. The
+    // dense lanes' work and memory follow the key space, the sorted
+    // path's the cells, so the crossover in time and in bytes bounds how
+    // many slots per cell the rule may spend. Bytes are each path's
+    // largest live buffers: the dense lanes' first pass holds its input
+    // and output lanes (an f64 and an occupancy byte per slot), the
+    // sorted path its largest pass's input and output vectors (32 bytes a
+    // cell, before any growth slack).
+    {
+        let codec = KeyCodec::uniform(4, bench.pick(32, 16)).expect("4-d fits 128 bits");
+        let slot_bytes = std::mem::size_of::<f64>() + std::mem::size_of::<bool>();
+        let dense_bytes =
+            (slot_bytes << codec.key_bits()) + (slot_bytes << halved(&codec, 0).key_bits());
+        let cell_bytes = std::mem::size_of::<(u128, f64)>();
+        let mut rng = Rng::new(11);
+        for slots_per_cell in [2, 4, 8, 16, 32, 64, 128, 256] {
+            let grid = grid_at_occupancy(&codec, slots_per_cell, &mut rng);
+            let dense = bits(transform(TransformPath::DenseLanes, &grid, &codec));
+            assert_eq!(
+                dense,
+                bits(transform(sorted, &grid, &codec)),
+                "1 cell in {slots_per_cell}"
+            );
+            let counts = pass_cells(&grid, &codec, &kernel);
+            assert_eq!(counts.last(), Some(&dense.1.len()), "pass count model");
+            let sorted_cells = counts.windows(2).map(|w| w[0] + w[1]).max().unwrap_or(0);
+            let sweep_repeats = repeats.min(3);
+            report.row(
+                Row::new()
+                    .text("sweep", "sparse-transform-occupancy")
+                    .int("slots_per_cell", slots_per_cell as usize)
+                    .int("cells", grid.occupied_cells())
+                    .num(
+                        "dense_seconds",
+                        best_of(sweep_repeats, || {
+                            transform(TransformPath::DenseLanes, &grid, &codec)
+                        }),
+                    )
+                    .num(
+                        "sorted_seconds",
+                        best_of(sweep_repeats, || transform(sorted, &grid, &codec)),
+                    )
+                    .int("dense_lane_bytes", dense_bytes)
+                    .int("sorted_cell_bytes", sorted_cells * cell_bytes),
+            );
+        }
     }
 
     // ---- end-to-end sanity: the fixed-chunk determinism contract ----------

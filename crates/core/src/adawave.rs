@@ -153,8 +153,13 @@ impl AdaWave {
 /// Algorithm 1: wavelet smoothing, near-zero removal, adaptive threshold,
 /// connected components) on an already-quantized sparse grid.
 ///
-/// The cost is `O(m)` in the number of occupied cells — independent of how
-/// many points were quantized into the grid. [`AdaWave::fit`] calls this
+/// The cost depends on the grid, never on how many points were quantized
+/// into it: the transform takes `O(d · m log m)` a level for `m` occupied
+/// cells when it sorts them by line in every pass, or `O(l · 2^b)` for an
+/// `l`-tap kernel when the cells fill their `b`-bit key space and it runs
+/// on dense lanes ([`TransformPath::choose`](crate::TransformPath::choose)
+/// picks; see [`crate::transform`]), and the threshold and components
+/// sort the transformed cells. [`AdaWave::fit`] calls this
 /// after quantizing, and the streaming layer (`adawave-stream`) on its
 /// accumulated grid. The model does not depend on the order `grid` holds
 /// its cells in.

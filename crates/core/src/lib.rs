@@ -78,7 +78,9 @@ pub use config::{AdaWaveConfig, AdaWaveConfigBuilder};
 pub use model::AdaWaveModel;
 pub use result::{AdaWaveResult, GridStats};
 pub use threshold::ThresholdStrategy;
-pub use transform::{sparse_wavelet_smooth, sparse_wavelet_smooth_budgeted};
+pub use transform::{
+    sparse_wavelet_smooth, sparse_wavelet_smooth_budgeted, sparse_wavelet_smooth_on, TransformPath,
+};
 
 /// Errors produced by the AdaWave pipeline.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,16 +10,34 @@
 //!
 //! ## Cost
 //!
-//! The cells travel through every level and per-dimension pass as one flat
-//! `(key, density)` vector, the grid's own representation: the input
-//! grid's cells are copied in and the last pass's vector is the output
-//! grid. Each pass sorts the vector once so that every *line* along the
-//! pass's dimension (the cells sharing all other coordinates) is
-//! contiguous in ascending coordinate, then scatters the kernel within
-//! each line through a scratch buffer bounded by that line's own cells.
-//! That is `O(d · m log m)` time per level for an `l`-tap kernel, and
-//! `O(l · m)` memory: the scatter can grow the vector by at most `l` per
-//! cell before the cell budget prunes it back.
+//! The transform runs on one of two paths with the same output, chosen per
+//! grid by [`TransformPath::choose`] from the codec's key width `b`, the
+//! `m` occupied cells and the cell budget:
+//!
+//! * **Sorted cells**, for any grid. The cells travel through every level
+//!   and per-dimension pass as one flat `(key, density)` vector, the grid's
+//!   own representation: the input grid's cells are copied in and the last
+//!   pass's vector is the output grid. Each pass sorts the vector once so
+//!   that every *line* along the pass's dimension (the cells sharing all
+//!   other coordinates) is contiguous in ascending coordinate, then
+//!   scatters the kernel within each line through a scratch buffer bounded
+//!   by that line's own cells. That is `O(d · m log m)` time per level for
+//!   an `l`-tap kernel, and `O(l · m)` memory: the scatter can grow the
+//!   vector by at most `l` per cell before the cell budget prunes it back.
+//! * **Dense lanes**, for a grid that fills its key space: the `2^b` slots
+//!   are at most [`TransformPath::DENSE_SLOTS_PER_CELL`] per occupied cell,
+//!   and the first pass's output key space (the largest of any pass) is
+//!   within the cell budget, so the budget could never prune. The grid is
+//!   spread over a flat `f64` lane indexed by packed key plus an occupancy
+//!   byte per slot, and each pass gathers every output slot from the input
+//!   slots of its line, `O(l · 2^b)` time per level without a sort. The
+//!   first pass, the largest, holds its input and output lanes:
+//!   `9 · (2^b + 2^b')` bytes for the `b' ≤ b` key bits it writes, so at
+//!   most `108 · m` under the rule when halving the first dimension drops
+//!   a bit (more than 2 intervals) and `144 · m` when it does not. The
+//!   sorted path's largest pass holds 32 bytes per input and output cell,
+//!   about as much at one cell in 8 slots: `BENCH_kernels.json`'s
+//!   occupancy sweep, which sets the bound, records both.
 //!
 //! ## Bit-identical summation order
 //!
@@ -31,8 +49,20 @@
 //! the grid *content* only, never on how it is stored, which is what lets
 //! a streamed accumulator refit bit-identically to a freshly quantized
 //! grid (and two `fit` calls agree with each other).
+//!
+//! Both paths keep that order: the dense lanes walk each output slot's
+//! `(input coordinate, tap)` pairs in it, listed once per pass from the
+//! same `output_coordinate` rule the scatter uses. An absent input slot
+//! holds `0.0` and the lanes add its `±0.0` product instead of branching:
+//! a sum that starts at `+0.0` is never `−0.0`, and adding a zero to any
+//! other value returns that value, so the bits are those of the scatter,
+//! which skips the slot. A slot exists only if an occupied input reaches
+//! it through a nonzero tap, as in the scatter. The dense path also
+//! returns its cells in the sorted path's order (line by line, ascending
+//! coordinate along the last pass's dimension), so the two paths return
+//! equal vectors.
 
-use adawave_grid::{prune_to_top, KeyCodec, Result as GridResult, SparseGrid};
+use adawave_grid::{prune_to_top, GridError, KeyCodec, Result as GridResult, SparseGrid};
 use adawave_wavelet::BoundaryMode;
 
 /// Apply `levels` full decomposition levels: each level smooths and halves
@@ -59,11 +89,13 @@ pub fn sparse_wavelet_smooth(
 /// clustering step keeps anyway — always survive. Pass `usize::MAX` to
 /// disable the guard.
 ///
-/// A copy of the grid's cells is the working buffer, and the last pass's
-/// output vector becomes the returned grid as it is
-/// ([`SparseGrid::from_cells`]). Every pass sorts its input by line, so
-/// the result does not depend on the order `grid` holds its cells in (at
-/// zero levels the grid passes through as it is).
+/// The path is [`TransformPath::choose`]'s (see the module docs); both
+/// return the same cells in the same order. On the sorted path a copy of
+/// the grid's cells is the working buffer, and the last pass's output
+/// vector becomes the returned grid as it is ([`SparseGrid::from_cells`]).
+/// Every pass reads its input by line, so the result does not depend on
+/// the order `grid` holds its cells in (at zero levels the grid passes
+/// through as it is).
 pub fn sparse_wavelet_smooth_budgeted(
     grid: &SparseGrid,
     codec: &KeyCodec,
@@ -72,26 +104,127 @@ pub fn sparse_wavelet_smooth_budgeted(
     levels: u32,
     cell_budget: usize,
 ) -> GridResult<(SparseGrid, KeyCodec)> {
+    let path = TransformPath::choose(codec, grid.occupied_cells(), cell_budget);
+    sparse_wavelet_smooth_on(path, grid, codec, kernel, boundary, levels)
+}
+
+/// The two implementations of the transform (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransformPath {
+    /// One `(key, density)` vector sorted by line once per pass, pruned
+    /// to `cell_budget` cells after each pass; runs on any grid.
+    SortedCells {
+        /// The cap on the cells kept after each pass ([`prune_to_top`]).
+        cell_budget: usize,
+    },
+    /// Flat lanes over the codec's whole key space. They never prune, so
+    /// they return the sorted path's cells whenever no pass outgrows its
+    /// budget, which [`choose`](Self::choose) checks before picking them.
+    DenseLanes,
+}
+
+impl TransformPath {
+    /// The most key-space slots the dense lanes may spend per occupied
+    /// cell. `BENCH_kernels.json` records the occupancy sweep that sets
+    /// it: the dense lanes were faster than the sorted cells at every
+    /// occupancy swept, down to one cell in 256 slots, so memory bounds
+    /// it, and at one cell in 8 their largest pass holds about as many
+    /// bytes as the sorted path's.
+    pub const DENSE_SLOTS_PER_CELL: usize = 8;
+
+    /// The path for a grid of `occupied_cells` cells under `codec`:
+    /// [`DenseLanes`](Self::DenseLanes) when the codec's key space is at
+    /// most [`DENSE_SLOTS_PER_CELL`](Self::DENSE_SLOTS_PER_CELL) times the
+    /// occupied cells and the first pass's output key space, the largest
+    /// any pass writes, is at most `cell_budget` (so pruning could never
+    /// fire); [`SortedCells`](Self::SortedCells) otherwise.
+    ///
+    /// ```
+    /// use adawave_core::transform::TransformPath;
+    /// use adawave_grid::KeyCodec;
+    ///
+    /// let codec = KeyCodec::uniform(2, 64).unwrap(); // 4,096 slots
+    /// assert_eq!(TransformPath::choose(&codec, 512, usize::MAX), TransformPath::DenseLanes);
+    /// assert_eq!(
+    ///     TransformPath::choose(&codec, 511, usize::MAX),
+    ///     TransformPath::SortedCells { cell_budget: usize::MAX }
+    /// );
+    /// ```
+    pub fn choose(codec: &KeyCodec, occupied_cells: usize, cell_budget: usize) -> Self {
+        let fits = |codec: &KeyCodec, limit: u128| key_space(codec).is_some_and(|n| n <= limit);
+        let lanes = Self::DENSE_SLOTS_PER_CELL as u128 * occupied_cells as u128;
+        let dense = fits(codec, lanes)
+            && halve(codec, 0).is_ok_and(|first| fits(&first, cell_budget as u128));
+        if dense {
+            Self::DenseLanes
+        } else {
+            Self::SortedCells { cell_budget }
+        }
+    }
+}
+
+/// [`sparse_wavelet_smooth_budgeted`] on a given path, for callers that
+/// time or test one path against the other; every other caller lets
+/// [`TransformPath::choose`] pick. The dense lanes allocate nine bytes per
+/// slot of the codec's key space, and fail with
+/// [`GridError::InvalidData`] when that space exceeds the address space
+/// or a cell's key lies outside it.
+pub fn sparse_wavelet_smooth_on(
+    path: TransformPath,
+    grid: &SparseGrid,
+    codec: &KeyCodec,
+    kernel: &[f64],
+    boundary: BoundaryMode,
+    levels: u32,
+) -> GridResult<(SparseGrid, KeyCodec)> {
     if levels == 0 {
         return Ok((grid.clone(), codec.clone()));
     }
-    let mut cells: Vec<(u128, f64)> = grid.iter().collect();
-    let mut next = Vec::with_capacity(cells.len());
     let mut codec = codec.clone();
-    for _ in 0..levels {
-        for dim in 0..codec.dims() {
-            let mut intervals = codec.all_intervals().to_vec();
-            intervals[dim] = intervals[dim].div_ceil(2).max(1);
-            let halved = KeyCodec::new(&intervals)?;
-            lowpass_dimension(
-                &mut cells, &mut next, &codec, &halved, dim, kernel, boundary,
-            );
-            std::mem::swap(&mut cells, &mut next);
-            prune_to_top(&mut cells, cell_budget);
-            codec = halved;
+    match path {
+        TransformPath::SortedCells { cell_budget } => {
+            let mut cells: Vec<(u128, f64)> = grid.iter().collect();
+            let mut next = Vec::with_capacity(cells.len());
+            for _ in 0..levels {
+                for dim in 0..codec.dims() {
+                    let halved = halve(&codec, dim)?;
+                    lowpass_dimension(
+                        &mut cells, &mut next, &codec, &halved, dim, kernel, boundary,
+                    );
+                    std::mem::swap(&mut cells, &mut next);
+                    prune_to_top(&mut cells, cell_budget);
+                    codec = halved;
+                }
+            }
+            Ok((SparseGrid::from_cells(cells), codec))
+        }
+        TransformPath::DenseLanes => {
+            let mut lanes = Lanes::of_grid(grid, &codec)?;
+            for _ in 0..levels {
+                for dim in 0..codec.dims() {
+                    let halved = halve(&codec, dim)?;
+                    lanes = lanes.lowpass(&codec, &halved, dim, kernel, boundary);
+                    codec = halved;
+                }
+            }
+            let cells = lanes.into_cells(&codec, codec.dims() - 1);
+            Ok((SparseGrid::from_cells(cells), codec))
         }
     }
-    Ok((SparseGrid::from_cells(cells), codec))
+}
+
+/// `codec` with dimension `dim` halved: the codec a pass along `dim`
+/// writes.
+fn halve(codec: &KeyCodec, dim: usize) -> GridResult<KeyCodec> {
+    let mut intervals = codec.all_intervals().to_vec();
+    intervals[dim] = intervals[dim].div_ceil(2).max(1);
+    KeyCodec::new(&intervals)
+}
+
+/// The number of slots in `codec`'s key space, `2^key_bits`, or `None` for
+/// a 128-bit codec.
+fn key_space(codec: &KeyCodec) -> Option<u128> {
+    1u128.checked_shl(codec.key_bits())
 }
 
 /// One per-dimension pass: apply the low-pass filter along `dim`, halving
@@ -162,6 +295,163 @@ fn lowpass_dimension(
             out.push((base | (u128::from(group[0].0) << field.start), density));
         }
     }
+}
+
+/// A grid spread over its codec's whole key space: slot `key` holds the
+/// density of cell `key` and whether that cell is occupied. An unoccupied
+/// slot holds `0.0`.
+struct Lanes {
+    values: Vec<f64>,
+    occupied: Vec<bool>,
+}
+
+impl Lanes {
+    /// `slots` unoccupied slots.
+    fn empty(slots: usize) -> Self {
+        Self {
+            values: vec![0.0; slots],
+            occupied: vec![false; slots],
+        }
+    }
+
+    /// The cells of `grid`, whose keys `codec` packed, in their slots.
+    fn of_grid(grid: &SparseGrid, codec: &KeyCodec) -> GridResult<Self> {
+        let outside = |what: &str| GridError::InvalidData {
+            context: format!("{what} does not fit dense transform lanes"),
+        };
+        let slots = key_space(codec)
+            .and_then(|slots| usize::try_from(slots).ok())
+            .ok_or_else(|| outside("the codec's key space"))?;
+        let mut lanes = Self::empty(slots);
+        for (key, density) in grid.iter() {
+            let slot = usize::try_from(key)
+                .ok()
+                .filter(|&slot| slot < slots)
+                .ok_or_else(|| outside("a cell key"))?;
+            lanes.values[slot] = density;
+            lanes.occupied[slot] = true;
+        }
+        Ok(lanes)
+    }
+
+    /// The dense twin of [`lowpass_dimension`]: the lanes of the `halved`
+    /// grid a pass along `dim` writes.
+    ///
+    /// Dimension `dim` holds key bits `s..s + w`, so the slots form blocks
+    /// of `2^w` runs of `2^s` consecutive slots, one run per coordinate
+    /// along `dim`; the `2^s` slots of a run belong to `2^s` different
+    /// lines, which is what lets the sums run over whole runs at once.
+    fn lowpass(
+        &self,
+        codec: &KeyCodec,
+        halved: &KeyCodec,
+        dim: usize,
+        kernel: &[f64],
+        boundary: BoundaryMode,
+    ) -> Self {
+        let field = codec.bit_range(dim);
+        let run = 1usize << field.start;
+        let along = 1usize << (field.end - field.start);
+        let out_along = 1usize << halved.bit_range(dim).len();
+        let gathers = gathers(
+            along,
+            codec.intervals(dim),
+            halved.intervals(dim),
+            kernel,
+            boundary,
+        );
+        let mut out = Self::empty(self.values.len() / along * out_along);
+        let blocks = self
+            .values
+            .chunks_exact(run * along)
+            .zip(self.occupied.chunks_exact(run * along))
+            .zip(
+                out.values
+                    .chunks_exact_mut(run * out_along)
+                    .zip(out.occupied.chunks_exact_mut(run * out_along)),
+            );
+        for ((values, occupied), (out_values, out_occupied)) in blocks {
+            if run == 1 {
+                // Along the lowest dimension a run is one slot: index it
+                // directly instead of slicing one-slot runs.
+                let outputs = out_values.iter_mut().zip(out_occupied.iter_mut());
+                for ((sum, hit), pairs) in outputs.zip(&gathers) {
+                    for &(c, h) in pairs {
+                        *sum += h * values[c];
+                        *hit |= occupied[c];
+                    }
+                }
+                continue;
+            }
+            let outputs = out_values
+                .chunks_exact_mut(run)
+                .zip(out_occupied.chunks_exact_mut(run));
+            for ((sums, reached), pairs) in outputs.zip(&gathers) {
+                for &(c, h) in pairs {
+                    let inputs = values[c * run..(c + 1) * run]
+                        .iter()
+                        .zip(&occupied[c * run..(c + 1) * run]);
+                    for ((sum, hit), (&density, &present)) in
+                        sums.iter_mut().zip(reached.iter_mut()).zip(inputs)
+                    {
+                        *sum += h * density;
+                        *hit |= present;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The occupied cells of the lanes of `codec`, in the order the sorted
+    /// path's last pass (along `dim`) emits them: line by line in
+    /// ascending key without `dim`'s bits, each line in ascending
+    /// coordinate along `dim`.
+    fn into_cells(self, codec: &KeyCodec, dim: usize) -> Vec<(u128, f64)> {
+        let field = codec.bit_range(dim);
+        let run = 1usize << field.start;
+        let along = 1usize << (field.end - field.start);
+        let mut cells = Vec::with_capacity(self.occupied.iter().filter(|&&o| o).count());
+        for block in (0..self.values.len()).step_by(run * along) {
+            for line in block..block + run {
+                for slot in (line..line + run * along).step_by(run) {
+                    if self.occupied[slot] {
+                        cells.push((slot as u128, self.values[slot]));
+                    }
+                }
+            }
+        }
+        cells
+    }
+}
+
+/// For each output coordinate of a pass along a dimension of `old_m`
+/// intervals halved to `new_m`, the `(input coordinate, tap)` pairs that
+/// reach it, in scatter order: ascending input coordinate, then ascending
+/// tap. Input coordinates run over all `along` slots of a lane, so a pass
+/// reads every slot exactly as the sorted path's scatter would.
+fn gathers(
+    along: usize,
+    old_m: u32,
+    new_m: u32,
+    kernel: &[f64],
+    boundary: BoundaryMode,
+) -> Vec<Vec<(usize, f64)>> {
+    let offset = (kernel.len() as isize - 1) / 2;
+    let mut gathers = vec![Vec::new(); new_m as usize];
+    for c in 0..along {
+        for (t, &h) in kernel.iter().enumerate() {
+            if h == 0.0 {
+                continue;
+            }
+            let numerator = c as isize + offset - t as isize;
+            if let Some(i) = output_coordinate(numerator, old_m as isize, new_m as isize, boundary)
+            {
+                gathers[i as usize].push((c, h));
+            }
+        }
+    }
+    gathers
 }
 
 /// The output coordinate that receives tap `t` of input coordinate `c`,
@@ -704,6 +994,168 @@ mod tests {
             config.max_transformed_cells,
         );
         assert_eq!(got, want);
+    }
+
+    /// A grid's cells in the order it holds them, densities as bits.
+    fn raw(grid: &SparseGrid) -> Vec<(u128, u64)> {
+        grid.iter().map(|(k, v)| (k, v.to_bits())).collect()
+    }
+
+    #[test]
+    fn the_path_rule_reads_occupancy_budget_and_key_width() {
+        use TransformPath::DenseLanes;
+        let sorted = |cell_budget| TransformPath::SortedCells { cell_budget };
+        // 12 key bits: 4,096 slots, so 512 cells reach the bound exactly.
+        let codec = KeyCodec::uniform(3, 16).unwrap();
+        let at_bound = 4096 / TransformPath::DENSE_SLOTS_PER_CELL;
+        assert_eq!(at_bound, 512);
+        for (cells, path) in [
+            (at_bound - 1, sorted(usize::MAX)),
+            (at_bound, DenseLanes),
+            (at_bound + 1, DenseLanes),
+            (0, sorted(usize::MAX)),
+        ] {
+            assert_eq!(
+                TransformPath::choose(&codec, cells, usize::MAX),
+                path,
+                "{cells} cells"
+            );
+        }
+        // The first pass writes [8, 16, 16]: 11 bits, 2,048 slots.
+        assert_eq!(TransformPath::choose(&codec, 4096, 2048), DenseLanes);
+        assert_eq!(TransformPath::choose(&codec, 4096, 2047), sorted(2047));
+        // Halving 2 intervals to 1 saves no bit: the first pass writes as
+        // many slots (512) as it reads.
+        let narrow = KeyCodec::new(&[2, 16, 16]).unwrap();
+        assert_eq!(TransformPath::choose(&narrow, 512, 512), DenseLanes);
+        assert_eq!(TransformPath::choose(&narrow, 512, 511), sorted(511));
+        // A 128-bit codec's key space is no u128: no shift may overflow.
+        let wide = KeyCodec::uniform(4, u32::MAX).unwrap();
+        assert_eq!(wide.key_bits(), 128);
+        assert_eq!(
+            TransformPath::choose(&wide, usize::MAX, usize::MAX),
+            sorted(usize::MAX)
+        );
+        let just_below = KeyCodec::new(&[u32::MAX, u32::MAX, u32::MAX, 1 << 31]).unwrap();
+        assert_eq!(just_below.key_bits(), 127);
+        assert_eq!(
+            TransformPath::choose(&just_below, usize::MAX, usize::MAX),
+            sorted(usize::MAX)
+        );
+    }
+
+    #[test]
+    fn an_empty_grid_transforms_to_an_empty_grid_on_both_paths() {
+        let codec = KeyCodec::uniform(2, 8).unwrap();
+        let empty = SparseGrid::new();
+        for path in [
+            TransformPath::DenseLanes,
+            TransformPath::SortedCells {
+                cell_budget: usize::MAX,
+            },
+        ] {
+            let (out, out_codec) =
+                sparse_wavelet_smooth_on(path, &empty, &codec, &kernel(), BoundaryMode::Zero, 2)
+                    .unwrap();
+            assert_eq!(out.occupied_cells(), 0, "{path:?}");
+            assert_eq!(out_codec.all_intervals(), &[2, 2]);
+        }
+    }
+
+    #[test]
+    fn dense_lanes_reject_a_key_outside_the_codec() {
+        // 5 intervals take 3 bits, so key 8 sets a bit above the codec.
+        let codec = KeyCodec::new(&[5]).unwrap();
+        let grid = SparseGrid::from_cells(vec![(8, 1.0)]);
+        let err = sparse_wavelet_smooth_on(
+            TransformPath::DenseLanes,
+            &grid,
+            &codec,
+            &kernel(),
+            BoundaryMode::Zero,
+            1,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("cell key"), "{err}");
+    }
+
+    #[test]
+    fn dense_lanes_match_sorted_cells_where_the_grid_fills_its_key_space() {
+        // Small 2–4-d key spaces filled at every occupancy, so the rule
+        // picks each path in a good share of the cases: 1–3-interval axes
+        // and odd periodic rings, where a 4- or 6-tap kernel wraps onto
+        // the same output more than once; exact zeros and −0.0 among the
+        // densities, which occupy a slot with nothing to add. Every case
+        // matches the hash reference, and where the rule picks the dense
+        // lanes, they return the sorted path's vector, order included.
+        let mut rng = proptest::test_runner::TestRng::from_name("transform::dense_lanes");
+        let mut below = |n: u64| (rng.next_u64() % n) as u32;
+        let (mut dense, mut sorted) = (0, 0);
+        for case in 0..768 {
+            let dims = 2 + below(3) as usize;
+            let intervals: Vec<u32> = (0..dims)
+                .map(|_| match below(4) {
+                    0 => 1 + below(3),
+                    1 => 3 + 2 * below(3),
+                    _ => 1 + below(8),
+                })
+                .collect();
+            let codec = KeyCodec::new(&intervals).unwrap();
+            let fill = below(1000);
+            let mut cells = Vec::new();
+            for key in 0..1u128 << codec.key_bits() {
+                if !codec.contains(key) || below(1000) >= fill {
+                    continue;
+                }
+                let value = f64::from(below(1 << 30)) / f64::from(1 << 24) - 20.0;
+                let density = match below(6) {
+                    0 => value.abs().round(),
+                    1 => 0.0,
+                    2 => -0.0,
+                    3 => -value.abs(),
+                    _ => value,
+                };
+                cells.push((key, density));
+            }
+            let grid = SparseGrid::from_cells(cells);
+            let kernel = [Wavelet::Daubechies2, Wavelet::Daubechies3, Wavelet::Cdf22]
+                [below(3) as usize]
+                .density_smoothing_kernel();
+            let boundary = BoundaryMode::ALL[below(3) as usize];
+            let levels = 1 + below(3);
+            let budget = match below(4) {
+                0 => 1 + below(2 * grid.occupied_cells().max(1) as u64) as usize,
+                _ => usize::MAX,
+            };
+            let (got, want) =
+                vector_and_reference(&grid, &codec, &kernel, boundary, levels, budget);
+            assert_eq!(
+                got, want,
+                "case {case}: {intervals:?} {boundary:?} levels {levels}"
+            );
+            let path = TransformPath::choose(&codec, grid.occupied_cells(), budget);
+            if path == TransformPath::DenseLanes {
+                dense += 1;
+                let on = |path| {
+                    let (out, out_codec) =
+                        sparse_wavelet_smooth_on(path, &grid, &codec, &kernel, boundary, levels)
+                            .unwrap();
+                    (out_codec, raw(&out))
+                };
+                let cell_budget = budget;
+                assert_eq!(
+                    on(path),
+                    on(TransformPath::SortedCells { cell_budget }),
+                    "case {case}: {intervals:?} {boundary:?} levels {levels}"
+                );
+            } else {
+                sorted += 1;
+            }
+        }
+        assert!(
+            dense >= 150 && sorted >= 150,
+            "dense {dense}, sorted {sorted}"
+        );
     }
 
     proptest! {
