@@ -270,26 +270,28 @@ pub fn push_hex(out: &mut String, value: u128, digits: u32) {
 }
 
 /// Parse exactly `digits` lowercase hex digits, the form [`push_hex`]
-/// writes, with `digits` from 1 to 32. Any other length, a sign, an
-/// upper-case digit or any other byte gives `None`, so a payload field
-/// read with this has one spelling only.
+/// writes, with `digits` from 1 to 32, from text or raw bytes. Any other
+/// length, a sign, an upper-case digit or any other byte gives `None`, so
+/// a payload field read with this has one spelling only.
 ///
 /// ```
 /// use adawave_api::parse_hex;
 ///
 /// assert_eq!(parse_hex("00be", 4), Some(0xbe));
+/// assert_eq!(parse_hex(b"00be", 4), Some(0xbe));
 /// assert_eq!(parse_hex("be", 4), None);
 /// assert_eq!(parse_hex("00BE", 4), None);
 /// assert_eq!(parse_hex("+0be", 4), None);
 /// ```
-pub fn parse_hex(text: &str, digits: u32) -> Option<u128> {
+pub fn parse_hex(text: &(impl AsRef<[u8]> + ?Sized), digits: u32) -> Option<u128> {
+    let text = text.as_ref();
     if !(1..=32).contains(&digits) || text.len() != digits as usize {
         return None;
     }
     // One table read a digit and no branch on its value: a point index
     // is a handful of random digits, which a per-digit `match` mispredicts.
     let (mut value, mut seen) = (0u128, 0u8);
-    for byte in text.bytes() {
+    for &byte in text {
         let digit = HEX_DIGITS[usize::from(byte)];
         seen |= digit;
         value = value << 4 | u128::from(digit & 0xf);
@@ -318,24 +320,52 @@ pub fn f64_from_hex(text: &str) -> Option<f64> {
 /// parser every persistable artifact shares, so the error wording and
 /// format rules cannot drift between crates. A clone reads on from the
 /// same line, so a format whose lines refer forward can be read twice.
+///
+/// Lines end as [`str::lines`] ends them: at `\n` or `\r\n`, the last one
+/// optionally. The reader keeps the unread rest of the payload itself, so
+/// a run of fixed-width lines can be read by position
+/// ([`hex_line`](Self::hex_line)) instead of by searching for each end.
 #[derive(Clone)]
 pub struct PayloadReader<'a> {
-    lines: std::str::Lines<'a>,
+    rest: &'a str,
 }
 
 impl<'a> PayloadReader<'a> {
     /// Read `payload` line by line.
     pub fn new(payload: &'a str) -> Self {
-        Self {
-            lines: payload.lines(),
-        }
+        Self { rest: payload }
     }
 
     /// The next raw line, or an error on a truncated payload.
     pub fn line(&mut self) -> Result<&'a str, String> {
-        self.lines
-            .next()
-            .ok_or_else(|| "truncated payload".to_string())
+        if self.rest.is_empty() {
+            return Err("truncated payload".to_string());
+        }
+        Ok(match self.rest.split_once('\n') {
+            // A carriage return is part of a line end only before `\n`.
+            Some((line, rest)) => {
+                self.rest = rest;
+                line.strip_suffix('\r').unwrap_or(line)
+            }
+            None => std::mem::take(&mut self.rest),
+        })
+    }
+
+    /// The next line when it is exactly `digits` lowercase hex digits
+    /// ended by `\n`, parsed ([`parse_hex`]) and consumed; `None`, with
+    /// nothing consumed, for any other line, which [`line`](Self::line)
+    /// then reads as usual. One check at the expected line end replaces
+    /// the search for it: the fast path of a section of fixed-width
+    /// index lines.
+    pub fn hex_line(&mut self, digits: u32) -> Option<u128> {
+        let end = digits as usize;
+        if self.rest.as_bytes().get(end) != Some(&b'\n') {
+            return None;
+        }
+        let value = parse_hex(&self.rest.as_bytes()[..end], digits)?;
+        // Past an ASCII newline, so on a character boundary.
+        self.rest = self.rest.get(end + 1..)?;
+        Some(value)
     }
 
     /// The value part of the next line, which must be `<name> <value...>`.
@@ -421,6 +451,52 @@ impl<'a> PayloadReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn payload_lines_end_as_str_lines_end_them() {
+        for text in [
+            "",
+            "\n",
+            "a",
+            "a\n",
+            "a\r\nb",
+            "a\r\r\n\r\n\nb\r",
+            "\r",
+            "x\ny\r",
+            "é\r\n-\n",
+        ] {
+            let mut reader = PayloadReader::new(text);
+            for want in text.lines() {
+                assert_eq!(reader.line(), Ok(want), "{text:?}");
+            }
+            assert_eq!(
+                reader.line(),
+                Err("truncated payload".to_string()),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn hex_lines_are_read_by_position_or_left_alone() {
+        let mut reader = PayloadReader::new("0a\n0b\r\n0c\n-\n0D\n0e\ntail");
+        assert_eq!(reader.hex_line(2), Some(0x0a));
+        // A CRLF line, `-`, an upper-case digit and a width mismatch are
+        // not consumed; `line` reads each of them as it always did.
+        assert_eq!(reader.hex_line(2), None);
+        assert_eq!(reader.line(), Ok("0b"));
+        assert_eq!(reader.hex_line(3), None);
+        assert_eq!(reader.hex_line(2), Some(0x0c));
+        assert_eq!(reader.hex_line(2), None);
+        assert_eq!(reader.line(), Ok("-"));
+        assert_eq!(reader.hex_line(2), None);
+        assert_eq!(reader.line(), Ok("0D"));
+        assert_eq!(reader.hex_line(2), Some(0x0e));
+        // The last line has no `\n` to check against.
+        assert_eq!(reader.hex_line(4), None);
+        assert_eq!(reader.line(), Ok("tail"));
+        assert_eq!(reader.hex_line(1), None);
+    }
 
     #[test]
     fn float_hex_round_trips_bit_exactly() {

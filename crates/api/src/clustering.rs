@@ -19,15 +19,39 @@ impl Clustering {
     /// compacted to `0..k` in order of first appearance, preserving the
     /// partition; ids may be arbitrary (non-contiguous, interleaved with
     /// noise) on input.
+    ///
+    /// Ids below the point count, which every algorithm in the workspace
+    /// hands in, are renumbered through an array indexed by id, one slot
+    /// per id up to the largest; larger ids go through a hash map.
     pub fn new(mut assignment: Vec<Option<usize>>) -> Self {
-        let mut mapping = std::collections::HashMap::new();
-        for id in assignment.iter_mut().flatten() {
-            let next = mapping.len();
-            *id = *mapping.entry(*id).or_insert(next);
-        }
+        let largest = assignment.iter().flatten().max().copied();
+        let cluster_count = match largest {
+            None => 0,
+            Some(largest) if largest < assignment.len() => {
+                let mut ids = vec![usize::MAX; largest + 1];
+                let mut next = 0;
+                for id in assignment.iter_mut().flatten() {
+                    let new = &mut ids[*id];
+                    if *new == usize::MAX {
+                        *new = next;
+                        next += 1;
+                    }
+                    *id = *new;
+                }
+                next
+            }
+            Some(_) => {
+                let mut ids = std::collections::HashMap::new();
+                for id in assignment.iter_mut().flatten() {
+                    let next = ids.len();
+                    *id = *ids.entry(*id).or_insert(next);
+                }
+                ids.len()
+            }
+        };
         Self {
             assignment,
-            cluster_count: mapping.len(),
+            cluster_count,
         }
     }
 
@@ -170,6 +194,48 @@ impl Clustering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The hash-map renumbering `new` used for every input, kept as the
+    /// reference of the array path.
+    fn hash_reference(mut assignment: Vec<Option<usize>>) -> (Vec<Option<usize>>, usize) {
+        let mut mapping = std::collections::HashMap::new();
+        for id in assignment.iter_mut().flatten() {
+            let next = mapping.len();
+            *id = *mapping.entry(*id).or_insert(next);
+        }
+        (assignment, mapping.len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Both renumbering paths equal the hash reference: ids drawn
+        /// densely below the point count (the array), sparsely up to a few
+        /// times past it and near `usize::MAX` (the hash map), with every
+        /// point noise and with no points at all.
+        #[test]
+        fn renumbering_matches_the_hash_reference(
+            raw in proptest::collection::vec((0u32..8, 0usize..1000), 0..80),
+            (kind, spread) in (0u32..4, 1usize..5),
+        ) {
+            let n = raw.len();
+            let assignment: Vec<Option<usize>> = raw
+                .iter()
+                .map(|&(noise, id)| match kind {
+                    _ if noise == 0 => None,
+                    0 => Some(id % n.max(1)),
+                    1 => Some(id % (spread * n + 1)),
+                    2 => Some(usize::MAX - id % 7),
+                    _ => None,
+                })
+                .collect();
+            let (want, count) = hash_reference(assignment.clone());
+            let got = Clustering::new(assignment.clone());
+            prop_assert_eq!(got.assignment(), &want[..], "{:?}", assignment);
+            prop_assert_eq!(got.cluster_count(), count, "{:?}", assignment);
+        }
+    }
 
     #[test]
     fn new_compacts_ids_and_counts_clusters() {

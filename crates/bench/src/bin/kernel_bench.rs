@@ -1,8 +1,9 @@
 //! Raw-speed kernel microbenchmarks: what the shared autovectorized
 //! distance/argmin kernels, the f32 quantization lane, the cell-grid /
-//! kd-index neighbor acceleration, the contiguous wavelet-lane fast path
-//! and the sparse transform's dense lanes buy over the paths they
-//! replaced, plus the occupancy sweep behind the dense lanes' rule.
+//! kd-index neighbor acceleration, the contiguous wavelet-lane fast path,
+//! the sparse transform's dense lanes and the floor-free cell coordinates
+//! buy over the paths they replaced, plus the occupancy sweep behind the
+//! dense lanes' rule.
 //!
 //! Every timed claim is gated by an in-process parity assertion against an
 //! embedded copy of the pre-optimization reference implementation: the
@@ -314,7 +315,71 @@ fn main() {
         ));
     }
 
-    // ---- kernel 4: radius neighbor queries -------------------------------
+    // ---- kernel 4: cell coordinates without a libm call -------------------
+    // `Quantizer::cell_key` truncates by a width computed once per
+    // dimension where it floored by a width computed per coordinate, and
+    // `floor` is a libm call on baseline x86-64. Predict's transformed key
+    // shifts each coordinate into the transformed codec as it computes it,
+    // where it packed an original key for `KeyCodec::remap` to unpack.
+    {
+        let bounds = BoundingBox::from_points(points).expect("finite workload");
+        let quantizer =
+            Quantizer::with_bounds(bounds.clone(), &[128, 128]).expect("fits in 128 bits");
+        let codec = quantizer.codec();
+        let down = codec.downsampled(1).expect("one level");
+        let floor_key = |p: &[f64]| {
+            p.iter().enumerate().fold(0u128, |key, (j, &v)| {
+                let m = codec.intervals(j);
+                let extent = bounds.extent(j);
+                let c = if extent > 0.0 {
+                    ((v - bounds.min()[j]) / (extent / m as f64)).floor() as i64
+                } else {
+                    0
+                };
+                key | codec.pack_coord(j, c.clamp(0, (m - 1) as i64) as u32)
+            })
+        };
+        for p in points.rows() {
+            assert_eq!(quantizer.cell_key(p), floor_key(p), "cell key diverged");
+            assert_eq!(
+                quantizer.transformed_key(None, p, &down, 1),
+                codec.remap(floor_key(p), &down, 1, None),
+                "transformed key diverged"
+            );
+        }
+        let passes = bench.pick(10, 1);
+        let sum_keys = |key: &dyn Fn(&[f64]) -> u128| {
+            (0..passes)
+                .flat_map(|_| points.rows())
+                .map(|p| key(p) as usize)
+                .fold(0usize, usize::wrapping_add)
+        };
+        let ref_seconds = best_of(repeats, || sum_keys(&floor_key));
+        let new_seconds = best_of(repeats, || sum_keys(&|p| quantizer.cell_key(p)));
+        report.row(kernel_row(
+            "quantize-cell-key-truncated",
+            "floor per coordinate, width divided per coordinate",
+            ref_seconds,
+            new_seconds,
+            &format!("identical keys on all {n} points, {passes} passes timed"),
+        ));
+        let remapped = |p: &[f64]| codec.remap(floor_key(p), &down, 1, None);
+        let ref_seconds = best_of(repeats, || sum_keys(&remapped));
+        let new_seconds = best_of(repeats, || {
+            sum_keys(&|p| quantizer.transformed_key(None, p, &down, 1))
+        });
+        report.row(kernel_row(
+            "predict-transformed-key",
+            "floor cell key, then KeyCodec::remap to the transformed codec",
+            ref_seconds,
+            new_seconds,
+            &format!(
+                "identical transformed keys (1 level) on all {n} points, {passes} passes timed"
+            ),
+        ));
+    }
+
+    // ---- kernel 5: radius neighbor queries -------------------------------
     // The scalar path behind every O(n) neighborhood scan vs the kd-tree
     // the accelerated meanshift/sync/DBSCAN/spectral paths query.
     {
@@ -359,7 +424,7 @@ fn main() {
         ));
     }
 
-    // ---- kernel 5: cached kd-index serving -------------------------------
+    // ---- kernel 6: cached kd-index serving -------------------------------
     // Pre-PR, `NearestTrainingModel::predict_one` (and the meanshift
     // model) rebuilt a kd-tree per query; the index is now built once at
     // fit/load time.
@@ -405,7 +470,7 @@ fn main() {
         ));
     }
 
-    // ---- kernel 6: contiguous wavelet lanes ------------------------------
+    // ---- kernel 7: contiguous wavelet lanes ------------------------------
     // The dense transform's innermost axis hands the 1-D kernel a direct
     // slice instead of gathering each lane through the stride. Timed on
     // `smooth_axis`, the centred low-pass pass WaveCluster runs.
@@ -460,7 +525,7 @@ fn main() {
         ));
     }
 
-    // ---- kernel 7: dense lanes for a grid that fills its key space --------
+    // ---- kernel 8: dense lanes for a grid that fills its key space --------
     // The sparse transform's passes on a sparse4d-shaped grid: flat lanes
     // over the whole key space against the sorted cell vector, which
     // re-sorts by line in every pass. The rule picks the dense lanes for

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use adawave::{
     load_model, save_model, standard_registry, AdaWaveConfig, AlgorithmEntry, AlgorithmSpec,
-    ClusterError, Model, Params, PointsView,
+    ClusterError, Clustering, Model, Params, PointsView,
 };
 use adawave_api::closest_matches;
 use adawave_data::csv::CsvBatches;
@@ -320,14 +320,21 @@ fn generate(args: &ParsedArgs) -> CliResult<String> {
 /// The outcome of clustering a dataset through the CLI.
 #[derive(Debug, Clone)]
 pub struct ClusterOutcome {
-    /// Per-point labels with noise mapped to [`NOISE_LABEL`].
-    pub labels: Vec<usize>,
+    /// The clustering the labels are rendered from, every noise point
+    /// moved to its nearest cluster under `--reassign-noise`.
+    pub clustering: Clustering,
     /// Number of clusters found.
     pub clusters: usize,
-    /// Number of points labeled noise.
-    pub noise_points: usize,
     /// Wall-clock seconds spent clustering.
     pub seconds: f64,
+}
+
+impl ClusterOutcome {
+    /// Per-point labels with noise mapped to [`NOISE_LABEL`]: a copy, 8
+    /// bytes a point, for a caller that scores them.
+    pub fn labels(&self) -> Vec<usize> {
+        self.clustering.to_labels(NOISE_LABEL)
+    }
 }
 
 /// Build the [`AlgorithmSpec`] for one CLI invocation from a parsed base
@@ -440,18 +447,16 @@ pub fn run_clustering(
     };
     let seconds = start.elapsed().as_secs_f64();
 
-    let labels = if args.flag("reassign-noise") {
-        clustering
-            .assign_noise_to_nearest_centroid(points)
-            .to_labels(NOISE_LABEL)
+    let clusters = clustering.cluster_count();
+    let clustering = if args.flag("reassign-noise") {
+        clustering.assign_noise_to_nearest_centroid(points)
     } else {
-        clustering.to_labels(NOISE_LABEL)
+        clustering
     };
     Ok((
         ClusterOutcome {
-            noise_points: labels.iter().filter(|&&l| l == NOISE_LABEL).count(),
-            clusters: clustering.cluster_count(),
-            labels,
+            clustering,
+            clusters,
             seconds,
         },
         model,
@@ -470,16 +475,17 @@ fn save_model_line(args: &ParsedArgs, model: Option<&dyn Model>) -> CliResult<St
     }
 }
 
-/// The AMI report line of `cluster`, `predict` and `stream`: `labels`
-/// scored against the ground truth read from `input`; empty under
-/// `--quiet`, which also skips the scoring pass.
-fn ami_line(args: &ParsedArgs, input: &str, truth: &[usize], labels: &[usize]) -> String {
+/// The AMI report line of `cluster`, `predict` and `stream`:
+/// `clustering` scored against the ground truth read from `input`; empty
+/// under `--quiet`, which also skips the scoring pass and the labels it
+/// scores.
+fn ami_line(args: &ParsedArgs, input: &str, truth: &[usize], clustering: &Clustering) -> String {
     if args.flag("quiet") {
         return String::new();
     }
     format!(
         "AMI against the labels in {input}: {:.3}\n",
-        ami(truth, labels)
+        ami(truth, &clustering.to_labels(NOISE_LABEL))
     )
 }
 
@@ -505,49 +511,53 @@ pub fn output_format(args: &ParsedArgs) -> CliResult<Option<OutputFormat>> {
     }
 }
 
-/// Render per-point labels in the selected format — the one writer shared
-/// by `cluster`, `stream` and `predict` (and, through
-/// [`adawave_api::render_labels`], by the serve daemon's batch replies).
-/// Noise is an empty field in CSV and `null` in JSON.
+/// Render per-point labels, noise mapped to [`NOISE_LABEL`], in the
+/// selected format through [`adawave_api::render_labels`], the writer
+/// `cluster`, `stream`, `predict` and `merge-accumulators` use on their
+/// clusterings and the serve daemon on its batch replies. Noise is an
+/// empty field in CSV and `null` in JSON.
 pub fn render_labels(labels: &[usize], format: OutputFormat) -> String {
     let labels = labels.iter().map(|&l| (l != NOISE_LABEL).then_some(l));
     adawave_api::render_labels(labels, format)
 }
 
-/// Route per-point labels to where the flags say: with `--output`, the
-/// formatted labels go to `--out` when given (the summary `report` becomes
-/// the stdout text) or straight to stdout otherwise; without `--output`,
-/// the legacy labels-file format is written to `--out` and the summary is
-/// printed. This is the one emission path `cluster`, `stream` and
-/// `predict` share.
-fn emit_labels(args: &ParsedArgs, labels: &[usize], report: String) -> CliResult<String> {
+/// Route a clustering's per-point labels to where the flags say: with
+/// `--output`, the formatted labels go to `--out` when given (the summary
+/// `report` becomes the stdout text) or straight to stdout otherwise;
+/// without `--output`, the legacy labels-file format is written to
+/// `--out` and the summary is printed. This is the one emission path
+/// `cluster`, `stream`, `predict` and `merge-accumulators` share, and it
+/// renders straight from the clustering's assignment, with no label
+/// vector in between.
+fn emit_labels(args: &ParsedArgs, clustering: &Clustering, report: String) -> CliResult<String> {
     let format = output_format(args)?;
+    let assignment = clustering.assignment();
+    let render = |format| adawave_api::render_labels(assignment.iter().copied(), format);
     match (format, args.get("out")) {
         (None, None) => Ok(report),
         (None, Some(out)) => {
-            std::fs::write(out, labels_to_text(labels)).map_err(file_error("writing", out))?;
+            std::fs::write(out, labels_to_text(assignment)).map_err(file_error("writing", out))?;
             Ok(report)
         }
-        (Some(format), None) => Ok(render_labels(labels, format)),
+        (Some(format), None) => Ok(render(format)),
         (Some(format), Some(out)) => {
-            std::fs::write(out, render_labels(labels, format))
-                .map_err(file_error("writing", out))?;
+            std::fs::write(out, render(format)).map_err(file_error("writing", out))?;
             Ok(report)
         }
     }
 }
 
-/// Render the predicted labels as the text of a labels file: one label per
-/// line, with the literal word `noise` for noise points. The digits go
-/// straight into the buffer through [`adawave_api::push_decimal`], the
-/// writer `--output csv` uses, with no `String` per label.
-pub fn labels_to_text(labels: &[usize]) -> String {
+/// Render per-point labels (`None` = noise) as the text of a labels file:
+/// one label per line, with the literal word `noise` for noise points. The
+/// digits go straight into the buffer through
+/// [`adawave_api::push_decimal`], the writer `--output csv` uses, with no
+/// `String` per label.
+pub fn labels_to_text(labels: &[Option<usize>]) -> String {
     let mut text = String::with_capacity(labels.len() * 4);
-    for &l in labels {
-        if l == NOISE_LABEL {
-            text.push_str("noise");
-        } else {
-            adawave_api::push_decimal(&mut text, l);
+    for &label in labels {
+        match label {
+            Some(l) => adawave_api::push_decimal(&mut text, l),
+            None => text.push_str("noise"),
         }
         text.push('\n');
     }
@@ -597,12 +607,12 @@ fn cluster(args: &ParsedArgs) -> CliResult<String> {
         "{}: {} clusters, {} noise points / {} total in {:.3}s\n{saved}{}",
         algorithm,
         outcome.clusters,
-        outcome.noise_points,
+        outcome.clustering.noise_count(),
         ds.len(),
         outcome.seconds,
-        ami_line(args, input, &ds.labels, &outcome.labels),
+        ami_line(args, input, &ds.labels, &outcome.clustering),
     );
-    emit_labels(args, &outcome.labels, report)
+    emit_labels(args, &outcome.clustering, report)
 }
 
 // ---------------------------------------------------------------------------
@@ -648,7 +658,6 @@ fn predict(args: &ParsedArgs) -> CliResult<String> {
     let start = Instant::now();
     let clustering = model.predict(ds.view())?;
     let seconds = start.elapsed().as_secs_f64();
-    let labels = clustering.to_labels(NOISE_LABEL);
 
     let mut report = format!(
         "predict ({}): {} clusters, {} noise points / {} total in {:.3}s\n",
@@ -661,8 +670,8 @@ fn predict(args: &ParsedArgs) -> CliResult<String> {
     if args.flag("verbose") {
         report.push_str(&format!("{}\n", model.summary()));
     }
-    report.push_str(&ami_line(args, input, &ds.labels, &labels));
-    emit_labels(args, &labels, report)
+    report.push_str(&ami_line(args, input, &ds.labels, &clustering));
+    emit_labels(args, &clustering, report)
 }
 
 // ---------------------------------------------------------------------------
@@ -780,8 +789,8 @@ fn batch_rows(args: &ParsedArgs) -> CliResult<usize> {
 /// The outcome of streaming a CSV through [`StreamingAdaWave`].
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
-    /// Per-point labels with noise mapped to [`NOISE_LABEL`], in file order.
-    pub labels: Vec<usize>,
+    /// The clustering of every row, in file order (outliers are noise).
+    pub clustering: Clustering,
     /// Ground-truth labels from the CSV's last column, in file order;
     /// empty unless `run_stream` was asked to keep them.
     pub truth: Vec<usize>,
@@ -804,6 +813,14 @@ pub struct StreamOutcome {
     /// Rows restored from a `--checkpoint` file and skipped (0 when the
     /// stream started fresh).
     pub resumed_points: usize,
+}
+
+impl StreamOutcome {
+    /// Per-point labels with noise mapped to [`NOISE_LABEL`], in file
+    /// order: a copy, 8 bytes a point, for a caller that scores them.
+    pub fn labels(&self) -> Vec<usize> {
+        self.clustering.to_labels(NOISE_LABEL)
+    }
 }
 
 /// Where `stream --checkpoint` persists and resumes the accumulator.
@@ -978,18 +995,17 @@ pub fn run_stream(
     // The cluster count comes from the same clustering: the model's
     // component count also includes components no point falls in.
     let clustering = result.into_clustering();
-    let labels = clustering.to_labels(NOISE_LABEL);
     Ok(StreamOutcome {
-        noise_points: labels.iter().filter(|&&l| l == NOISE_LABEL).count(),
+        noise_points: clustering.noise_count(),
         clusters: clustering.cluster_count(),
         outliers,
         batches,
-        points: labels.len(),
+        points: clustering.len(),
         occupied_cells: stream.occupied_cells(),
         ingest_seconds,
         refit_seconds,
         resumed_points,
-        labels,
+        clustering,
         truth,
     })
 }
@@ -1057,8 +1073,8 @@ fn stream(args: &ParsedArgs) -> CliResult<String> {
             cp.every
         ));
     }
-    report.push_str(&ami_line(args, input, &outcome.truth, &outcome.labels));
-    emit_labels(args, &outcome.labels, report)
+    report.push_str(&ami_line(args, input, &outcome.truth, &outcome.clustering));
+    emit_labels(args, &outcome.clustering, report)
 }
 
 // ---------------------------------------------------------------------------
@@ -1152,7 +1168,6 @@ fn merge_accumulators(args: &ParsedArgs) -> CliResult<String> {
     } else {
         (stream.refit().map_err(refit_err)?.into_clustering(), None)
     };
-    let labels = clustering.to_labels(NOISE_LABEL);
     let seconds = start.elapsed().as_secs_f64();
 
     let saved = save_model_line(args, model.as_deref())?;
@@ -1161,12 +1176,12 @@ fn merge_accumulators(args: &ParsedArgs) -> CliResult<String> {
          ({} outliers, {} occupied cells); refit {seconds:.3}s\n{saved}",
         inputs.len(),
         clustering.cluster_count(),
-        labels.iter().filter(|&&l| l == NOISE_LABEL).count(),
-        labels.len(),
+        clustering.noise_count(),
+        clustering.len(),
         stream.outlier_count(),
         stream.occupied_cells(),
     );
-    emit_labels(args, &labels, report)
+    emit_labels(args, &clustering, report)
 }
 
 // ---------------------------------------------------------------------------
@@ -1290,7 +1305,7 @@ pub fn run_sweep(
                 Ok((outcome, _)) => outcome,
                 Err(_) => continue,
             };
-            let score = ami_ignoring_noise(&ds.labels, &outcome.labels, SYNTHETIC_NOISE_LABEL);
+            let score = ami_ignoring_noise(&ds.labels, &outcome.labels(), SYNTHETIC_NOISE_LABEL);
             scores.push((algo.to_string(), score));
         }
         rows.push(SweepRow {
@@ -1488,7 +1503,7 @@ mod tests {
             "clique",
         ] {
             let outcome = fit(algo, points.view(), &args).unwrap_or_else(|e| panic!("{algo}: {e}"));
-            assert_eq!(outcome.labels.len(), points.len(), "{algo}");
+            assert_eq!(outcome.labels().len(), points.len(), "{algo}");
         }
     }
 
@@ -1580,7 +1595,7 @@ mod tests {
             let four = ParsedArgs::parse(["cluster", "--scale", "32", "--threads", "4"]).unwrap();
             let a = fit(algo, points.view(), &one).unwrap();
             let b = fit(algo, points.view(), &four).unwrap();
-            assert_eq!(a.labels, b.labels, "{algo}");
+            assert_eq!(a.labels(), b.labels(), "{algo}");
         }
     }
 
@@ -1590,7 +1605,7 @@ mod tests {
         let args = ParsedArgs::parse(["cluster", "--scale", "32"]).unwrap();
         let outcome = fit("adawave", points.view(), &args).unwrap();
         assert!(outcome.clusters >= 2);
-        let score = ami_ignoring_noise(&truth, &outcome.labels, 2);
+        let score = ami_ignoring_noise(&truth, &outcome.labels(), 2);
         assert!(score > 0.8, "AMI {score}");
     }
 
@@ -1599,7 +1614,7 @@ mod tests {
         let (points, _) = toy_points();
         let args = ParsedArgs::parse(["cluster", "--scale", "32", "--reassign-noise"]).unwrap();
         let outcome = fit("adawave", points.view(), &args).unwrap();
-        assert_eq!(outcome.noise_points, 0);
+        assert_eq!(outcome.clustering.noise_count(), 0);
     }
 
     /// [`run_clustering`] without a model, `k` defaulting to 2.
@@ -1671,7 +1686,7 @@ mod tests {
 
             let args = ParsedArgs::parse(["cluster", "--scale", scale]).unwrap();
             let one_shot = fit("adawave", points.view(), &args).unwrap();
-            assert_eq!(outcome.labels, one_shot.labels, "{name}");
+            assert_eq!(outcome.labels(), one_shot.labels(), "{name}");
             assert_eq!(outcome.clusters, one_shot.clusters, "{name}");
             std::fs::remove_file(&path).ok();
         }
@@ -1694,7 +1709,7 @@ mod tests {
                 .unwrap();
         let outcome = run_stream(&path, 2, false, config, None, false).unwrap();
         assert_eq!(outcome.outliers, 1);
-        assert_eq!(outcome.labels[3], NOISE_LABEL);
+        assert_eq!(outcome.labels()[3], NOISE_LABEL);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1714,7 +1729,7 @@ mod tests {
         for (prescan, expected_outliers) in [(false, 3), (true, 1)] {
             let outcome = run_stream(&path, 2, prescan, config.clone(), None, false).unwrap();
             assert_eq!(outcome.outliers, expected_outliers, "prescan = {prescan}");
-            assert_eq!(outcome.labels[0], NOISE_LABEL, "prescan = {prescan}");
+            assert_eq!(outcome.labels()[0], NOISE_LABEL, "prescan = {prescan}");
             assert_eq!(outcome.points, 4, "prescan = {prescan}");
         }
         std::fs::remove_file(&path).ok();
@@ -1829,7 +1844,7 @@ mod tests {
         .unwrap();
         assert!(!plain_report.contains("model:"), "{plain_report}");
         let predicted = labels_from_text(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        assert_eq!(predicted, fit.labels);
+        assert_eq!(predicted, fit.labels());
         std::fs::remove_file(&train).ok();
         std::fs::remove_file(&out).ok();
     }
@@ -2050,7 +2065,7 @@ mod tests {
     #[test]
     fn labels_round_trip_through_text() {
         let labels = vec![0, 2, NOISE_LABEL, 1];
-        let text = labels_to_text(&labels);
+        let text = labels_to_text(&[Some(0), Some(2), None, Some(1)]);
         assert_eq!(labels_from_text(&text).unwrap(), labels);
         // Byte for byte what the per-label `to_string` writer produced, on
         // multi-digit ids and noise.
@@ -2064,7 +2079,11 @@ mod tests {
                 .collect()
         };
         let wide = [10, 99, 100, 12_345, NOISE_LABEL, 0, 7, usize::MAX - 1];
-        assert_eq!(labels_to_text(&wide), to_string_text(&wide));
+        let assignment: Vec<_> = wide
+            .iter()
+            .map(|&l| (l != NOISE_LABEL).then_some(l))
+            .collect();
+        assert_eq!(labels_to_text(&assignment), to_string_text(&wide));
         assert_eq!(labels_to_text(&[]), "");
         // -1 is accepted as noise too.
         assert_eq!(
@@ -2104,7 +2123,7 @@ mod tests {
         let (points, truth) = toy_points();
         let args = ParsedArgs::parse(["cluster", "--scale", "32"]).unwrap();
         let outcome = fit("kmeans", points.view(), &args).unwrap();
-        let report = evaluation_report(points.view(), &truth, &outcome.labels, None).unwrap();
+        let report = evaluation_report(points.view(), &truth, &outcome.labels(), None).unwrap();
         for needle in ["AMI", "NMI", "ARI", "V-measure", "purity", "silhouette"] {
             assert!(report.contains(needle), "missing {needle}:\n{report}");
         }
@@ -2796,7 +2815,7 @@ mod tests {
                 }
             })
             .collect();
-        let expected = adawave_api::Clustering::new(expected).to_labels(NOISE_LABEL);
+        let expected = adawave_api::Clustering::new(expected);
 
         // A v1 shard merged with a v2 shard of the remaining rows.
         let v1 = load_accumulator(Path::new(V1)).unwrap();
@@ -2823,7 +2842,7 @@ mod tests {
         )
         .unwrap();
         let labels = std::fs::read_to_string(&merged).unwrap();
-        assert_eq!(labels, labels_to_text(&expected));
+        assert_eq!(labels, labels_to_text(expected.assignment()));
 
         // A stream that resumes from a copy of the v1 file skips its rows,
         // labels every row like the fit, and rewrites the checkpoint as v2:
@@ -2836,7 +2855,7 @@ mod tests {
         };
         let outcome = run_stream(Path::new(&data), 64, false, config, Some(&spec), false).unwrap();
         assert_eq!(outcome.resumed_points, held);
-        assert_eq!(outcome.labels, expected);
+        assert_eq!(outcome.clustering, expected);
         let mut session = v1;
         session.merge(tail).unwrap();
         let want = file("adawave_cli_v1_compat_want.awa");
@@ -2877,14 +2896,14 @@ mod tests {
         };
         let resumed = run_stream(&data, 64, true, config.clone(), Some(&spec), false).unwrap();
         assert_eq!(resumed.resumed_points, 100);
-        assert_eq!(resumed.labels, reference.labels);
+        assert_eq!(resumed.labels(), reference.labels());
         assert_eq!(resumed.points, reference.points);
 
         // The final flush leaves a complete checkpoint: a rerun skips
         // every row and still produces the same labels.
         let rerun = run_stream(&data, 64, true, config.clone(), Some(&spec), false).unwrap();
         assert_eq!(rerun.resumed_points, points.len());
-        assert_eq!(rerun.labels, reference.labels);
+        assert_eq!(rerun.labels(), reference.labels());
 
         // A config mismatch is rejected, naming the checkpoint.
         let other =

@@ -2,8 +2,7 @@
 
 use adawave_api::PointsView;
 use adawave_grid::{
-    connected_components, BoundingBox, ComponentLabels, KeyCodec, LookupTable, Quantizer,
-    SparseGrid,
+    connected_components, BoundingBox, ComponentLabels, KeyCodec, Quantizer, SparseGrid,
 };
 
 use crate::config::AdaWaveConfig;
@@ -80,20 +79,18 @@ impl AdaWave {
 
         // Step 1: quantization into the sparse grid-labeling structure,
         // through the configured numeric lane (f64 is the bit-exact
-        // reference; f32 is the opt-in throughput lane).
+        // reference; f32 is the opt-in throughput lane). Each point keeps
+        // its cell's index in the grid, the lookup table of step 6.
         let bounds = BoundingBox::from_points(points)?;
         let quantizer = self.quantizer_for(&bounds)?;
-        let (grid, assignment) = match self.config.precision {
-            adawave_api::Precision::F64 => quantizer.quantize_with(points, self.config.runtime),
-            adawave_api::Precision::F32 => quantizer.quantize_f32_with(points, self.config.runtime),
-        };
-        let lookup = LookupTable::new(quantizer.codec().clone(), assignment);
+        let (grid, cells) =
+            quantizer.quantize_cells(points, self.config.precision, self.config.runtime);
 
         // Steps 2-4: the reusable grid → cluster-model stage.
         let model = cluster_grid(&grid, quantizer.codec(), &self.config)?;
 
-        // Steps 5-6: label grids and map points through the lookup table.
-        let assignment = lookup.assign_points(model.labels(), model.levels(), model.codec());
+        // Steps 5-6: label the grid's cells, then the points by index.
+        let assignment = model.assign_cells(&grid, quantizer.codec(), &cells);
         Ok((quantizer, model, assignment))
     }
 
@@ -223,9 +220,9 @@ pub fn cluster_grid(
 /// The fitted grid-level cluster model produced by [`cluster_grid`]: which
 /// transformed-space cells belong to which cluster, plus the pipeline
 /// diagnostics. Turning the model into a per-point [`AdaWaveResult`] is a
-/// separate (O(points)) step — [`AdaWave::fit`] maps a [`LookupTable`]
-/// through it, the streaming layer labels each of its occupied cells once
-/// and every point by its cell's index in its grid.
+/// separate (O(points)) step, [`assign_cells`](Self::assign_cells), which
+/// [`AdaWave::fit`] and the streaming layer both run: each occupied cell
+/// is labeled once and every point by its cell's index in its grid.
 #[derive(Debug, Clone)]
 pub struct GridModel {
     labels: ComponentLabels,
@@ -274,6 +271,28 @@ impl GridModel {
     pub fn cluster_of_cell(&self, original_codec: &KeyCodec, cell: u128) -> Option<usize> {
         let key = original_codec.remap(cell, &self.codec, self.levels, None);
         self.labels.cluster_of(key)
+    }
+
+    /// Label points by their cell's index in `grid`, the grid counted in
+    /// `codec`'s space that this model was clustered from: every cell of
+    /// `grid` is looked up once ([`cluster_of_cell`](Self::cluster_of_cell)),
+    /// then every point reads its cell's cluster by index, one load a
+    /// point. An index past the grid's cells labels its point noise, which
+    /// is how the streaming layer marks its outliers.
+    pub fn assign_cells(
+        &self,
+        grid: &SparseGrid,
+        codec: &KeyCodec,
+        point_cells: &[u32],
+    ) -> Vec<Option<usize>> {
+        let cell_clusters: Vec<Option<usize>> = grid
+            .iter()
+            .map(|(key, _)| self.cluster_of_cell(codec, key))
+            .collect();
+        point_cells
+            .iter()
+            .map(|&index| cell_clusters.get(index as usize).copied().flatten())
+            .collect()
     }
 
     /// Finish the pipeline: combine the model with a per-point assignment

@@ -195,11 +195,11 @@ impl Model for AdaWaveModel {
         self.quantizer.dims()
     }
 
-    /// Quantize the point into its original-space cell, downsample the
-    /// coordinates through the decomposition levels and look the
-    /// transformed cell up — the exact mapping `fit` applies to training
-    /// points, so predicting on the training batch reproduces the fit
-    /// labels bit for bit.
+    /// Quantize the point, downsampling each coordinate through the
+    /// decomposition levels as it is computed, and look the transformed
+    /// cell up — the exact mapping `fit` applies to training points, so
+    /// predicting on the training batch reproduces the fit labels bit for
+    /// bit.
     fn predict_one(&self, point: &[f64]) -> Option<usize> {
         if point.len() != self.quantizer.dims() || !point.iter().all(|v| v.is_finite()) {
             return None;
@@ -209,16 +209,14 @@ impl Model for AdaWaveModel {
         }
         // The key is computed through the same numeric lane as training,
         // so serving never straddles a cell boundary the fit did not, and
-        // downsampled by the fit path's own re-encode.
-        let key = match &self.lane {
-            None => self.quantizer.cell_key(point),
-            Some(lane) => self.quantizer.cell_key_f32(lane, point),
-        };
-        let down_key = self
-            .quantizer
-            .codec()
-            .remap(key, &self.down_codec, self.levels, None);
-        self.cells.get(down_key)
+        // each coordinate is downsampled as the fit path's re-encode does.
+        let key = self.quantizer.transformed_key(
+            self.lane.as_ref(),
+            point,
+            &self.down_codec,
+            self.levels,
+        );
+        self.cells.get(key)
     }
 
     fn summary(&self) -> String {
@@ -344,6 +342,7 @@ mod tests {
     use crate::{cluster_grid, AdaWave, AdaWaveConfig};
     use adawave_api::PointMatrix;
     use adawave_data::{shapes, Rng};
+    use adawave_grid::LookupTable;
     use adawave_runtime::Runtime;
     use proptest::prelude::*;
 
@@ -402,35 +401,37 @@ mod tests {
         points
     }
 
-    /// The hash-lookup model the pre-table `from_parts` built from the
-    /// same fit: quantize, cluster the grid, label the points, remap.
+    /// The fit labels and the hash-lookup model of the fit path before
+    /// cell indices: quantize to one key a point, cluster the grid, label
+    /// every point through a [`LookupTable`] of keys, remap.
     fn reference_cells(
         model: &AdaWaveModel,
         points: &PointMatrix,
         config: &AdaWaveConfig,
-    ) -> HashCells {
+    ) -> (Vec<Option<usize>>, HashCells) {
         let quantizer = &model.quantizer;
         let (grid, keys) = match config.precision {
             Precision::F64 => quantizer.quantize_with(points.view(), config.runtime),
             Precision::F32 => quantizer.quantize_f32_with(points.view(), config.runtime),
         };
         let grid_model = cluster_grid(&grid, quantizer.codec(), config).unwrap();
-        let assignment: Vec<Option<usize>> = keys
-            .iter()
-            .map(|&key| grid_model.cluster_of_cell(quantizer.codec(), key))
-            .collect();
+        let lookup = LookupTable::new(quantizer.codec().clone(), keys);
+        let assignment =
+            lookup.assign_points(grid_model.labels(), grid_model.levels(), grid_model.codec());
         let remap = assignment_remap(&assignment, grid_model.cluster_count());
-        HashCells::from_parts(&grid_model, &remap)
+        let cells = HashCells::from_parts(&grid_model, &remap);
+        (assignment, cells)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// `predict` through the cell table equals the per-point hash
-        /// lookup it replaced, and a save -> load round trip gives the same
-        /// bytes and the same answers, with the transformed codec one bit
-        /// below, at and one bit above the cap, on both lanes, at levels
-        /// 0-2 and at 1 and 4 threads.
+        /// lookup it replaced, the fit's labels by cell index equal those
+        /// of a lookup table of keys, and a save -> load round trip gives
+        /// the same bytes and the same answers, with the transformed codec
+        /// one bit below, at and one bit above the cap, on both lanes, at
+        /// levels 0-2 and at 1 and 4 threads.
         #[test]
         fn predict_matches_the_hash_reference(seed in 0u64..u64::MAX) {
             let mut rng = Rng::new(seed);
@@ -465,7 +466,8 @@ mod tests {
                                 model.cells.is_dense(),
                                 width <= CellTable::DENSE_KEY_BITS
                             );
-                            let reference = reference_cells(&model, &points, &config);
+                            let (assignment, reference) = reference_cells(&model, &points, &config);
+                            prop_assert_eq!(result.assignment(), &assignment[..], "{}", context);
                             let payload = model.serialize().unwrap();
                             let loaded = AdaWaveModel::deserialize(&payload).unwrap();
                             prop_assert_eq!(&loaded.serialize().unwrap(), &payload, "{}", context);

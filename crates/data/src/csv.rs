@@ -11,9 +11,11 @@
 //! the runtime's fixed-chunk contract: each chunk fills its own region of
 //! one output buffer, the regions are compacted in chunk order, and the
 //! first error in file order is the one reported, with its absolute line
-//! number.
+//! number. [`load_csv`] never holds the whole file: it reads 4 MiB blocks
+//! through one buffer, cuts each after its last newline and parses it
+//! before it reads the next, so it holds the parsed rows plus one block.
 
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufRead, BufWriter, Read, Write};
 use std::path::Path;
 
 use adawave_api::{scan_row, PointMatrix};
@@ -21,9 +23,24 @@ use adawave_runtime::Runtime;
 
 use crate::dataset::Dataset;
 
-/// Bytes per parse chunk of [`parse_csv`] (each chunk then extends to the
-/// end of its last line).
+/// Bytes per parse chunk of [`parse_csv`] and [`load_csv`] (each chunk
+/// then extends to the end of its last line).
 const CHUNK_BYTES: usize = 1 << 20;
+
+/// Bytes [`load_csv`] reads per block: four parse chunks, so a block keeps
+/// two or four workers busy. A block whose bytes hold no newline grows by
+/// this much until one does, so no line is too long to read.
+const BLOCK_BYTES: usize = 4 << 20;
+
+/// Length of [`load_csv`]'s zeroed block buffer, of which a block uses
+/// only the first [`BLOCK_BYTES`], so only those pages are ever touched.
+/// The rest is there for glibc: it serves an allocation this large with
+/// `mmap`, and freeing an `mmap`ed block of at most 32 MiB raises its
+/// `mmap` threshold to that size, after which every smaller allocation
+/// comes from the heap and stays resident once freed. A plain 4 MiB
+/// buffer did that and raised `cluster`'s peak RSS on 200k 4-d points
+/// from 29.9 to 31.3 MB; a buffer above 32 MiB leaves the threshold alone.
+const BLOCK_BUFFER_BYTES: usize = 33 << 20;
 
 /// Read-buffer size of [`CsvBatches`].
 const READ_BUFFER_BYTES: usize = 1 << 16;
@@ -173,66 +190,195 @@ fn parse_task(task: &mut Task<'_>, dims: usize) -> Result<usize, CsvError> {
     Ok(rows)
 }
 
-/// Parse `text` in `chunk_bytes` chunks on `runtime`: every chunk fills
-/// its own region of one output buffer, and the regions are then
-/// compacted in place in chunk order. The first error in file order is
-/// returned, with its absolute line number.
-///
-/// One shared buffer, not one per chunk: freeing ~400 KB chunk buffers
-/// after concatenating them raises glibc's dynamic mmap threshold, and
-/// the 128 KB quantization shards that follow then stay resident in
-/// thread arenas (+14 MB peak RSS in `cluster` on 1M 2-d points).
+/// The rows parsed so far, in input order: `dims` features a row once the
+/// first data line has fixed the arity, one label a row, and how many
+/// lines the parsed text held.
+#[derive(Default)]
+struct Rows {
+    dims: Option<usize>,
+    points: Vec<f64>,
+    labels: Vec<usize>,
+    lines: usize,
+}
+
+impl Rows {
+    /// Parse `text`, whole lines that follow those parsed before, in
+    /// `chunk_bytes` chunks on `runtime` and append its rows: every chunk
+    /// fills its own region of the output, and the regions are then
+    /// compacted in place in chunk order. The first error in file order is
+    /// returned, with its absolute line number. While the output is still
+    /// empty, it is reserved once for `total_bytes` of input at this text's
+    /// rows per byte.
+    ///
+    /// One shared buffer, not one per chunk: freeing ~400 KB chunk buffers
+    /// after concatenating them raises glibc's dynamic mmap threshold, and
+    /// the 128 KB quantization shards that follow then stay resident in
+    /// thread arenas (+14 MB peak RSS in `cluster` on 1M 2-d points).
+    fn parse(
+        &mut self,
+        text: &str,
+        runtime: Runtime,
+        chunk_bytes: usize,
+        total_bytes: usize,
+    ) -> Result<(), CsvError> {
+        let chunks = split_chunks(text, chunk_bytes);
+        let newlines: Vec<usize> = runtime.par_chunks(&chunks, 1, |_, chunk| {
+            chunk[0].bytes().filter(|&b| b == b'\n').count()
+        });
+        let mut lines_before = self.lines;
+        self.lines += newlines.iter().sum::<usize>();
+        // The first data line fixes the arity of every row in every chunk.
+        let dims = match self.dims {
+            Some(dims) => dims,
+            None => match text.lines().find_map(data_line) {
+                Some(first) => *self
+                    .dims
+                    .insert(first.bytes().filter(|&b| b == b',').count()),
+                None => return Ok(()),
+            },
+        };
+        let slots: usize = newlines.iter().map(|n| n + 1).sum();
+        if self.labels.capacity() == 0 {
+            let rows = slots * total_bytes.div_ceil(text.len()).max(1);
+            self.points.reserve_exact(rows * dims);
+            self.labels.reserve_exact(rows);
+        }
+        let base = self.labels.len();
+        self.points.resize((base + slots) * dims, 0.0);
+        self.labels.resize(base + slots, 0);
+        let mut tasks = Vec::with_capacity(chunks.len());
+        let (mut points_rest, mut labels_rest) =
+            (&mut self.points[base * dims..], &mut self.labels[base..]);
+        for (&text, &n) in chunks.iter().zip(&newlines) {
+            let (points, tail) = std::mem::take(&mut points_rest).split_at_mut((n + 1) * dims);
+            points_rest = tail;
+            let (labels, tail) = std::mem::take(&mut labels_rest).split_at_mut(n + 1);
+            labels_rest = tail;
+            tasks.push(Task {
+                text,
+                points,
+                labels,
+            });
+        }
+        let parsed =
+            runtime.par_chunks_mut(&mut tasks, 1, |_, task| parse_task(&mut task[0], dims));
+        drop(tasks);
+        let (mut rows, mut slot) = (base, base);
+        for (result, &n) in parsed.into_iter().zip(&newlines) {
+            let filled = result.map_err(|e| match e {
+                CsvError::Parse { line, message } => CsvError::Parse {
+                    line: lines_before + line,
+                    message,
+                },
+                e => e,
+            })?;
+            self.points
+                .copy_within(slot * dims..(slot + filled) * dims, rows * dims);
+            self.labels.copy_within(slot..slot + filled, rows);
+            rows += filled;
+            slot += n + 1;
+            lines_before += n;
+        }
+        self.points.truncate(rows * dims);
+        self.labels.truncate(rows);
+        Ok(())
+    }
+
+    /// The point matrix and the labels, empty when no data line came.
+    fn finish(self) -> (PointMatrix, Vec<usize>) {
+        match self.dims {
+            None => (PointMatrix::default(), Vec::new()),
+            Some(dims) => {
+                let points =
+                    PointMatrix::from_flat(self.points, dims).expect("rows * dims coordinates");
+                (points, self.labels)
+            }
+        }
+    }
+}
+
+/// Parse `text` in `chunk_bytes` chunks on `runtime` ([`Rows::parse`]).
 fn parse_chunks(
     text: &str,
     runtime: Runtime,
     chunk_bytes: usize,
 ) -> Result<(PointMatrix, Vec<usize>), CsvError> {
-    // The first data line fixes the arity of every row in every chunk.
-    let Some(first) = text.lines().find_map(data_line) else {
-        return Ok((PointMatrix::default(), Vec::new()));
-    };
-    let dims = first.bytes().filter(|&b| b == b',').count();
-    let chunks = split_chunks(text, chunk_bytes);
-    let newlines: Vec<usize> = runtime.par_chunks(&chunks, 1, |_, chunk| {
-        chunk[0].bytes().filter(|&b| b == b'\n').count()
-    });
-    let slots: usize = newlines.iter().map(|n| n + 1).sum();
-    let mut points = vec![0.0; slots * dims];
-    let mut labels = vec![0; slots];
-    let mut tasks = Vec::with_capacity(chunks.len());
-    let (mut points_rest, mut labels_rest) = (&mut points[..], &mut labels[..]);
-    for (&text, &n) in chunks.iter().zip(&newlines) {
-        let (points, tail) = std::mem::take(&mut points_rest).split_at_mut((n + 1) * dims);
-        points_rest = tail;
-        let (labels, tail) = std::mem::take(&mut labels_rest).split_at_mut(n + 1);
-        labels_rest = tail;
-        tasks.push(Task {
-            text,
-            points,
-            labels,
-        });
+    let mut rows = Rows::default();
+    rows.parse(text, runtime, chunk_bytes, text.len())?;
+    Ok(rows.finish())
+}
+
+/// Parse all that `reader` yields, which is `total_bytes` long if that is
+/// known, one block at a time through one buffer: each fill of
+/// `block_bytes` is cut after its last newline (and grows by
+/// `block_bytes` while it holds none), the cut is checked to be UTF-8 and
+/// parsed in `chunk_bytes` chunks ([`Rows::parse`]), and the bytes after
+/// the cut start the next block. The rows, their line numbers and the
+/// first error are those [`parse_chunks`] finds in the whole text. A parse
+/// error is reported once the rest of the input has been read and found
+/// to be UTF-8, so bytes that are not UTF-8 win over it, wherever they
+/// are, as they do when the whole file is checked first.
+///
+/// # Panics
+/// Panics if `block_bytes` is zero.
+fn read_blocks(
+    mut reader: impl Read,
+    total_bytes: usize,
+    runtime: Runtime,
+    block_bytes: usize,
+    chunk_bytes: usize,
+) -> Result<(PointMatrix, Vec<usize>), CsvError> {
+    assert!(block_bytes > 0, "read_blocks: block_bytes must be positive");
+    let mut buf = vec![0u8; BLOCK_BUFFER_BYTES.max(block_bytes)];
+    let mut rows = Rows::default();
+    let (mut filled, mut failed) = (0, None);
+    loop {
+        // `buf[..filled]` holds the previous block's unparsed tail, which
+        // holds no newline.
+        let (mut window, mut scanned) = (block_bytes, filled);
+        let (cut, end) = loop {
+            if buf.len() < window {
+                buf.resize(window, 0);
+            }
+            filled += fill(&mut reader, &mut buf[filled..window])?;
+            if filled < window {
+                break (filled, true);
+            }
+            if let Some(at) = buf[scanned..filled].iter().rposition(|&b| b == b'\n') {
+                break (scanned + at + 1, false);
+            }
+            scanned = filled;
+            window += block_bytes;
+        };
+        let text = std::str::from_utf8(&buf[..cut]).map_err(|_| invalid_utf8())?;
+        if failed.is_none() {
+            failed = rows.parse(text, runtime, chunk_bytes, total_bytes).err();
+        }
+        if end {
+            break;
+        }
+        buf.copy_within(cut..filled, 0);
+        filled -= cut;
     }
-    let parsed = runtime.par_chunks_mut(&mut tasks, 1, |_, task| parse_task(&mut task[0], dims));
-    drop(tasks);
-    let (mut rows, mut slot, mut lines_before) = (0, 0, 0);
-    for (result, &n) in parsed.into_iter().zip(&newlines) {
-        let filled = result.map_err(|e| match e {
-            CsvError::Parse { line, message } => CsvError::Parse {
-                line: lines_before + line,
-                message,
-            },
-            e => e,
-        })?;
-        points.copy_within(slot * dims..(slot + filled) * dims, rows * dims);
-        labels.copy_within(slot..slot + filled, rows);
-        rows += filled;
-        slot += n + 1;
-        lines_before += n;
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(rows.finish()),
     }
-    points.truncate(rows * dims);
-    labels.truncate(rows);
-    let points = PointMatrix::from_flat(points, dims).expect("rows * dims coordinates");
-    Ok((points, labels))
+}
+
+/// Read from `reader` until `buf` is full or the input ends; returns how
+/// many bytes were read.
+fn fill(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
 }
 
 /// Parse a dataset from CSV text (features..., label). Empty lines and
@@ -353,11 +499,24 @@ fn dataset_name(path: &Path) -> String {
         .unwrap_or_else(|| "csv".to_string())
 }
 
-/// Load a dataset from a CSV file: one read, one UTF-8 check, then the
-/// chunk-parallel parse of [`parse_csv`].
+/// Load a dataset from a CSV file: the chunk-parallel parse of
+/// [`parse_csv`], block by block, so the file is never held whole. Each 4
+/// MiB block is read into one reused buffer, cut after its last newline,
+/// checked to be UTF-8 and parsed before the next is read; the output is
+/// reserved once, for the file's length at the first block's rows per
+/// byte. The rows, line numbers and errors are those of [`parse_csv`] on
+/// the file's text, and bytes that are not UTF-8 are reported before any
+/// parse error, wherever they are.
 pub fn load_csv(path: &Path) -> Result<Dataset, CsvError> {
-    let text = String::from_utf8(std::fs::read(path)?).map_err(|_| invalid_utf8())?;
-    let (points, labels) = parse_chunks(&text, Runtime::from_env(), CHUNK_BYTES)?;
+    let file = std::fs::File::open(path)?;
+    let total_bytes = file.metadata().map_or(0, |m| m.len() as usize);
+    let (points, labels) = read_blocks(
+        file,
+        total_bytes,
+        Runtime::from_env(),
+        BLOCK_BYTES,
+        CHUNK_BYTES,
+    )?;
     Ok(Dataset::new(dataset_name(path), points, labels, None))
 }
 
@@ -767,6 +926,38 @@ mod tests {
         path
     }
 
+    /// A reader that hands out at most `step` bytes a read, so a block
+    /// fill takes several reads.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// [`read_blocks`] over `bytes` as a dataset named `name`, on
+    /// `threads` workers, handed out `step` bytes a read.
+    fn blocks(
+        name: &str,
+        bytes: &[u8],
+        threads: usize,
+        block_bytes: usize,
+        chunk_bytes: usize,
+        step: usize,
+    ) -> Outcome {
+        let reader = Trickle { bytes, step };
+        let runtime = Runtime::with_threads(threads);
+        let parsed = read_blocks(reader, bytes.len(), runtime, block_bytes, chunk_bytes);
+        outcome(parsed.map(|(points, labels)| Dataset::new(name, points, labels, None)))
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(300))]
 
@@ -776,6 +967,7 @@ mod tests {
             lines in proptest::collection::vec((0u32..1000, 0u32..1000, 0u32..1000), 0..60),
             (bad_from, crlf, final_newline) in (0usize..80, 0u32..3, 0u8..4),
             chunk_bytes in 1usize..160,
+            (block_bytes, step) in (1usize..200, 1usize..600),
         ) {
             let bytes = gen_input(dims, &lines, bad_from, crlf, final_newline != 0);
             if let Ok(text) = std::str::from_utf8(&bytes) {
@@ -798,6 +990,18 @@ mod tests {
             let path = temp_file(&bytes);
             let loaded = outcome(load_csv(&path));
             let expected = outcome(reference::load_csv(&path));
+            for threads in [1, 4] {
+                let name = dataset_name(&path);
+                proptest::prop_assert_eq!(
+                    &blocks(&name, &bytes, threads, block_bytes, chunk_bytes, step),
+                    &expected,
+                    "threads {}, blocks of {} bytes, chunks of {} bytes, input {:?}",
+                    threads,
+                    block_bytes,
+                    chunk_bytes,
+                    bytes
+                );
+            }
             let mut batches = Vec::new();
             for batch_rows in [1, 7, 8192] {
                 let expected: Vec<Outcome> =
@@ -902,6 +1106,13 @@ mod tests {
                     .map(|(points, labels)| Dataset::new("big", points, labels, None));
                 assert_eq!(&outcome(parsed), expected);
             }
+            // Blocks of one chunk each: both bad lines lie blocks past the
+            // first.
+            for threads in [1, 4] {
+                let bytes = text.as_bytes();
+                let read = blocks("big", bytes, threads, CHUNK_BYTES, CHUNK_BYTES, usize::MAX);
+                assert_eq!(&read, expected, "threads {threads}");
+            }
             let path = temp_file(text.as_bytes());
             let loaded = outcome(load_csv(&path));
             std::fs::remove_file(&path).ok();
@@ -909,6 +1120,67 @@ mod tests {
                 loaded.map(|(_, d, p, l)| (d, p, l)),
                 expected.clone().map(|(_, d, p, l)| (d, p, l))
             );
+        }
+    }
+
+    #[test]
+    fn blocks_cut_anywhere_read_like_the_whole_text() {
+        let long = format!("{}.25,-3,4", "1".repeat(90));
+        let cases: [(&str, Vec<u8>, Result<usize, &str>); 7] = [
+            (
+                "a line longer than the buffer",
+                format!("1,2,0\n{long}\n5,6,1\n").into_bytes(),
+                Ok(3),
+            ),
+            (
+                "CRLF line endings",
+                b"1,2,0\r\n3,4,1\r\n\r\n5,6,2\r\n".to_vec(),
+                Ok(3),
+            ),
+            (
+                "comment and blank lines across block boundaries",
+                b"# x,y,class\n\n   \n1,2,0\n# a comment that spans a block\n\n3,4,1\n#\n5,6,2\n"
+                    .to_vec(),
+                Ok(3),
+            ),
+            ("no final newline", b"1,2,0\n3,4,1\n5,6,2".to_vec(), Ok(3)),
+            (
+                "a bad row in a later block",
+                b"1,2,0\n3,4,1\n\n# c\n5,6,2\n7,oops,3\n8,9,x\n".to_vec(),
+                Err("line 6: bad feature value 'oops': invalid float literal"),
+            ),
+            (
+                "bytes that are not UTF-8 in a later block",
+                b"1,2,0\n3,4,1\n5,6,2\n7,8,\xff3\n".to_vec(),
+                Err("io error: stream did not contain valid UTF-8"),
+            ),
+            (
+                "bytes that are not UTF-8 after a bad row",
+                b"1,2,0\nbad,2,0\n5,6,2\n\xc3\n".to_vec(),
+                Err("io error: stream did not contain valid UTF-8"),
+            ),
+        ];
+        for (case, bytes, want) in cases {
+            let path = temp_file(&bytes);
+            let name = dataset_name(&path);
+            let expected = outcome(reference::load_csv(&path));
+            let loaded = outcome(load_csv(&path));
+            std::fs::remove_file(&path).ok();
+            match (&expected, want) {
+                (Ok((_, _, _, labels)), Ok(rows)) => assert_eq!(labels.len(), rows, "{case}"),
+                (Err(e), Err(want)) => assert_eq!(e, want, "{case}"),
+                _ => panic!("{case}: the reference gave {expected:?}"),
+            }
+            assert_eq!(loaded, expected, "{case}");
+            for block_bytes in 1..=bytes.len() + 1 {
+                for step in [1, 3, usize::MAX] {
+                    let one = blocks(&name, &bytes, 1, block_bytes, 4, step);
+                    let four = blocks(&name, &bytes, 4, block_bytes, 4, step);
+                    let context = format!("{case}: blocks of {block_bytes}, reads of {step}");
+                    assert_eq!(one, expected, "{context}, 1 thread");
+                    assert_eq!(four, expected, "{context}, 4 threads");
+                }
+            }
         }
     }
 

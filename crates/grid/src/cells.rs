@@ -202,7 +202,7 @@ mod tests {
     use crate::lookup::hash_reference::assign_points;
     use crate::quantizer::hash_reference::count_keys;
     use crate::{connected_components, Connectivity, LookupTable, Quantizer, SparseGrid};
-    use adawave_api::PointMatrix;
+    use adawave_api::{PointMatrix, Precision};
     use adawave_runtime::Runtime;
     use proptest::prelude::*;
 
@@ -405,7 +405,18 @@ mod tests {
                             let (want_grid, want_keys) = want;
                             let want = (want_grid.into_iter().collect::<SparseGrid>(), want_keys);
                             prop_assert!(got == want, "quantize: {}", context);
-                            let (_, keys) = got;
+                            let (grid, keys) = got;
+                            // The cell-index form: the same grid, cell for
+                            // cell in the same order, and each point's
+                            // index naming its own key's cell.
+                            let precision = if f32_lane { Precision::F32 } else { Precision::F64 };
+                            let (cell_grid, cells) = q.quantize_cells(view, precision, rt);
+                            let listed: Vec<(u128, f64)> = cell_grid.iter().collect();
+                            prop_assert_eq!(&listed, &grid.iter().collect::<Vec<_>>(), "cells: {}", context);
+                            prop_assert_eq!(cells.len(), keys.len(), "cells: {}", context);
+                            for (i, (&cell, &key)) in cells.iter().zip(&keys).enumerate() {
+                                prop_assert_eq!(listed[cell as usize].0, key, "cells: {} row {}", context, i);
+                            }
                             // Thresholded transformed grid: singleton cells
                             // go, so some points map to unlabeled cells.
                             let mut down_grid: SparseGrid = keys

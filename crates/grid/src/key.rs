@@ -250,13 +250,23 @@ impl KeyCodec {
         debug_assert_eq!(self.dims(), target.dims(), "remap: dimensionality mismatch");
         let mut out = 0u128;
         for j in 0..self.dims() {
-            let c = match set {
-                Some((dim, c)) if dim == j => c,
-                _ => self.coordinate(key, j).checked_shr(levels).unwrap_or(0),
+            out |= match set {
+                Some((dim, c)) if dim == j => target.pack_downsampled(j, c, 0),
+                _ => target.pack_downsampled(j, self.coordinate(key, j), levels),
             };
-            out |= u128::from(c.min(target.intervals[j] - 1)) << target.offsets[j];
         }
         out
+    }
+
+    /// Contribution to one of this codec's keys of coordinate `c` of
+    /// dimension `j` in a grid `levels` halvings finer: `c` shifted right
+    /// by `levels` (0 past 31 levels) and clamped to this codec's interval
+    /// count. OR-ing it over all dimensions gives [`remap`](Self::remap)
+    /// of the finer key, with no finer key packed.
+    #[inline]
+    pub fn pack_downsampled(&self, j: usize, c: u32, levels: u32) -> u128 {
+        let c = c.checked_shr(levels).unwrap_or(0);
+        u128::from(c.min(self.intervals[j] - 1)) << self.offsets[j]
     }
 
     /// Append the codec to an artifact payload as one `intervals <m...>`

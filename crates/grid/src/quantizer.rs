@@ -1,7 +1,7 @@
 //! Space quantization (Algorithm 2 of the paper): assign every data point
 //! to a grid cell and record the per-cell point counts.
 
-use adawave_api::{PayloadReader, PointsView};
+use adawave_api::{PayloadReader, PointsView, Precision};
 use adawave_runtime::Runtime;
 
 use crate::{BoundingBox, CellTable, GridError, KeyCodec, Result, SparseGrid};
@@ -55,6 +55,10 @@ pub struct F32Lane {
 pub struct Quantizer {
     bounds: BoundingBox,
     codec: KeyCodec,
+    /// Interval width of every dimension, `extent / intervals` computed
+    /// once; infinite for a dimension of zero extent, whose every
+    /// coordinate then divides to 0 or NaN, both cell 0.
+    widths: Vec<f64>,
 }
 
 impl Quantizer {
@@ -86,7 +90,27 @@ impl Quantizer {
             });
         }
         let codec = KeyCodec::new(intervals)?;
-        Ok(Self { bounds, codec })
+        Ok(Self::from_parts(bounds, codec))
+    }
+
+    /// The quantizer of `bounds` and `codec`, which agree on the
+    /// dimensions.
+    fn from_parts(bounds: BoundingBox, codec: KeyCodec) -> Self {
+        let widths = (0..codec.dims())
+            .map(|j| {
+                let extent = bounds.extent(j);
+                if extent > 0.0 {
+                    extent / codec.intervals(j) as f64
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        Self {
+            bounds,
+            codec,
+            widths,
+        }
     }
 
     /// The key codec describing the quantized space.
@@ -107,18 +131,14 @@ impl Quantizer {
     /// Cell index of one coordinate in dimension `j`.
     #[inline]
     fn cell_coord(&self, j: usize, v: f64) -> u32 {
-        let m = self.codec.intervals(j);
-        let extent = self.bounds.extent(j);
         // Right-open intervals [l, h): index = floor((v - min)/width).
         // The maximum coordinate (and anything beyond the fitted
-        // bounds) is clamped into the boundary cells.
-        let c = if extent > 0.0 {
-            let width = extent / m as f64;
-            ((v - self.bounds.min()[j]) / width).floor() as i64
-        } else {
-            0
-        };
-        c.clamp(0, (m - 1) as i64) as u32
+        // bounds) is clamped into the boundary cells. Truncation gives
+        // the floor's cell after the clamp for every f64: they differ
+        // only on (-1, 0), and -0, NaN and the saturated infinities cast
+        // alike. It avoids `floor`, a libm call on baseline x86-64.
+        let c = ((v - self.bounds.min()[j]) / self.widths[j]) as i64;
+        c.clamp(0, i64::from(self.codec.intervals(j) - 1)) as u32
     }
 
     /// Cell coordinates of a single point. Points outside the fitted bounds
@@ -186,7 +206,7 @@ impl Quantizer {
     pub fn deserialize_from(reader: &mut PayloadReader<'_>) -> std::result::Result<Self, String> {
         let bounds = BoundingBox::deserialize_from(reader)?;
         let codec = KeyCodec::deserialize_from(reader, bounds.dims())?;
-        Ok(Self { bounds, codec })
+        Ok(Self::from_parts(bounds, codec))
     }
 
     /// Precompute the opt-in single-precision quantization lane.
@@ -214,12 +234,12 @@ impl Quantizer {
         F32Lane { mins, inv_widths }
     }
 
-    /// Cell index of one coordinate in dimension `j` through the f32 lane.
+    /// Cell index of one coordinate in dimension `j` through the f32 lane,
+    /// truncated as in [`cell_coord`](Self::cell_coord).
     #[inline]
     fn cell_coord_f32(&self, lane: &F32Lane, j: usize, v: f64) -> u32 {
-        let m = self.codec.intervals(j);
-        let c = ((v as f32 - lane.mins[j]) * lane.inv_widths[j]).floor() as i64;
-        c.clamp(0, (m - 1) as i64) as u32
+        let c = ((v as f32 - lane.mins[j]) * lane.inv_widths[j]) as i64;
+        c.clamp(0, i64::from(self.codec.intervals(j) - 1)) as u32
     }
 
     /// Packed cell key of a single point through the f32 lane — the
@@ -235,6 +255,37 @@ impl Quantizer {
         );
         point.iter().enumerate().fold(0u128, |key, (j, &v)| {
             key | self.codec.pack_coord(j, self.cell_coord_f32(lane, j, v))
+        })
+    }
+
+    /// The key of a point's cell after `levels` decompositions, in
+    /// `target`'s layout (the transformed codec), through the f32 `lane`
+    /// when given: [`KeyCodec::remap`] of the point's
+    /// [`cell_key`](Self::cell_key) (or [`cell_key_f32`](Self::cell_key_f32)),
+    /// with each coordinate shifted and clamped into `target` as it is
+    /// computed ([`KeyCodec::pack_downsampled`]) instead of packed into a
+    /// key that is then unpacked again.
+    ///
+    /// # Panics
+    /// Panics if the point dimensionality does not match the quantizer.
+    pub fn transformed_key(
+        &self,
+        lane: Option<&F32Lane>,
+        point: &[f64],
+        target: &KeyCodec,
+        levels: u32,
+    ) -> u128 {
+        assert_eq!(
+            point.len(),
+            self.dims(),
+            "transformed_key: dimensionality mismatch"
+        );
+        point.iter().enumerate().fold(0u128, |key, (j, &v)| {
+            let c = match lane {
+                None => self.cell_coord(j, v),
+                Some(lane) => self.cell_coord_f32(lane, j, v),
+            };
+            key | target.pack_downsampled(j, c, levels)
         })
     }
 
@@ -255,10 +306,8 @@ impl Quantizer {
         points: PointsView<'_>,
         runtime: Runtime,
     ) -> (SparseGrid, Vec<u128>) {
-        let lane = self.f32_lane();
-        count_keys(points, &self.codec, runtime, |p| {
-            self.cell_key_f32(&lane, p)
-        })
+        let keys = self.row_keys(points, Precision::F32, runtime);
+        (count_keys(&keys, &self.codec, |_| {}), keys)
     }
 
     /// [`quantize`](Self::quantize) fanned out over `runtime`: the keys are
@@ -272,29 +321,68 @@ impl Quantizer {
         points: PointsView<'_>,
         runtime: Runtime,
     ) -> (SparseGrid, Vec<u128>) {
-        count_keys(points, &self.codec, runtime, |p| self.cell_key(p))
+        let keys = self.row_keys(points, Precision::F64, runtime);
+        (count_keys(&keys, &self.codec, |_| {}), keys)
+    }
+
+    /// Quantize a whole dataset through the `precision` lane for a caller
+    /// that labels points by cell: the grid of [`quantize_with`]
+    /// (or [`quantize_f32_with`]) and, for every point, its cell's index in
+    /// that grid's cells, 4 bytes where a key takes 16. The keys are
+    /// computed as there and dropped once counted.
+    ///
+    /// [`quantize_with`]: Self::quantize_with
+    /// [`quantize_f32_with`]: Self::quantize_f32_with
+    ///
+    /// # Panics
+    /// Panics if the grid holds more than 2^32 cells.
+    pub fn quantize_cells(
+        &self,
+        points: PointsView<'_>,
+        precision: Precision,
+        runtime: Runtime,
+    ) -> (SparseGrid, Vec<u32>) {
+        let keys = self.row_keys(points, precision, runtime);
+        let mut cells = Vec::with_capacity(keys.len());
+        let grid = count_keys(&keys, &self.codec, |index| {
+            cells.push(u32::try_from(index).expect("a grid holds at most 2^32 cells"));
+        });
+        (grid, cells)
+    }
+
+    /// Every row's cell key through the `precision` lane
+    /// ([`fill_row_keys`]).
+    fn row_keys(
+        &self,
+        points: PointsView<'_>,
+        precision: Precision,
+        runtime: Runtime,
+    ) -> Vec<u128> {
+        let mut keys = vec![0; points.len()];
+        match precision {
+            Precision::F64 => fill_row_keys(points, runtime, &mut keys, |p| self.cell_key(p)),
+            Precision::F32 => {
+                let lane = self.f32_lane();
+                fill_row_keys(points, runtime, &mut keys, |p| self.cell_key_f32(&lane, p));
+            }
+        }
+        keys
     }
 }
 
-/// Keys first, count once: one key per row, then one pass adding each to
-/// its cell ([`SparseGrid::add_interned`]) through a [`CellTable`], which
-/// indexes a flat array when `codec`'s keys are at most
-/// [`CellTable::DENSE_KEY_BITS`] wide and hashes them otherwise. The cells
-/// come out in the order their first point arrived.
-fn count_keys(
-    points: PointsView<'_>,
-    codec: &KeyCodec,
-    runtime: Runtime,
-    key: impl Fn(&[f64]) -> u128 + Sync,
-) -> (SparseGrid, Vec<u128>) {
-    let mut keys = vec![0; points.len()];
-    fill_row_keys(points, runtime, &mut keys, key);
+/// Keys first, count once: one pass adding each key to its cell
+/// ([`SparseGrid::add_interned`]) through a [`CellTable`], which indexes a
+/// flat array when `codec`'s keys are at most
+/// [`CellTable::DENSE_KEY_BITS`] wide and hashes them otherwise, handing
+/// `index` each key's cell index in turn. The cells come out in the order
+/// their first point arrived.
+fn count_keys(keys: &[u128], codec: &KeyCodec, mut index: impl FnMut(usize)) -> SparseGrid {
     let mut table = CellTable::with_capacity(codec, keys.len().min(1 << 16));
     let mut grid = SparseGrid::new();
-    for &key in &keys {
-        grid.add_interned(&mut table, key, 1.0);
+    for &key in keys {
+        index(grid.add_interned(&mut table, key, 1.0));
     }
-    (grid, keys)
+    grid
 }
 
 /// The per-point hash count [`count_keys`] replaced, kept as the
@@ -325,6 +413,102 @@ pub(crate) mod hash_reference {
 mod tests {
     use super::*;
     use adawave_api::PointMatrix;
+    use proptest::prelude::*;
+
+    /// The cell coordinate of the floor formula `cell_coord` replaced.
+    fn floor_coord(min: f64, extent: f64, m: u32, v: f64) -> u32 {
+        let c = if extent > 0.0 {
+            let width = extent / m as f64;
+            ((v - min) / width).floor() as i64
+        } else {
+            0
+        };
+        c.clamp(0, (m - 1) as i64) as u32
+    }
+
+    /// The f32 lane's cell coordinate by the floor formula it replaced.
+    fn floor_coord_f32(min: f32, inv_width: f32, m: u32, v: f64) -> u32 {
+        let c = ((v as f32 - min) * inv_width).floor() as i64;
+        c.clamp(0, (m - 1) as i64) as u32
+    }
+
+    /// Values at the edges of the f64 line: signed zeros, the smallest
+    /// subnormal and normal, the largest finite, the infinities and NaN.
+    const EDGES: [f64; 18] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        1e-310,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        0.5,
+        -0.5,
+        1.0,
+        -1.0,
+        1e300,
+        -1e300,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Truncating by a width computed once gives the floor formula's
+        /// cell for adversarial values in both lanes: the edges of the f64
+        /// line, cell boundaries and their neighbouring floats, over
+        /// domains of zero, subnormal, ordinary and overflowing extent.
+        /// The transformed key equals the re-encoded cell key at levels
+        /// 0-3 (33 saturates every coordinate).
+        #[test]
+        fn truncated_cells_match_the_floor_formula(
+            (domain, lo, m) in (0u32..4, 0usize..EDGES.len(), 1u32..600),
+            picks in proptest::collection::vec((0usize..EDGES.len() + 3, 0u32..700, 0u32..3), 1..48),
+            levels in 0u32..5,
+        ) {
+            let lo = if EDGES[lo].is_finite() { EDGES[lo] } else { 0.0 };
+            let (min, max) = match domain {
+                0 => (lo, lo),
+                1 => (0.0, f64::from_bits(1 + u64::from(m % 7))),
+                2 => (lo.clamp(-1e300, 1e300), lo.clamp(-1e300, 1e300) + 0.37 * f64::from(m)),
+                _ => (f64::MIN, f64::MAX),
+            };
+            let q = Quantizer::with_bounds(BoundingBox::from_bounds(vec![min], vec![max]), &[m])
+                .unwrap();
+            let lane = q.f32_lane();
+            let levels = if levels == 4 { 33 } else { levels };
+            let target = q.codec().downsampled(levels).unwrap();
+            let extent = max - min;
+            for &(pick, k, ulps) in &picks {
+                let v = match pick {
+                    i if i < EDGES.len() => EDGES[i],
+                    i => {
+                        // Near the boundary of cell k: below, on or above.
+                        let boundary = min + f64::from(k) * (extent / f64::from(m));
+                        let step = [-1i64, 0, 1][ulps as usize] * (i - EDGES.len()) as i64;
+                        f64::from_bits(boundary.to_bits().wrapping_add_signed(step))
+                    }
+                };
+                let context = format!("[{min:e}, {max:e}] in {m}, v = {v:e}");
+                let want = floor_coord(min, extent, m, v);
+                prop_assert_eq!(q.cell_coords(&[v]), vec![want], "{}", context);
+                let want32 = floor_coord_f32(lane.mins[0], lane.inv_widths[0], m, v);
+                prop_assert_eq!(q.cell_key_f32(&lane, &[v]), u128::from(want32), "f32 {}", context);
+                let remapped = q.codec().remap(q.cell_key(&[v]), &target, levels, None);
+                prop_assert_eq!(q.transformed_key(None, &[v], &target, levels), remapped, "{}", context);
+                let remapped = q.codec().remap(q.cell_key_f32(&lane, &[v]), &target, levels, None);
+                prop_assert_eq!(
+                    q.transformed_key(Some(&lane), &[v], &target, levels),
+                    remapped,
+                    "f32 {}", context
+                );
+            }
+        }
+    }
 
     fn matrix(rows: Vec<Vec<f64>>) -> PointMatrix {
         PointMatrix::from_rows(rows).unwrap()

@@ -551,22 +551,11 @@ impl StreamingAdaWave {
 
     /// Label every retained point under a refit grid model: one
     /// [`GridModel::cluster_of_cell`] per occupied cell, then one read by
-    /// index per point.
+    /// index per point ([`GridModel::assign_cells`]; an [`OUTLIER`] is
+    /// past every cell, so noise).
     fn assignment_under(&self, model: &GridModel) -> Vec<Option<usize>> {
         let frozen = self.frozen.as_ref().expect("caller refit the model");
-        let codec = frozen.quantizer.codec();
-        let cell_clusters: Vec<Option<usize>> = frozen
-            .grid
-            .iter()
-            .map(|(key, _)| model.cluster_of_cell(codec, key))
-            .collect();
-        self.point_cells
-            .iter()
-            .map(|&index| match index {
-                OUTLIER => None,
-                index => cell_clusters[index as usize],
-            })
-            .collect()
+        model.assign_cells(&frozen.grid, frozen.quantizer.codec(), &self.point_cells)
     }
 }
 

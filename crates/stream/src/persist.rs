@@ -255,7 +255,9 @@ impl StreamingAdaWave {
     }
 
     /// Rebuild a session from a [`snapshot`](Self::snapshot) payload, in
-    /// one pass over its lines.
+    /// one pass over its lines; each point line of the dump's width is
+    /// read by position ([`PayloadReader::hex_line`]), not split off by a
+    /// search for its end.
     ///
     /// Everything is re-validated on the way in: the configuration fields,
     /// the quantizer (bounds ordering, interval counts, key width), the
@@ -285,20 +287,30 @@ impl StreamingAdaWave {
         let mut named = vec![0usize; cells];
         let mut noise = 0usize;
         for _ in 0..head.points {
-            let line = reader.line()?;
-            if line == "-" {
-                noise += 1;
-                point_cells.push(OUTLIER);
-                continue;
-            }
-            if frozen.is_none() {
-                return Err("in-domain point cells listed but no frozen space".to_string());
-            }
-            let index = parse_hex(line, width)
-                .ok_or_else(|| format!("bad point index '{line}' (expected {width} hex digits)"))?;
+            // Most lines are an index of the dump's width: read by
+            // position. Any other line goes through `line` and the checks
+            // below, which word the error.
+            let index = match frozen.as_ref().and_then(|_| reader.hex_line(width)) {
+                Some(index) => index,
+                None => {
+                    let line = reader.line()?;
+                    if line == "-" {
+                        noise += 1;
+                        point_cells.push(OUTLIER);
+                        continue;
+                    }
+                    if frozen.is_none() {
+                        return Err("in-domain point cells listed but no frozen space".to_string());
+                    }
+                    parse_hex(line, width).ok_or_else(|| {
+                        format!("bad point index '{line}' (expected {width} hex digits)")
+                    })?
+                }
+            };
             if index >= cells as u128 {
                 return Err(format!(
-                    "point index {line} is past the grid's {cells} cells"
+                    "point index {index:0w$x} is past the grid's {cells} cells",
+                    w = width as usize
                 ));
             }
             named[index as usize] += 1;
