@@ -190,6 +190,7 @@ pub trait Clusterer {
 /// zero-dimensional point sets are invalid for all algorithms (dimension
 /// now lives on the matrix, so this can never panic on `points[0]`).
 pub fn validate_fit_input(points: PointsView<'_>) -> Result<(), ClusterError> {
+    validate_row_count(points.len())?;
     if points.is_empty() {
         return Err(ClusterError::InvalidInput {
             context: "empty point set".to_string(),
@@ -198,6 +199,23 @@ pub fn validate_fit_input(points: PointsView<'_>) -> Result<(), ClusterError> {
     if points.dims() == 0 {
         return Err(ClusterError::InvalidInput {
             context: "points have zero dimensions".to_string(),
+        });
+    }
+    Ok(())
+}
+
+/// The row limit of every fit and predict: a point set of
+/// [`Clustering::MAX_POINTS`] rows at most, since each point's label is a
+/// `u32` below the noise marker `u32::MAX`, and so is the index of the
+/// grid cell an AdaWave fit files it under. A larger count is
+/// [`ClusterError::InvalidInput`] naming the limit.
+pub fn validate_row_count(rows: usize) -> Result<(), ClusterError> {
+    if rows > Clustering::MAX_POINTS {
+        return Err(ClusterError::InvalidInput {
+            context: format!(
+                "{rows} points are more than the {} a clustering holds (one u32 label a point)",
+                Clustering::MAX_POINTS
+            ),
         });
     }
     Ok(())
@@ -326,5 +344,22 @@ mod tests {
         ));
         let fine = crate::PointMatrix::from_rows(vec![vec![0.5]]).unwrap();
         assert!(validate_fit_input(fine.view()).is_ok());
+    }
+
+    #[test]
+    fn row_counts_stop_below_the_u32_noise_marker() {
+        let limit = u32::MAX as usize - 1;
+        assert_eq!(Clustering::MAX_POINTS, limit);
+        for rows in [0, 1, limit] {
+            assert_eq!(validate_row_count(rows), Ok(()), "{rows}");
+        }
+        for rows in [limit + 1, u32::MAX as usize + 1, usize::MAX] {
+            let err = validate_row_count(rows).unwrap_err();
+            let ClusterError::InvalidInput { context } = &err else {
+                panic!("{rows}: {err}");
+            };
+            assert!(context.contains(&format!("{rows} points")), "{err}");
+            assert!(context.contains("4294967294 a clustering holds"), "{err}");
+        }
     }
 }

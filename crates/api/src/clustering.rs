@@ -4,17 +4,44 @@
 //! result struct; this is the single shared type both now produce, so
 //! callers can score, post-process and compare algorithms uniformly.
 
-use crate::PointsView;
+use std::collections::HashMap;
+
+use crate::{ClusterError, PointsView};
 
 /// A clustering of `n` points: each point is either assigned to a cluster
 /// (`Some(id)` with contiguous 0-based ids) or marked as noise (`None`).
+///
+/// The labels are held as one `u32` a point, with `u32::MAX` marking
+/// noise: 4 bytes where an `Option<usize>` takes 16. So a clustering
+/// holds at most [`MAX_POINTS`](Self::MAX_POINTS) points, and so at most
+/// [`MAX_CLUSTERS`](Self::MAX_CLUSTERS) clusters; fits and predicts
+/// reject larger inputs first ([`validate_row_count`]). The accessors
+/// speak `Option<usize>`: [`label`](Self::label) for one point and
+/// [`labels`](Self::labels) for every point in order.
+///
+/// [`validate_row_count`]: crate::validate_row_count
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Clustering {
-    assignment: Vec<Option<usize>>,
+    ids: Vec<u32>,
     cluster_count: usize,
 }
 
+/// The `u32` id of a noise point.
+const NOISE: u32 = Clustering::NOISE;
+
 impl Clustering {
+    /// The `u32` id that marks a noise point in the ids
+    /// [`from_ids`](Self::from_ids) and
+    /// [`from_ids_with_remap`](Self::from_ids_with_remap) take.
+    pub const NOISE: u32 = u32::MAX;
+
+    /// The most points a clustering holds: every label is a `u32` below
+    /// `u32::MAX`, the noise marker.
+    pub const MAX_POINTS: usize = u32::MAX as usize - 1;
+
+    /// The most clusters a clustering holds, one id below `u32::MAX` each.
+    pub const MAX_CLUSTERS: usize = u32::MAX as usize - 1;
+
     /// Build a clustering from an assignment vector. Cluster ids are
     /// compacted to `0..k` in order of first appearance, preserving the
     /// partition; ids may be arbitrary (non-contiguous, interleaved with
@@ -23,36 +50,113 @@ impl Clustering {
     /// Ids below the point count, which every algorithm in the workspace
     /// hands in, are renumbered through an array indexed by id, one slot
     /// per id up to the largest; larger ids go through a hash map.
-    pub fn new(mut assignment: Vec<Option<usize>>) -> Self {
+    ///
+    /// # Panics
+    /// Panics if the assignment holds more than
+    /// [`MAX_POINTS`](Self::MAX_POINTS) points.
+    pub fn new(assignment: Vec<Option<usize>>) -> Self {
         let largest = assignment.iter().flatten().max().copied();
-        let cluster_count = match largest {
-            None => 0,
-            Some(largest) if largest < assignment.len() => {
-                let mut ids = vec![usize::MAX; largest + 1];
-                let mut next = 0;
-                for id in assignment.iter_mut().flatten() {
-                    let new = &mut ids[*id];
-                    if *new == usize::MAX {
-                        *new = next;
-                        next += 1;
-                    }
-                    *id = *new;
-                }
-                next
-            }
-            Some(_) => {
-                let mut ids = std::collections::HashMap::new();
-                for id in assignment.iter_mut().flatten() {
-                    let next = ids.len();
-                    *id = *ids.entry(*id).or_insert(next);
-                }
-                ids.len()
-            }
-        };
-        Self {
-            assignment,
-            cluster_count,
+        if largest.is_some_and(|largest| largest >= assignment.len()) {
+            let mut order = HashMap::new();
+            let ids = assignment
+                .iter()
+                .map(|a| a.map_or(NOISE, |raw| first_appearance(&mut order, raw)))
+                .collect();
+            return Self::compacted(ids, order.len());
         }
+        let ids = assignment
+            .iter()
+            .map(|a| a.map_or(NOISE, |id| id as u32))
+            .collect();
+        Self::from_ids_with_remap(ids, largest.map_or(0, |largest| largest + 1)).0
+    }
+
+    /// [`new`](Self::new) on `u32` ids, `u32::MAX` marking noise: the ids
+    /// are renumbered in place, so the clustering takes no memory beyond
+    /// `ids` (and one slot per id up to the largest when it is below the
+    /// point count).
+    ///
+    /// ```
+    /// use adawave_api::Clustering;
+    ///
+    /// let c = Clustering::from_ids(vec![7, u32::MAX, 3, 7]);
+    /// assert_eq!(c.labels().collect::<Vec<_>>(), [Some(0), None, Some(1), Some(0)]);
+    /// ```
+    ///
+    /// # Panics
+    /// As [`new`](Self::new).
+    pub fn from_ids(mut ids: Vec<u32>) -> Self {
+        let largest = ids.iter().filter(|&&id| id != NOISE).max().copied();
+        match largest {
+            Some(largest) if largest as usize >= ids.len() => {
+                let mut order = HashMap::new();
+                for id in ids.iter_mut().filter(|id| **id != NOISE) {
+                    *id = first_appearance(&mut order, *id);
+                }
+                Self::compacted(ids, order.len())
+            }
+            _ => Self::from_ids_with_remap(ids, largest.map_or(0, |id| id as usize + 1)).0,
+        }
+    }
+
+    /// [`from_ids`](Self::from_ids) for an algorithm's own ids, all below
+    /// `id_count` (the components of a grid, say), which also returns
+    /// where each of those ids went: the [`compact_remap`] of the ids,
+    /// with the ids no point carries appended after the others in
+    /// ascending order. A model built with that map predicts the
+    /// clustering's ids.
+    ///
+    /// [`compact_remap`]: crate::compact_remap
+    ///
+    /// ```
+    /// use adawave_api::Clustering;
+    ///
+    /// let (c, remap) = Clustering::from_ids_with_remap(vec![2, u32::MAX, 0, 2], 4);
+    /// assert_eq!(c.labels().collect::<Vec<_>>(), [Some(0), None, Some(1), Some(0)]);
+    /// assert_eq!(remap, [1, 2, 0, 3]);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if an id other than `u32::MAX` is `id_count` or more, or as
+    /// [`new`](Self::new).
+    pub fn from_ids_with_remap(mut ids: Vec<u32>, id_count: usize) -> (Self, Vec<usize>) {
+        let labeled = ids.iter().filter(|&&id| id != NOISE).map(|&id| id as usize);
+        let remap = crate::compact_remap(labeled, id_count);
+        // The ids that appear take 0..count, so the largest new id is the
+        // last of them.
+        let mut count = 0;
+        for id in ids.iter_mut().filter(|id| **id != NOISE) {
+            *id = remap[*id as usize] as u32;
+            count = count.max(*id as usize + 1);
+        }
+        (Self::compacted(ids, count), remap)
+    }
+
+    /// The `u32` id [`from_ids`](Self::from_ids) reads for `label`:
+    /// `u32::MAX` for noise. An id of `u32::MAX` or more has no `u32` form
+    /// and is an [`ClusterError::InvalidInput`] that names the limit.
+    pub fn id_of(label: Option<usize>) -> Result<u32, ClusterError> {
+        match label {
+            None => Ok(NOISE),
+            Some(id) => u32::try_from(id)
+                .ok()
+                .filter(|&id| id != NOISE)
+                .ok_or_else(|| ClusterError::InvalidInput {
+                    context: format!(
+                        "cluster id {id} is not below {NOISE}, the noise marker of u32 labels"
+                    ),
+                }),
+        }
+    }
+
+    /// The clustering of `ids` already numbered by first appearance.
+    fn compacted(ids: Vec<u32>, cluster_count: usize) -> Self {
+        assert!(
+            ids.len() <= Self::MAX_POINTS,
+            "a clustering holds at most {} points",
+            Self::MAX_POINTS
+        );
+        Self { ids, cluster_count }
     }
 
     /// A clustering where every point is assigned (no noise).
@@ -62,20 +166,17 @@ impl Clustering {
 
     /// A clustering where every point is noise.
     pub fn all_noise(n: usize) -> Self {
-        Self {
-            assignment: vec![None; n],
-            cluster_count: 0,
-        }
+        Self::compacted(vec![NOISE; n], 0)
     }
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.assignment.len()
+        self.ids.len()
     }
 
     /// Whether there are no points.
     pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
+        self.ids.is_empty()
     }
 
     /// Number of clusters (noise excluded).
@@ -85,33 +186,35 @@ impl Clustering {
 
     /// Assignment of a single point.
     pub fn label(&self, point: usize) -> Option<usize> {
-        self.assignment[point]
+        label_of(self.ids[point])
     }
 
-    /// Borrow the raw assignment.
-    pub fn assignment(&self) -> &[Option<usize>] {
-        &self.assignment
+    /// The assignment of every point in order, `None` for noise.
+    pub fn labels(
+        &self,
+    ) -> impl ExactSizeIterator<Item = Option<usize>> + DoubleEndedIterator + Clone + '_ {
+        self.ids.iter().copied().map(label_of)
     }
 
     /// Number of points labeled as noise.
     pub fn noise_count(&self) -> usize {
-        self.assignment.iter().filter(|a| a.is_none()).count()
+        self.ids.iter().filter(|&&id| id == NOISE).count()
     }
 
     /// Fraction of points labeled as noise.
     pub fn noise_fraction(&self) -> f64 {
-        if self.assignment.is_empty() {
+        if self.ids.is_empty() {
             0.0
         } else {
-            self.noise_count() as f64 / self.assignment.len() as f64
+            self.noise_count() as f64 / self.ids.len() as f64
         }
     }
 
     /// Size of each cluster, indexed by cluster id.
     pub fn cluster_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.cluster_count];
-        for a in self.assignment.iter().flatten() {
-            sizes[*a] += 1;
+        for c in self.labels().flatten() {
+            sizes[c] += 1;
         }
         sizes
     }
@@ -119,18 +222,15 @@ impl Clustering {
     /// Convert to a dense label vector for metric computation, mapping noise
     /// to the given label (commonly `usize::MAX` or `k`).
     pub fn to_labels(&self, noise_label: usize) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .map(|a| a.unwrap_or(noise_label))
-            .collect()
+        self.labels().map(|a| a.unwrap_or(noise_label)).collect()
     }
 
     /// Members of each cluster as index lists.
     pub fn clusters(&self) -> Vec<Vec<usize>> {
         let mut out = vec![Vec::new(); self.cluster_count];
-        for (i, a) in self.assignment.iter().enumerate() {
+        for (i, a) in self.labels().enumerate() {
             if let Some(c) = a {
-                out[*c].push(i);
+                out[c].push(i);
             }
         }
         out
@@ -149,12 +249,12 @@ impl Clustering {
         // points themselves.
         let mut centroids = vec![0.0; dims * self.cluster_count];
         let mut counts = vec![0usize; self.cluster_count];
-        for (p, a) in points.rows().zip(self.assignment.iter()) {
+        for (p, a) in points.rows().zip(self.labels()) {
             if let Some(c) = a {
                 for (acc, v) in centroids[c * dims..(c + 1) * dims].iter_mut().zip(p.iter()) {
                     *acc += v;
                 }
-                counts[*c] += 1;
+                counts[c] += 1;
             }
         }
         for (c, count) in counts.iter().enumerate() {
@@ -164,12 +264,12 @@ impl Clustering {
                 }
             }
         }
-        let assignment = points
+        let ids = points
             .rows()
-            .zip(self.assignment.iter())
-            .map(|(p, a)| {
-                if a.is_some() {
-                    *a
+            .zip(&self.ids)
+            .map(|(p, &id)| {
+                if id != NOISE {
+                    id
                 } else {
                     let mut best = 0;
                     let mut best_d = f64::MAX;
@@ -183,12 +283,24 @@ impl Clustering {
                             best = c;
                         }
                     }
-                    Some(best)
+                    best as u32
                 }
             })
             .collect();
-        Clustering::new(assignment)
+        Clustering::from_ids(ids)
     }
+}
+
+/// The label of a `u32` id.
+fn label_of(id: u32) -> Option<usize> {
+    (id != NOISE).then_some(id as usize)
+}
+
+/// The first-appearance id of `raw` in `order`: the id it was given when
+/// first seen, or else the next id.
+fn first_appearance<K: std::hash::Hash + Eq>(order: &mut HashMap<K, u32>, raw: K) -> u32 {
+    let next = order.len() as u32;
+    *order.entry(raw).or_insert(next)
 }
 
 #[cfg(test)]
@@ -207,13 +319,42 @@ mod tests {
         (assignment, mapping.len())
     }
 
+    /// Every accessor of `got` against the renumbered reference.
+    fn assert_matches_reference(
+        got: &Clustering,
+        want: &[Option<usize>],
+        count: usize,
+        context: &str,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&got.labels().collect::<Vec<_>>(), want, "{}", context);
+        prop_assert_eq!(got.labels().len(), want.len(), "{}", context);
+        prop_assert_eq!(got.cluster_count(), count, "{}", context);
+        for (i, &label) in want.iter().enumerate() {
+            prop_assert_eq!(got.label(i), label, "{} point {}", context, i);
+        }
+        let noise_label = count + 3;
+        let labels: Vec<usize> = want.iter().map(|a| a.unwrap_or(noise_label)).collect();
+        prop_assert_eq!(got.to_labels(noise_label), labels, "{}", context);
+        let mut sizes = vec![0; count];
+        for &c in want.iter().flatten() {
+            sizes[c] += 1;
+        }
+        prop_assert_eq!(got.cluster_sizes(), sizes, "{}", context);
+        let noise = want.iter().filter(|a| a.is_none()).count();
+        prop_assert_eq!(got.noise_count(), noise, "{}", context);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
         /// Both renumbering paths equal the hash reference: ids drawn
         /// densely below the point count (the array), sparsely up to a few
         /// times past it and near `usize::MAX` (the hash map), with every
-        /// point noise and with no points at all.
+        /// point noise and with no points at all. The `u32` constructors
+        /// take the same ids, those near `usize::MAX` moved just below
+        /// `u32::MAX`; the one with a remap sizes its array by the largest
+        /// id.
         #[test]
         fn renumbering_matches_the_hash_reference(
             raw in proptest::collection::vec((0u32..8, 0usize..1000), 0..80),
@@ -230,10 +371,47 @@ mod tests {
                     _ => None,
                 })
                 .collect();
+            let context = format!("{assignment:?}");
             let (want, count) = hash_reference(assignment.clone());
-            let got = Clustering::new(assignment.clone());
-            prop_assert_eq!(got.assignment(), &want[..], "{:?}", assignment);
-            prop_assert_eq!(got.cluster_count(), count, "{:?}", assignment);
+            assert_matches_reference(&Clustering::new(assignment.clone()), &want, count, &context)?;
+            let ids: Vec<u32> = assignment
+                .iter()
+                .map(|a| match *a {
+                    None => NOISE,
+                    Some(id) if kind == 2 => NOISE - 1 - (usize::MAX - id) as u32,
+                    Some(id) => id as u32,
+                })
+                .collect();
+            assert_matches_reference(&Clustering::from_ids(ids.clone()), &want, count, &context)?;
+            if kind != 2 {
+                let id_count = ids.iter().filter(|&&id| id != NOISE).max().map_or(0, |&id| id as usize + 1);
+                let (got, remap) = Clustering::from_ids_with_remap(ids.clone(), id_count);
+                assert_matches_reference(&got, &want, count, &context)?;
+                // The remap sends every id to the label its points took,
+                // and the ids no point carries past those.
+                for (&id, label) in ids.iter().zip(got.labels()) {
+                    prop_assert_eq!(label, (id != NOISE).then(|| remap[id as usize]), "{}", context);
+                }
+                let mut sorted = remap.clone();
+                sorted.sort_unstable();
+                prop_assert!(sorted.into_iter().eq(0..id_count), "{}", context);
+            }
+        }
+    }
+
+    #[test]
+    fn ids_past_the_u32_labels_are_typed_errors() {
+        assert_eq!(Clustering::id_of(None), Ok(u32::MAX));
+        assert_eq!(Clustering::id_of(Some(0)), Ok(0));
+        let last = u32::MAX as usize - 1;
+        assert_eq!(Clustering::id_of(Some(last)), Ok(last as u32));
+        for id in [last + 1, usize::MAX] {
+            let err = Clustering::id_of(Some(id)).unwrap_err();
+            let want = format!("cluster id {id} is not below 4294967295");
+            assert!(
+                matches!(&err, ClusterError::InvalidInput { context } if context.contains(&want)),
+                "{err}"
+            );
         }
     }
 
@@ -267,8 +445,8 @@ mod tests {
         ]);
         assert_eq!(c.cluster_count(), 3);
         assert_eq!(
-            c.assignment(),
-            &[
+            c.labels().collect::<Vec<_>>(),
+            [
                 Some(0),
                 None,
                 Some(1),
@@ -280,8 +458,8 @@ mod tests {
             ]
         );
         // Every assigned id is below cluster_count (dense ids).
-        for a in c.assignment().iter().flatten() {
-            assert!(*a < c.cluster_count());
+        for a in c.labels().flatten() {
+            assert!(a < c.cluster_count());
         }
         assert_eq!(c.cluster_sizes(), vec![3, 2, 1]);
     }

@@ -19,8 +19,9 @@
 //!   `predict_one` for single points) without refitting, and unanswerable
 //!   points (non-finite, out-of-domain, wrong dimensionality) are noise.
 //! * [`Clustering`] — the canonical result type shared by `adawave-core`
-//!   and `adawave-baselines`: per-point `Option<usize>` labels with
-//!   compacted cluster ids (`None` = noise).
+//!   and `adawave-baselines`: per-point labels with compacted cluster
+//!   ids, held as one `u32` a point and read as `Option<usize>`
+//!   (`None` = noise).
 //! * [`Params`] / [`AlgorithmSpec`] — a typed-but-dynamic parameter layer:
 //!   string keys and values (`k=3`, `eps=0.05`) parsed on demand into each
 //!   algorithm's strongly-typed config builder.
@@ -120,7 +121,9 @@ pub use artifact::{
     decode_artifact, f64_from_hex, f64_to_hex, load_artifact, parse_hex, push_hex, save_artifact,
     save_artifact_atomic, Artifact, ArtifactError, ArtifactKind, PayloadReader,
 };
-pub use clusterer::{closest_matches, validate_fit_input, ClusterError, Clusterer};
+pub use clusterer::{
+    closest_matches, validate_fit_input, validate_row_count, ClusterError, Clusterer,
+};
 pub use clustering::Clustering;
 pub use model::{compact_remap, validate_predict_input, FitOutcome, Model, PredictSupport};
 pub use params::{AlgorithmSpec, Params, Precision};

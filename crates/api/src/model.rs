@@ -87,11 +87,18 @@ pub trait Model: Send + Sync {
     /// training batch reproduces the fit labels exactly. Empty,
     /// zero-dimensional or wrong-dimensionality batches are
     /// [`ClusterError::InvalidInput`].
+    ///
+    /// The default labels every point with
+    /// [`predict_one`](Self::predict_one) into one `u32` id a point, which
+    /// [`Clustering::from_ids`] renumbers in place; an id with no `u32`
+    /// form ([`Clustering::id_of`]) is an error.
     fn predict(&self, points: PointsView<'_>) -> Result<Clustering, ClusterError> {
         validate_predict_input(self.dims(), points)?;
-        Ok(Clustering::new(
-            points.rows().map(|p| self.predict_one(p)).collect(),
-        ))
+        let mut ids = Vec::with_capacity(points.len());
+        for point in points.rows() {
+            ids.push(Clustering::id_of(self.predict_one(point))?);
+        }
+        Ok(Clustering::from_ids(ids))
     }
 
     /// One-paragraph human-readable diagnostics: what was trained, how many
@@ -258,7 +265,10 @@ mod tests {
             PointMatrix::from_rows(vec![vec![0.9], vec![0.1], vec![f64::NAN], vec![0.8]]).unwrap();
         let clustering = model.predict(batch.view()).unwrap();
         // First appearance wins id 0 even though predict_one said 1.
-        assert_eq!(clustering.assignment(), &[Some(0), Some(1), None, Some(0)]);
+        assert_eq!(
+            clustering.labels().collect::<Vec<_>>(),
+            [Some(0), Some(1), None, Some(0)]
+        );
         assert_eq!(clustering.cluster_count(), 2);
     }
 

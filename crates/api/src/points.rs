@@ -401,6 +401,23 @@ impl<'a> PointsView<'a> {
         self.data
     }
 
+    /// The view of rows `range`.
+    ///
+    /// # Panics
+    /// Panics if the range is decreasing or ends past `len()`.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> PointsView<'a> {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "rows {range:?} out of bounds (len {})",
+            self.len
+        );
+        Self {
+            data: &self.data[range.start * self.dims..range.end * self.dims],
+            dims: self.dims,
+            len: range.len(),
+        }
+    }
+
     /// Copy the viewed rows into an owned [`PointMatrix`].
     pub fn to_matrix(&self) -> PointMatrix {
         PointMatrix {
@@ -579,6 +596,27 @@ mod tests {
         assert_eq!(v.to_matrix(), m);
         assert_eq!(PointsView::from(&m), v);
         assert_eq!(v.rows().len(), 3);
+    }
+
+    #[test]
+    fn slices_view_their_own_rows() {
+        let m: PointMatrix = (0..5).map(|i| vec![i as f64, -(i as f64)]).collect();
+        let v = m.view();
+        for (start, end) in [(0, 0), (0, 5), (1, 4), (4, 5), (5, 5)] {
+            let s = v.slice(start..end);
+            assert_eq!(s.len(), end - start);
+            assert_eq!(s.dims(), 2);
+            assert!(s.rows().eq(v.rows().skip(start).take(end - start)));
+        }
+        let zero_dim = PointMatrix::from_rows(vec![vec![], vec![], vec![]]).unwrap();
+        assert_eq!(zero_dim.view().slice(1..3).len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slices_past_the_end_panic() {
+        let m = PointMatrix::from_rows(vec![vec![1.0]]).unwrap();
+        m.view().slice(0..2);
     }
 
     #[test]

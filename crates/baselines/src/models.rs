@@ -143,13 +143,13 @@ impl CentroidModel {
         // nearest-centroid assignments, so one member pins the row).
         let mut row_of_cluster: Vec<Option<usize>> = vec![None; seen];
         let mut resolved = 0usize;
-        for (i, a) in clustering.assignment().iter().enumerate() {
+        for (i, a) in clustering.labels().enumerate() {
             if resolved == seen {
                 break;
             }
             if let Some(j) = a {
-                if row_of_cluster[*j].is_none() {
-                    row_of_cluster[*j] = nearest_row(points.row(i), centroids);
+                if row_of_cluster[j].is_none() {
+                    row_of_cluster[j] = nearest_row(points.row(i), centroids);
                     resolved += 1;
                 }
             }
@@ -247,13 +247,13 @@ impl EmModel {
         // label is the argmax posterior, replayed here).
         let mut component_of: Vec<Option<usize>> = vec![None; seen];
         let mut resolved = 0usize;
-        for (i, a) in clustering.assignment().iter().enumerate() {
+        for (i, a) in clustering.labels().enumerate() {
             if resolved == seen {
                 break;
             }
             if let Some(j) = a {
-                if component_of[*j].is_none() {
-                    component_of[*j] = Some(mixture.predict(points.row(i)));
+                if component_of[j].is_none() {
+                    component_of[j] = Some(mixture.predict(points.row(i)));
                     resolved += 1;
                 }
             }
@@ -668,7 +668,7 @@ impl NearestTrainingModel {
             algorithm: algorithm.into(),
             training,
             index,
-            labels: clustering.assignment().to_vec(),
+            labels: clustering.labels().collect(),
         }
     }
 
@@ -715,13 +715,6 @@ impl Model for NearestTrainingModel {
             return None;
         }
         self.classify(point)
-    }
-
-    fn predict(&self, points: PointsView<'_>) -> Result<Clustering, ClusterError> {
-        validate_predict_input(self.dims(), points)?;
-        Ok(Clustering::new(
-            points.rows().map(|p| self.classify(p)).collect(),
-        ))
     }
 
     fn summary(&self) -> String {

@@ -115,7 +115,7 @@ fn main() {
             .collect();
         assert_eq!(
             served_labels,
-            expected.assignment(),
+            expected.labels().collect::<Vec<_>>(),
             "{algorithm}: served labels diverged from in-process predict"
         );
 

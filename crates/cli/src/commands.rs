@@ -166,6 +166,10 @@ COMMANDS:
              Merge accumulator files and refit — labels are identical
              to one-shot `cluster` on the concatenated shard rows
              --input <file.awa> (repeat once per shard, in row order)
+             [--rows <file.csv>] (label the CSV's rows in file order by
+              a predict pass through the refit model instead of the
+              accumulators' per-point table; the labels are the same,
+              and the file must hold every merged row)
              [--out <labels.csv>] [--output csv|json]
              [--save-model <file>] (persist the refit model for
               `predict` / `serve`) [--quiet]
@@ -527,16 +531,16 @@ pub fn render_labels(labels: &[usize], format: OutputFormat) -> String {
 /// without `--output`, the legacy labels-file format is written to
 /// `--out` and the summary is printed. This is the one emission path
 /// `cluster`, `stream`, `predict` and `merge-accumulators` share, and it
-/// renders straight from the clustering's assignment, with no label
-/// vector in between.
+/// renders straight from the clustering's labels
+/// ([`Clustering::labels`]), with no label vector in between.
 fn emit_labels(args: &ParsedArgs, clustering: &Clustering, report: String) -> CliResult<String> {
     let format = output_format(args)?;
-    let assignment = clustering.assignment();
-    let render = |format| adawave_api::render_labels(assignment.iter().copied(), format);
+    let render = |format| adawave_api::render_labels(clustering.labels(), format);
     match (format, args.get("out")) {
         (None, None) => Ok(report),
         (None, Some(out)) => {
-            std::fs::write(out, labels_to_text(assignment)).map_err(file_error("writing", out))?;
+            std::fs::write(out, labels_to_text(clustering.labels()))
+                .map_err(file_error("writing", out))?;
             Ok(report)
         }
         (Some(format), None) => Ok(render(format)),
@@ -552,9 +556,14 @@ fn emit_labels(args: &ParsedArgs, clustering: &Clustering, report: String) -> Cl
 /// digits go straight into the buffer through
 /// [`adawave_api::push_decimal`], the writer `--output csv` uses, with no
 /// `String` per label.
-pub fn labels_to_text(labels: &[Option<usize>]) -> String {
+pub fn labels_to_text<I>(labels: I) -> String
+where
+    I: IntoIterator<Item = Option<usize>>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let labels = labels.into_iter();
     let mut text = String::with_capacity(labels.len() * 4);
-    for &label in labels {
+    for label in labels {
         match label {
             Some(l) => adawave_api::push_decimal(&mut text, l),
             None => text.push_str("noise"),
@@ -612,6 +621,9 @@ fn cluster(args: &ParsedArgs) -> CliResult<String> {
         outcome.seconds,
         ami_line(args, input, &ds.labels, &outcome.clustering),
     );
+    // The labels are rendered after the input is gone: the clustering's
+    // 4 bytes a point and the rendered text are all that is left.
+    drop(ds);
     emit_labels(args, &outcome.clustering, report)
 }
 
@@ -671,6 +683,7 @@ fn predict(args: &ParsedArgs) -> CliResult<String> {
         report.push_str(&format!("{}\n", model.summary()));
     }
     report.push_str(&ami_line(args, input, &ds.labels, &clustering));
+    drop(ds);
     emit_labels(args, &clustering, report)
 }
 
@@ -773,10 +786,13 @@ fn adawave_config_from_args(args: &ParsedArgs) -> CliResult<AdaWaveConfig> {
     Ok(AdaWaveConfig::from_params(&params)?)
 }
 
+/// Rows a CSV batch holds unless `--batch-rows` says otherwise.
+const DEFAULT_BATCH_ROWS: usize = 8192;
+
 /// The `--batch-rows` option of `stream` and `shard-ingest`: a positive
-/// batch size, 8192 by default.
+/// batch size, [`DEFAULT_BATCH_ROWS`] by default.
 fn batch_rows(args: &ParsedArgs) -> CliResult<usize> {
-    match args.parse_or("batch-rows", 8192usize)? {
+    match args.parse_or("batch-rows", DEFAULT_BATCH_ROWS)? {
         0 => Err(CliError::Args(ArgError::InvalidValue {
             option: "batch-rows".to_string(),
             value: "0".to_string(),
@@ -877,10 +893,8 @@ fn ingest_rows(
         let hi = range.end.clamp(row, row + n) - row;
         let mut ingested = 0;
         if lo < hi {
-            let dims = batch.points.dims();
-            let rows = PointsView::from_flat(&batch.points.as_slice()[lo * dims..hi * dims], dims)?;
             ingested = stream
-                .ingest(rows)
+                .ingest(batch.view().slice(lo..hi))
                 .map_err(file_error("streaming", path))?
                 .points;
         }
@@ -1141,6 +1155,13 @@ fn shard_ingest(args: &ParsedArgs) -> CliResult<String> {
 /// argument order, merge them, refit once, and emit the labels of all
 /// ingested points in shard order — identical to what one-shot `cluster`
 /// labels the concatenated rows, because the merged grid is bit-identical.
+///
+/// The labels come from the accumulators' per-point table, or under
+/// `--rows <file.csv>` from a predict pass over that file's rows in file
+/// order ([`label_rows`]); the two agree label for label, since the
+/// refit's serving model re-predicts every ingested point as the refit
+/// labels it. Under `--rows` the reported refit time leaves the pass over
+/// the CSV out.
 fn merge_accumulators(args: &ParsedArgs) -> CliResult<String> {
     let inputs: Vec<&str> = args.get_all("input").collect();
     let Some((first, rest)) = inputs.split_first() else {
@@ -1158,17 +1179,22 @@ fn merge_accumulators(args: &ParsedArgs) -> CliResult<String> {
             .merge(load(input)?)
             .map_err(file_error("merging", *input))?;
     }
-    let refit_err = |e: adawave_stream::StreamError| CliError::Message(format!("refit: {e}"));
 
     let start = Instant::now();
-    // Only the two-stage path builds the serving model artifact.
-    let (clustering, model) = if args.get("save-model").is_some() {
+    // Only the two-stage paths build the serving model artifact.
+    let (clustering, model, seconds) = if let Some(rows) = args.get("rows") {
+        let grid_model = stream.refit_model().map_err(refit_err)?;
+        let seconds = start.elapsed().as_secs_f64();
+        let (clustering, model) = label_rows(Path::new(rows), &stream, &grid_model)?;
+        (clustering, Some(model), seconds)
+    } else if args.get("save-model").is_some() {
         let outcome = stream.refit_outcome().map_err(refit_err)?;
-        (outcome.clustering, Some(outcome.model))
+        let seconds = start.elapsed().as_secs_f64();
+        (outcome.clustering, Some(outcome.model), seconds)
     } else {
-        (stream.refit().map_err(refit_err)?.into_clustering(), None)
+        let clustering = stream.refit().map_err(refit_err)?.into_clustering();
+        (clustering, None, start.elapsed().as_secs_f64())
     };
-    let seconds = start.elapsed().as_secs_f64();
 
     let saved = save_model_line(args, model.as_deref())?;
     let report = format!(
@@ -1182,6 +1208,53 @@ fn merge_accumulators(args: &ParsedArgs) -> CliResult<String> {
         stream.occupied_cells(),
     );
     emit_labels(args, &clustering, report)
+}
+
+/// A failed refit of merged accumulators.
+fn refit_err(e: adawave_stream::StreamError) -> CliError {
+    CliError::Message(format!("refit: {e}"))
+}
+
+/// Label the rows of the CSV at `path` in file order by a predict pass
+/// through `grid_model`, the merged `stream`'s refit, without its
+/// per-point table: a serving model that keeps the raw component ids
+/// labels each row ([`Model::predict_one`]) into one `u32` a row, read
+/// [`DEFAULT_BATCH_ROWS`] rows at a time; [`Clustering::from_ids_with_remap`]
+/// renumbers them once at the end, and the returned model is rebuilt with
+/// the remap that returns. The file must hold every merged row.
+fn label_rows(
+    path: &Path,
+    stream: &StreamingAdaWave,
+    grid_model: &adawave_core::GridModel,
+) -> CliResult<(Clustering, Box<dyn Model>)> {
+    let identity: Vec<usize> = (0..grid_model.cluster_count()).collect();
+    let raw = stream
+        .serving_model(grid_model, &identity)
+        .map_err(refit_err)?;
+    let points = stream.points_ingested();
+    let mut ids = Vec::with_capacity(points);
+    let batches =
+        CsvBatches::open(path, DEFAULT_BATCH_ROWS).map_err(file_error("reading", path))?;
+    for batch in batches {
+        let batch = batch.map_err(file_error("reading", path))?;
+        adawave_api::validate_predict_input(raw.dims(), batch.view())
+            .map_err(file_error("labeling", path))?;
+        for row in batch.points.rows() {
+            ids.push(Clustering::id_of(raw.predict_one(row))?);
+        }
+    }
+    if ids.len() != points {
+        return Err(CliError::Message(format!(
+            "{} has {} rows but the merged accumulators hold {points} points",
+            path.display(),
+            ids.len()
+        )));
+    }
+    let (clustering, remap) = Clustering::from_ids_with_remap(ids, grid_model.cluster_count());
+    let model = stream
+        .serving_model(grid_model, &remap)
+        .map_err(refit_err)?;
+    Ok((clustering, Box::new(model)))
 }
 
 // ---------------------------------------------------------------------------
@@ -2065,7 +2138,7 @@ mod tests {
     #[test]
     fn labels_round_trip_through_text() {
         let labels = vec![0, 2, NOISE_LABEL, 1];
-        let text = labels_to_text(&[Some(0), Some(2), None, Some(1)]);
+        let text = labels_to_text([Some(0), Some(2), None, Some(1)]);
         assert_eq!(labels_from_text(&text).unwrap(), labels);
         // Byte for byte what the per-label `to_string` writer produced, on
         // multi-digit ids and noise.
@@ -2083,8 +2156,8 @@ mod tests {
             .iter()
             .map(|&l| (l != NOISE_LABEL).then_some(l))
             .collect();
-        assert_eq!(labels_to_text(&assignment), to_string_text(&wide));
-        assert_eq!(labels_to_text(&[]), "");
+        assert_eq!(labels_to_text(assignment), to_string_text(&wide));
+        assert_eq!(labels_to_text([]), "");
         // -1 is accepted as noise too.
         assert_eq!(
             labels_from_text("0\n-1\n3\n").unwrap(),
@@ -2618,6 +2691,88 @@ mod tests {
         std::fs::remove_file(&fit_out).ok();
     }
 
+    #[test]
+    fn merge_rows_labels_the_csv_like_the_per_point_table() {
+        // The toy rows with non-finite rows spread through them: outliers
+        // of whichever shard ingests them, and noise to the model.
+        let (points, truth) = toy_points();
+        let mut text = String::from("# x,y,class\n");
+        let mut rows = 0;
+        for (i, (p, label)) in points.rows().zip(&truth).enumerate() {
+            if i % 37 == 5 {
+                text.push_str(["nan,0.5,2\n", "0.5,inf,2\n", "-inf,nan,2\n"][i % 3]);
+                rows += 1;
+            }
+            text.push_str(&format!("{},{},{label}\n", p[0], p[1]));
+            rows += 1;
+        }
+        let dir = std::env::temp_dir();
+        let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let data = file("adawave_cli_merge_rows.csv");
+        std::fs::write(&data, &text).unwrap();
+        let run = |argv: &[&str]| dispatch(&ParsedArgs::parse(argv.iter().copied()).unwrap());
+        for shards in [2, 3] {
+            let mut merge = vec!["merge-accumulators".to_string()];
+            for i in 1..=shards {
+                let acc = file(&format!("adawave_cli_merge_rows_{shards}_{i}.awa"));
+                let shard = format!("{i}/{shards}");
+                let argv = ["shard-ingest", "--input", &data, "--shard", &shard];
+                run(&[&argv[..], &["--scale", "32", "--out", &acc]].concat()).unwrap();
+                merge.extend(["--input".to_string(), acc]);
+            }
+            let merge: Vec<&str> = merge.iter().map(String::as_str).collect();
+            let outputs = |path: &str| {
+                let labels = file(&format!("adawave_cli_merge_rows_{path}.csv"));
+                let model = file(&format!("adawave_cli_merge_rows_{path}.awm"));
+                (labels, model)
+            };
+            let (table_labels, table_model) = outputs("table");
+            let (rows_labels, rows_model) = outputs("rows");
+            let table = run(&[
+                &merge[..],
+                &["--out", &table_labels, "--save-model", &table_model],
+            ]
+            .concat())
+            .unwrap();
+            let flags = ["--rows", &data];
+            let argv = [
+                &flags[..],
+                &["--out", &rows_labels, "--save-model", &rows_model],
+            ];
+            let report = run(&[&merge[..], &argv.concat()].concat()).unwrap();
+            let context = format!("{shards} shards");
+            let report = report.replace(&rows_model, &table_model);
+            assert_eq!(mask_timings(&report), mask_timings(&table), "{context}");
+            assert!(report.contains(&format!("/ {rows} total")), "{report}");
+            let read = |path: &str| std::fs::read(path).unwrap();
+            assert_eq!(read(&rows_labels), read(&table_labels), "{context}");
+            assert_eq!(read(&rows_model), read(&table_model), "{context}");
+            let json = run(&[&merge[..], &flags[..], &["--output", "json"]].concat());
+            let table_json = run(&[&merge[..], &["--output", "json"]].concat());
+            assert_eq!(json.unwrap(), table_json.unwrap(), "{context}");
+            // A file that does not hold every merged row, or holds rows of
+            // another width, is refused.
+            let short = file("adawave_cli_merge_rows_short.csv");
+            let kept: Vec<&str> = text.lines().take(101).collect();
+            std::fs::write(&short, kept.join("\n") + "\n").unwrap();
+            let err = run(&[&merge[..], &["--rows", &short]].concat()).unwrap_err();
+            let want = format!("has 100 rows but the merged accumulators hold {rows} points");
+            assert!(err.to_string().contains(&want), "{err}");
+            let wide = file("adawave_cli_merge_rows_wide.csv");
+            std::fs::write(&wide, "0.5,0.5,0.5,0\n").unwrap();
+            let err = run(&[&merge[..], &["--rows", &wide]].concat()).unwrap_err();
+            assert!(err.to_string().contains("3 dimensions"), "{err}");
+            for path in merge.iter().filter(|a| a.ends_with(".awa")) {
+                std::fs::remove_file(path).ok();
+            }
+            let written = [&table_labels, &table_model, &rows_labels, &rows_model];
+            for path in written.into_iter().chain([&short, &wide]) {
+                std::fs::remove_file(path).ok();
+            }
+        }
+        std::fs::remove_file(&data).ok();
+    }
+
     /// `points` as CSV text with a `#` header, a blank line every 7 rows,
     /// `\r\n` endings on every third row and a comment line right before
     /// the first row of every `i/k` slice for k in 2, 3 and 5. Returns the
@@ -2805,13 +2960,13 @@ mod tests {
         let fit = adawave_core::AdaWave::new(config.clone())
             .fit(inside.view())
             .unwrap();
-        let mut fitted = fit.assignment().iter();
+        let mut fitted = fit.labels();
         let expected: Vec<Option<usize>> = (0..rows.len())
             .map(|i| {
                 if outlier(i) {
                     None
                 } else {
-                    *fitted.next().unwrap()
+                    fitted.next().unwrap()
                 }
             })
             .collect();
@@ -2842,7 +2997,7 @@ mod tests {
         )
         .unwrap();
         let labels = std::fs::read_to_string(&merged).unwrap();
-        assert_eq!(labels, labels_to_text(expected.assignment()));
+        assert_eq!(labels, labels_to_text(expected.labels()));
 
         // A stream that resumes from a copy of the v1 file skips its rows,
         // labels every row like the fit, and rewrites the checkpoint as v2:

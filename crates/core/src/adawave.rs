@@ -1,12 +1,12 @@
 //! The AdaWave algorithm (Algorithm 1 of the paper).
 
-use adawave_api::PointsView;
+use adawave_api::{compact_remap, ClusterError, PointsView};
 use adawave_grid::{
     connected_components, BoundingBox, ComponentLabels, KeyCodec, Quantizer, SparseGrid,
 };
 
 use crate::config::AdaWaveConfig;
-use crate::result::{AdaWaveResult, GridStats};
+use crate::result::{AdaWaveResult, GridStats, NOISE};
 use crate::transform::sparse_wavelet_smooth_budgeted;
 use crate::{AdaWaveError, Result};
 
@@ -41,8 +41,8 @@ impl AdaWave {
     /// disabled. Ragged input is unrepresentable in the flat layout, so
     /// the old per-point dimensionality check is gone by construction.
     pub fn fit(&self, points: PointsView<'_>) -> Result<AdaWaveResult> {
-        let (_, model, assignment) = self.fit_parts(points)?;
-        Ok(model.into_result(assignment))
+        let (_, model, ids) = self.fit_parts(points)?;
+        Ok(model.into_result(ids))
     }
 
     /// [`fit`](Self::fit) plus the trained serving artifact: the returned
@@ -54,18 +54,24 @@ impl AdaWave {
         &self,
         points: PointsView<'_>,
     ) -> Result<(AdaWaveResult, crate::AdaWaveModel)> {
-        let (quantizer, model, assignment) = self.fit_parts(points)?;
-        let remap = crate::model::assignment_remap(&assignment, model.cluster_count());
+        let (quantizer, model, ids) = self.fit_parts(points)?;
+        let labeled = ids.iter().filter(|&&id| id != NOISE).map(|&id| id as usize);
+        let remap = compact_remap(labeled, model.cluster_count());
         let serving =
             crate::AdaWaveModel::from_parts(quantizer, &model, &remap, self.config.precision);
-        Ok((model.into_result(assignment), serving))
+        Ok((model.into_result(ids), serving))
     }
 
-    /// The shared pipeline: quantize, run the grid stage, label points.
-    fn fit_parts(
-        &self,
-        points: PointsView<'_>,
-    ) -> Result<(Quantizer, GridModel, Vec<Option<usize>>)> {
+    /// The shared pipeline: quantize, run the grid stage, label points
+    /// with their raw component ids, one `u32` a point.
+    fn fit_parts(&self, points: PointsView<'_>) -> Result<(Quantizer, GridModel, Vec<u32>)> {
+        // The one row check this pipeline shares with every fit: each
+        // point's cell index and label is a `u32`.
+        if let Err(ClusterError::InvalidInput { context }) =
+            adawave_api::validate_row_count(points.len())
+        {
+            return Err(AdaWaveError::InvalidInput { context });
+        }
         if points.is_empty() {
             return Err(AdaWaveError::InvalidInput {
                 context: "empty point set".to_string(),
@@ -89,9 +95,10 @@ impl AdaWave {
         // Steps 2-4: the reusable grid → cluster-model stage.
         let model = cluster_grid(&grid, quantizer.codec(), &self.config)?;
 
-        // Steps 5-6: label the grid's cells, then the points by index.
-        let assignment = model.assign_cells(&grid, quantizer.codec(), &cells);
-        Ok((quantizer, model, assignment))
+        // Steps 5-6: label the grid's cells, then the points by index,
+        // each index rewritten into its label in place.
+        let ids = model.assign_cells(&grid, quantizer.codec(), cells);
+        Ok((quantizer, model, ids))
     }
 
     /// Build the quantizer [`fit`](Self::fit) would use over the given
@@ -276,31 +283,36 @@ impl GridModel {
     /// Label points by their cell's index in `grid`, the grid counted in
     /// `codec`'s space that this model was clustered from: every cell of
     /// `grid` is looked up once ([`cluster_of_cell`](Self::cluster_of_cell)),
-    /// then every point reads its cell's cluster by index, one load a
-    /// point. An index past the grid's cells labels its point noise, which
+    /// then each point's index in `point_cells` is rewritten in place into
+    /// its cell's component id, one load a point, with `u32::MAX` for
+    /// noise. An index past the grid's cells labels its point noise, which
     /// is how the streaming layer marks its outliers.
     pub fn assign_cells(
         &self,
         grid: &SparseGrid,
         codec: &KeyCodec,
-        point_cells: &[u32],
-    ) -> Vec<Option<usize>> {
-        let cell_clusters: Vec<Option<usize>> = grid
+        mut point_cells: Vec<u32>,
+    ) -> Vec<u32> {
+        let cell_ids: Vec<u32> = grid
             .iter()
-            .map(|(key, _)| self.cluster_of_cell(codec, key))
+            .map(|(key, _)| {
+                self.cluster_of_cell(codec, key).map_or(NOISE, |id| {
+                    u32::try_from(id).expect("component ids fit the u32 cell table")
+                })
+            })
             .collect();
+        for cell in &mut point_cells {
+            *cell = cell_ids.get(*cell as usize).copied().unwrap_or(NOISE);
+        }
         point_cells
-            .iter()
-            .map(|&index| cell_clusters.get(index as usize).copied().flatten())
-            .collect()
     }
 
-    /// Finish the pipeline: combine the model with a per-point assignment
-    /// (computed by the caller from its point → cell bookkeeping) into an
+    /// Finish the pipeline: combine the model with the per-point component
+    /// ids of [`assign_cells`](Self::assign_cells) into an
     /// [`AdaWaveResult`].
-    pub fn into_result(self, assignment: Vec<Option<usize>>) -> AdaWaveResult {
+    pub fn into_result(self, ids: Vec<u32>) -> AdaWaveResult {
         let cluster_count = self.labels.cluster_count();
-        AdaWaveResult::new(assignment, cluster_count, self.stats, self.sorted_densities)
+        AdaWaveResult::new(ids, cluster_count, self.stats, self.sorted_densities)
     }
 }
 
@@ -404,8 +416,7 @@ mod tests {
         // Reverse the input order; results must be identical per point.
         points.reverse_rows();
         let b = adawave.fit(points.view()).unwrap();
-        let b_labels: Vec<Option<usize>> = b.assignment().iter().rev().copied().collect();
-        assert_eq!(a.assignment(), &b_labels[..]);
+        assert!(a.labels().eq(b.labels().rev()));
         assert_eq!(a.cluster_count(), b.cluster_count());
     }
 
@@ -623,11 +634,15 @@ mod tests {
         let model = cluster_grid(&grid, quantizer.codec(), &config).unwrap();
         assert_eq!(model.cluster_count(), fitted.cluster_count());
         assert_eq!(model.stats(), fitted.stats());
-        let assignment: Vec<Option<usize>> = cells
+        let ids: Vec<u32> = cells
             .iter()
-            .map(|&cell| model.cluster_of_cell(quantizer.codec(), cell))
+            .map(|&cell| {
+                model
+                    .cluster_of_cell(quantizer.codec(), cell)
+                    .map_or(NOISE, |id| id as u32)
+            })
             .collect();
-        let rebuilt = model.into_result(assignment);
+        let rebuilt = model.into_result(ids);
         assert_eq!(rebuilt, fitted);
     }
 

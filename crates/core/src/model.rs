@@ -12,7 +12,7 @@
 //! codec, and its cluster ids against its cluster count, before they enter
 //! the table.
 
-use adawave_api::{compact_remap, f64_to_hex, Model, PayloadReader, Precision};
+use adawave_api::{f64_to_hex, Clustering, Model, PayloadReader, Precision};
 use adawave_grid::{BoundingBox, CellTable, F32Lane, KeyCodec, Quantizer};
 
 use crate::adawave::GridModel;
@@ -64,7 +64,8 @@ pub struct AdaWaveModel {
 impl AdaWaveModel {
     /// Build a serving model from a fitted grid model over the given
     /// original-space quantizer. `remap` maps the grid's component ids to
-    /// the training clustering's ids (see [`compact_remap`]); pass the
+    /// the training clustering's ids (see [`adawave_api::compact_remap`]
+    /// and [`Clustering::from_ids_with_remap`]); pass the
     /// identity to keep raw component ids. `precision` must be the lane
     /// the grid was quantized with, so serving and training agree on cell
     /// boundaries.
@@ -118,9 +119,11 @@ impl AdaWaveModel {
     /// pre-allocated (a count the payload cannot back fails as truncated),
     /// every cell key must be a key of the transformed codec, listed once,
     /// and every cluster id must lie below the `clusters` count, which
-    /// cannot exceed the transformed grid's cells. So nothing read from a
-    /// file can index past the model's cell table, overflow one of its
-    /// slots, or give one cell two clusters.
+    /// can exceed neither the transformed grid's cells nor
+    /// [`Clustering::MAX_CLUSTERS`], the ids a `u32` label holds. So
+    /// nothing read from a file can index past the model's cell table,
+    /// overflow one of its slots, give one cell two clusters, or predict
+    /// an id no clustering can hold.
     pub fn deserialize(payload: &str) -> Result<Self, String> {
         let mut reader = PayloadReader::new(payload);
         let dims: usize = reader.scalar("dims")?;
@@ -131,6 +134,13 @@ impl AdaWaveModel {
         let levels: u32 = reader.scalar("levels")?;
         let precision: Precision = reader.scalar("precision")?;
         let cluster_count: usize = reader.scalar("clusters")?;
+        if cluster_count > Clustering::MAX_CLUSTERS {
+            return Err(format!(
+                "{cluster_count} clusters are more than the {} a clustering holds \
+                 (one u32 label a point)",
+                Clustering::MAX_CLUSTERS
+            ));
+        }
         if cluster_count as u128 > down_codec.dense_cell_count() {
             return Err(format!(
                 "{cluster_count} clusters cannot fit the transformed grid {down_intervals:?}"
@@ -260,12 +270,6 @@ impl Model for AdaWaveModel {
     }
 }
 
-/// Compute the training remap for a fitted assignment: raw component ids →
-/// the first-appearance ids [`adawave_api::Clustering::new`] will assign.
-pub(crate) fn assignment_remap(assignment: &[Option<usize>], cluster_count: usize) -> Vec<usize> {
-    compact_remap(assignment.iter().filter_map(|a| *a), cluster_count)
-}
-
 fn join_display<T: std::fmt::Display>(values: &[T]) -> String {
     values
         .iter()
@@ -340,6 +344,7 @@ mod tests {
     use super::hash_reference::HashCells;
     use super::*;
     use crate::{cluster_grid, AdaWave, AdaWaveConfig};
+    use adawave_api::compact_remap;
     use adawave_api::PointMatrix;
     use adawave_data::{shapes, Rng};
     use adawave_grid::LookupTable;
@@ -418,7 +423,10 @@ mod tests {
         let lookup = LookupTable::new(quantizer.codec().clone(), keys);
         let assignment =
             lookup.assign_points(grid_model.labels(), grid_model.levels(), grid_model.codec());
-        let remap = assignment_remap(&assignment, grid_model.cluster_count());
+        let remap = compact_remap(
+            assignment.iter().flatten().copied(),
+            grid_model.cluster_count(),
+        );
         let cells = HashCells::from_parts(&grid_model, &remap);
         (assignment, cells)
     }
@@ -467,7 +475,7 @@ mod tests {
                                 width <= CellTable::DENSE_KEY_BITS
                             );
                             let (assignment, reference) = reference_cells(&model, &points, &config);
-                            prop_assert_eq!(result.assignment(), &assignment[..], "{}", context);
+                            prop_assert_eq!(&result.labels().collect::<Vec<_>>(), &assignment, "{}", context);
                             let payload = model.serialize().unwrap();
                             let loaded = AdaWaveModel::deserialize(&payload).unwrap();
                             prop_assert_eq!(&loaded.serialize().unwrap(), &payload, "{}", context);
@@ -590,6 +598,35 @@ mod tests {
         // Truncating the cell table is detected.
         let truncated: String = payload.lines().take(9).collect::<Vec<_>>().join("\n");
         assert!(AdaWaveModel::deserialize(&truncated).is_err());
+    }
+
+    #[test]
+    fn deserialize_bounds_the_cluster_count_by_the_u32_labels() {
+        // A 2^40-cell transformed grid admits cluster counts past `u32`,
+        // which the cell-count bound alone let through: the model could
+        // then predict an id no `u32` label holds.
+        let payload = |clusters: usize, id: usize| {
+            let (zero, one) = (f64_to_hex(0.0), f64_to_hex(1.0));
+            format!(
+                "dims 2\nintervals 4 4\ndown-intervals 1048576 1048576\nlevels 1\n\
+                 precision f64\nclusters {clusters}\nmin {zero} {zero}\nmax {one} {one}\n\
+                 cells 1\n{:032x} {id}\n",
+                0
+            )
+        };
+        let limit = Clustering::MAX_CLUSTERS;
+        let model = AdaWaveModel::deserialize(&payload(limit, limit - 1)).unwrap();
+        assert_eq!(model.predict_one(&[0.1, 0.1]), Some(limit - 1));
+        let batch = PointMatrix::from_rows(vec![vec![0.1, 0.1], vec![0.9, 0.9]]).unwrap();
+        let clustering = model.predict(batch.view()).unwrap();
+        assert_eq!(clustering.labels().collect::<Vec<_>>(), [Some(0), None]);
+        for clusters in [limit + 1, 1 << 40] {
+            let err = AdaWaveModel::deserialize(&payload(clusters, 0)).unwrap_err();
+            assert!(
+                err.contains(&format!("{clusters} clusters are more than the {limit}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

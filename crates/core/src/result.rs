@@ -24,23 +24,31 @@ pub struct GridStats {
 }
 
 /// The outcome of clustering a dataset with AdaWave.
+///
+/// Each point's label is the raw id of its grid component, held as one
+/// `u32` a point with `u32::MAX` marking noise. The ids are those of the
+/// connected components, not yet numbered by first appearance:
+/// [`into_clustering`](Self::into_clustering) renumbers them in place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaWaveResult {
-    assignment: Vec<Option<usize>>,
+    ids: Vec<u32>,
     cluster_count: usize,
     stats: GridStats,
     sorted_densities: Vec<f64>,
 }
 
+/// The `u32` id of a noise point.
+pub(crate) const NOISE: u32 = adawave_api::Clustering::NOISE;
+
 impl AdaWaveResult {
     pub(crate) fn new(
-        assignment: Vec<Option<usize>>,
+        ids: Vec<u32>,
         cluster_count: usize,
         stats: GridStats,
         sorted_densities: Vec<f64>,
     ) -> Self {
         Self {
-            assignment,
+            ids,
             cluster_count,
             stats,
             sorted_densities,
@@ -49,12 +57,12 @@ impl AdaWaveResult {
 
     /// Number of points that were clustered.
     pub fn len(&self) -> usize {
-        self.assignment.len()
+        self.ids.len()
     }
 
     /// Whether the result is empty.
     pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
+        self.ids.is_empty()
     }
 
     /// Number of clusters found (noise excluded).
@@ -65,43 +73,42 @@ impl AdaWaveResult {
     /// Cluster of a point; `None` means the point was classified as noise
     /// (the paper groups these as one extra "noise cluster").
     pub fn label(&self, point: usize) -> Option<usize> {
-        self.assignment[point]
+        label_of(self.ids[point])
     }
 
-    /// The per-point assignment.
-    pub fn assignment(&self) -> &[Option<usize>] {
-        &self.assignment
+    /// The cluster of every point in order, `None` for noise.
+    pub fn labels(
+        &self,
+    ) -> impl ExactSizeIterator<Item = Option<usize>> + DoubleEndedIterator + Clone + '_ {
+        self.ids.iter().copied().map(label_of)
     }
 
     /// Number of points classified as noise.
     pub fn noise_count(&self) -> usize {
-        self.assignment.iter().filter(|a| a.is_none()).count()
+        self.ids.iter().filter(|&&id| id == NOISE).count()
     }
 
     /// Fraction of points classified as noise.
     pub fn noise_fraction(&self) -> f64 {
-        if self.assignment.is_empty() {
+        if self.ids.is_empty() {
             0.0
         } else {
-            self.noise_count() as f64 / self.assignment.len() as f64
+            self.noise_count() as f64 / self.ids.len() as f64
         }
     }
 
     /// Size of every cluster.
     pub fn cluster_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.cluster_count];
-        for a in self.assignment.iter().flatten() {
-            sizes[*a] += 1;
+        for c in self.labels().flatten() {
+            sizes[c] += 1;
         }
         sizes
     }
 
     /// Convert to a dense label vector, mapping noise to `noise_label`.
     pub fn to_labels(&self, noise_label: usize) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .map(|a| a.unwrap_or(noise_label))
-            .collect()
+        self.labels().map(|a| a.unwrap_or(noise_label)).collect()
     }
 
     /// Convert to the canonical [`adawave_api::Clustering`] shared by every
@@ -110,13 +117,16 @@ impl AdaWaveResult {
     ///
     /// [`Clusterer::fit`]: adawave_api::Clusterer::fit
     pub fn to_clustering(&self) -> adawave_api::Clustering {
-        adawave_api::Clustering::new(self.assignment.clone())
+        adawave_api::Clustering::from_ids_with_remap(self.ids.clone(), self.cluster_count).0
     }
 
     /// [`to_clustering`](Self::to_clustering) for a caller that owns the
-    /// result: the assignment is compacted in place instead of cloned.
+    /// result: the component ids are renumbered by first appearance in
+    /// place ([`Clustering::from_ids_with_remap`]) instead of cloned.
+    ///
+    /// [`Clustering::from_ids_with_remap`]: adawave_api::Clustering::from_ids_with_remap
     pub fn into_clustering(self) -> adawave_api::Clustering {
-        adawave_api::Clustering::new(self.assignment)
+        adawave_api::Clustering::from_ids_with_remap(self.ids, self.cluster_count).0
     }
 
     /// Grid pipeline statistics.
@@ -145,6 +155,11 @@ impl AdaWaveResult {
     }
 }
 
+/// The label of a `u32` id.
+fn label_of(id: u32) -> Option<usize> {
+    (id != NOISE).then_some(id as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,19 +178,25 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let r = AdaWaveResult::new(
-            vec![Some(0), Some(1), None, Some(0)],
-            2,
-            stats(),
-            vec![9.0, 5.0, 1.0],
-        );
+        let r = AdaWaveResult::new(vec![1, 0, NOISE, 1], 2, stats(), vec![9.0, 5.0, 1.0]);
         assert_eq!(r.len(), 4);
         assert_eq!(r.cluster_count(), 2);
         assert_eq!(r.noise_count(), 1);
         assert_eq!(r.noise_fraction(), 0.25);
-        assert_eq!(r.cluster_sizes(), vec![2, 1]);
-        assert_eq!(r.to_labels(9), vec![0, 1, 9, 0]);
+        assert_eq!(r.cluster_sizes(), vec![1, 2]);
+        assert_eq!(r.to_labels(9), vec![1, 0, 9, 1]);
         assert_eq!(r.label(2), None);
+        assert_eq!(r.label(3), Some(1));
+        assert_eq!(
+            r.labels().collect::<Vec<_>>(),
+            [Some(1), Some(0), None, Some(1)]
+        );
+        // The clustering numbers the components by first appearance.
+        assert_eq!(
+            r.to_clustering().labels().collect::<Vec<_>>(),
+            [Some(0), Some(1), None, Some(0)]
+        );
+        assert_eq!(r.to_clustering(), r.clone().into_clustering());
         assert_eq!(r.stats().threshold, 2.5);
         assert_eq!(r.sorted_densities(), &[9.0, 5.0, 1.0]);
         assert!(!r.is_empty());
@@ -191,12 +212,7 @@ mod tests {
             vec![4.5, 4.9],
         ])
         .unwrap();
-        let r = AdaWaveResult::new(
-            vec![Some(0), Some(0), Some(1), Some(1), None],
-            2,
-            stats(),
-            vec![],
-        );
+        let r = AdaWaveResult::new(vec![0, 0, 1, 1, NOISE], 2, stats(), vec![]);
         let labels = r.assign_noise_to_nearest_centroid(points.view());
         assert_eq!(labels[4], labels[2]);
         assert_eq!(labels[0], 0);
@@ -205,7 +221,7 @@ mod tests {
     #[test]
     fn noise_reassignment_without_clusters_is_stable() {
         let points = adawave_api::PointMatrix::from_rows(vec![vec![0.0], vec![1.0]]).unwrap();
-        let r = AdaWaveResult::new(vec![None, None], 0, stats(), vec![]);
+        let r = AdaWaveResult::new(vec![NOISE, NOISE], 0, stats(), vec![]);
         let labels = r.assign_noise_to_nearest_centroid(points.view());
         assert_eq!(labels.len(), 2);
     }

@@ -31,8 +31,8 @@ proptest! {
             .unwrap();
         prop_assert_eq!(result.len(), points.len());
         // Labels are contiguous: every assigned id < cluster_count.
-        for a in result.assignment().iter().flatten() {
-            prop_assert!(*a < result.cluster_count());
+        for a in result.labels().flatten() {
+            prop_assert!(a < result.cluster_count());
         }
         // Cluster sizes + noise = total.
         let assigned: usize = result.cluster_sizes().iter().sum();
@@ -75,7 +75,7 @@ proptest! {
             *v = *v * 37.0 - 5.0;
         }
         let scaled_result = adawave.fit(scaled.view()).unwrap();
-        prop_assert_eq!(base.assignment(), scaled_result.assignment());
+        prop_assert!(base.labels().eq(scaled_result.labels()));
     }
 
     #[test]

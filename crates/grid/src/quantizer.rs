@@ -11,6 +11,13 @@ use crate::{BoundingBox, CellTable, GridError, KeyCodec, Result, SparseGrid};
 /// any result.
 const QUANTIZE_CHUNK_ROWS: usize = 8_192;
 
+/// Rows per key block of [`Quantizer::quantize_cells`]: the keys of one
+/// block, 1 MiB of them, are filled and counted before the next block's
+/// are filled into the same buffer. The grid, its cell order and every
+/// index are those of counting every key at once, so the block size
+/// cannot change any result.
+const KEY_BLOCK_ROWS: usize = 1 << 16;
+
 /// Write `key(row i)` into `out[i]` for every row of `points`, in fixed
 /// 8192-row chunks fanned out over `runtime`: the one key pass behind
 /// both quantization lanes and streaming ingestion. Each slot depends
@@ -306,8 +313,7 @@ impl Quantizer {
         points: PointsView<'_>,
         runtime: Runtime,
     ) -> (SparseGrid, Vec<u128>) {
-        let keys = self.row_keys(points, Precision::F32, runtime);
-        (count_keys(&keys, &self.codec, |_| {}), keys)
+        self.quantize_keys(points, Precision::F32, runtime)
     }
 
     /// [`quantize`](Self::quantize) fanned out over `runtime`: the keys are
@@ -321,15 +327,17 @@ impl Quantizer {
         points: PointsView<'_>,
         runtime: Runtime,
     ) -> (SparseGrid, Vec<u128>) {
-        let keys = self.row_keys(points, Precision::F64, runtime);
-        (count_keys(&keys, &self.codec, |_| {}), keys)
+        self.quantize_keys(points, Precision::F64, runtime)
     }
 
     /// Quantize a whole dataset through the `precision` lane for a caller
     /// that labels points by cell: the grid of [`quantize_with`]
     /// (or [`quantize_f32_with`]) and, for every point, its cell's index in
     /// that grid's cells, 4 bytes where a key takes 16. The keys are
-    /// computed as there and dropped once counted.
+    /// filled ([`fill_row_keys`]) and counted a block of 2^16 rows at a
+    /// time through one reused 1 MiB buffer, so no key a point is ever
+    /// held: the grid, its cell order and every index are those of
+    /// counting all the keys at once.
     ///
     /// [`quantize_with`]: Self::quantize_with
     /// [`quantize_f32_with`]: Self::quantize_f32_with
@@ -342,47 +350,72 @@ impl Quantizer {
         precision: Precision,
         runtime: Runtime,
     ) -> (SparseGrid, Vec<u32>) {
-        let keys = self.row_keys(points, precision, runtime);
-        let mut cells = Vec::with_capacity(keys.len());
-        let grid = count_keys(&keys, &self.codec, |index| {
-            cells.push(u32::try_from(index).expect("a grid holds at most 2^32 cells"));
-        });
+        let mut table = CellTable::with_capacity(&self.codec, points.len().min(1 << 16));
+        let mut grid = SparseGrid::new();
+        let mut cells = Vec::with_capacity(points.len());
+        let mut keys = vec![0; points.len().min(KEY_BLOCK_ROWS)];
+        for first in (0..points.len()).step_by(KEY_BLOCK_ROWS) {
+            let block = points.slice(first..points.len().min(first + KEY_BLOCK_ROWS));
+            let keys = &mut keys[..block.len()];
+            self.fill_keys(block, precision, runtime, keys);
+            count_keys(keys, &mut table, &mut grid, |index| {
+                cells.push(u32::try_from(index).expect("a grid holds at most 2^32 cells"));
+            });
+        }
         (grid, cells)
     }
 
-    /// Every row's cell key through the `precision` lane
-    /// ([`fill_row_keys`]).
-    fn row_keys(
+    /// Every row's cell key through the `precision` lane, and the grid of
+    /// those keys counted in one pass.
+    fn quantize_keys(
         &self,
         points: PointsView<'_>,
         precision: Precision,
         runtime: Runtime,
-    ) -> Vec<u128> {
+    ) -> (SparseGrid, Vec<u128>) {
         let mut keys = vec![0; points.len()];
+        self.fill_keys(points, precision, runtime, &mut keys);
+        let mut table = CellTable::with_capacity(&self.codec, keys.len().min(1 << 16));
+        let mut grid = SparseGrid::new();
+        count_keys(&keys, &mut table, &mut grid, |_| {});
+        (grid, keys)
+    }
+
+    /// Write every row's cell key through the `precision` lane into `out`
+    /// ([`fill_row_keys`]).
+    fn fill_keys(
+        &self,
+        points: PointsView<'_>,
+        precision: Precision,
+        runtime: Runtime,
+        out: &mut [u128],
+    ) {
         match precision {
-            Precision::F64 => fill_row_keys(points, runtime, &mut keys, |p| self.cell_key(p)),
+            Precision::F64 => fill_row_keys(points, runtime, out, |p| self.cell_key(p)),
             Precision::F32 => {
                 let lane = self.f32_lane();
-                fill_row_keys(points, runtime, &mut keys, |p| self.cell_key_f32(&lane, p));
+                fill_row_keys(points, runtime, out, |p| self.cell_key_f32(&lane, p));
             }
         }
-        keys
     }
 }
 
-/// Keys first, count once: one pass adding each key to its cell
-/// ([`SparseGrid::add_interned`]) through a [`CellTable`], which indexes a
-/// flat array when `codec`'s keys are at most
+/// Keys first, count once: one pass adding each key to its cell of `grid`
+/// ([`SparseGrid::add_interned`]) through `table`, a [`CellTable`] that
+/// indexes a flat array when the codec's keys are at most
 /// [`CellTable::DENSE_KEY_BITS`] wide and hashes them otherwise, handing
 /// `index` each key's cell index in turn. The cells come out in the order
-/// their first point arrived.
-fn count_keys(keys: &[u128], codec: &KeyCodec, mut index: impl FnMut(usize)) -> SparseGrid {
-    let mut table = CellTable::with_capacity(codec, keys.len().min(1 << 16));
-    let mut grid = SparseGrid::new();
+/// their first point arrived, so counting the keys a block at a time into
+/// one table and grid counts them as a single pass does.
+fn count_keys(
+    keys: &[u128],
+    table: &mut CellTable,
+    grid: &mut SparseGrid,
+    mut index: impl FnMut(usize),
+) {
     for &key in keys {
-        index(grid.add_interned(&mut table, key, 1.0));
+        index(grid.add_interned(table, key, 1.0));
     }
-    grid
 }
 
 /// The per-point hash count [`count_keys`] replaced, kept as the
@@ -699,23 +732,57 @@ mod tests {
         assert_eq!(grid, tally, "{context}");
     }
 
+    /// The cell-index form against the key form: the same grid, cell for
+    /// cell in the same order, and each row's index naming the cell of
+    /// its own key.
+    fn assert_cells_match_keys(
+        (grid, cells): (SparseGrid, Vec<u32>),
+        (want_grid, keys): &(SparseGrid, Vec<u128>),
+        context: &str,
+    ) {
+        let listed: Vec<(u128, f64)> = grid.iter().collect();
+        assert_eq!(listed, want_grid.iter().collect::<Vec<_>>(), "{context}");
+        assert_eq!(cells.len(), keys.len(), "{context}");
+        for (i, (&cell, &key)) in cells.iter().zip(keys).enumerate() {
+            assert_eq!(listed[cell as usize].0, key, "{context}: row {i}");
+        }
+    }
+
     #[test]
     fn every_key_matches_its_own_row_across_chunk_boundaries() {
         // A sequential runtime runs the same chunk closure as a parallel
         // one, so comparing the two cannot catch a wrong chunk offset;
-        // every key is checked against its own row instead.
+        // every key is checked against its own row instead. The row
+        // counts straddle both the key pass's chunks and the key blocks
+        // `quantize_cells` counts one at a time.
         let bounds = BoundingBox::from_bounds(vec![0.0, 0.0], vec![1.0, 1.0]);
         let q = Quantizer::with_bounds(bounds, &[64, 64]).unwrap();
         let lane = q.f32_lane();
         let chunk = QUANTIZE_CHUNK_ROWS;
-        for rows in [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5] {
+        let block = KEY_BLOCK_ROWS;
+        for rows in [
+            0,
+            1,
+            chunk - 1,
+            chunk,
+            chunk + 1,
+            3 * chunk + 5,
+            block - 1,
+            block,
+            block + 1,
+            3 * block + 5,
+        ] {
             let pts = lcg_points(rows);
-            for threads in [1, 4] {
+            for threads in [1, 2, 4] {
                 let rt = Runtime::with_threads(threads);
                 let context = format!("{rows} rows, {threads} threads");
                 let f64_lane = q.quantize_with(pts.view(), rt);
+                let cells = q.quantize_cells(pts.view(), Precision::F64, rt);
+                assert_cells_match_keys(cells, &f64_lane, &context);
                 assert_keys_match_rows(&pts, f64_lane, |p| q.cell_key(p), &context);
                 let f32_lane = q.quantize_f32_with(pts.view(), rt);
+                let cells = q.quantize_cells(pts.view(), Precision::F32, rt);
+                assert_cells_match_keys(cells, &f32_lane, &format!("f32 {context}"));
                 assert_keys_match_rows(&pts, f32_lane, |p| q.cell_key_f32(&lane, p), &context);
             }
         }

@@ -607,9 +607,8 @@ impl Env<'_> {
         }
         if equal {
             let differing = current
-                .assignment()
-                .iter()
-                .zip(other.assignment().iter())
+                .labels()
+                .zip(other.labels())
                 .filter(|(a, b)| a != b)
                 .count();
             Err(format!(
@@ -639,9 +638,8 @@ impl Env<'_> {
                 .map_err(|e| format!("re-running {} with threads={t}: {e}", spec.name))?;
             if &clustering != baseline {
                 let differing = clustering
-                    .assignment()
-                    .iter()
-                    .zip(baseline.assignment().iter())
+                    .labels()
+                    .zip(baseline.labels())
                     .filter(|(a, b)| a != b)
                     .count();
                 return Err(format!(

@@ -416,7 +416,7 @@ fn predict_batch(entry: &crate::store::ModelEntry, request: &Request) -> Respons
         Ok(clustering) => clustering,
         Err(e) => return Response::error(400, &e.to_string()),
     };
-    let labels = clustering.assignment().iter().copied();
+    let labels = clustering.labels();
     if csv {
         Response::csv(render_labels(labels, LabelFormat::Csv))
     } else {

@@ -89,7 +89,9 @@
 
 use std::ops::Range;
 
-use adawave_api::{compact_remap, FitOutcome, PointsView, Precision};
+use adawave_api::{
+    validate_row_count, ClusterError, Clustering, FitOutcome, PointsView, Precision,
+};
 use adawave_core::{
     cluster_grid, AdaWave, AdaWaveConfig, AdaWaveError, AdaWaveModel, AdaWaveResult, GridModel,
 };
@@ -338,6 +340,12 @@ impl StreamingAdaWave {
                 context: "points have zero dimensions".to_string(),
             });
         }
+        // A refit labels every ingested point, one `u32` a point.
+        if let Err(ClusterError::InvalidInput { context }) =
+            validate_row_count(self.point_cells.len().saturating_add(batch.len()))
+        {
+            return Err(StreamError::InvalidInput { context });
+        }
         match self.dims {
             Some(expected) if expected != dims => {
                 return Err(StreamError::DomainMismatch {
@@ -454,6 +462,11 @@ impl StreamingAdaWave {
                 other,
             );
         }
+        if let Err(ClusterError::InvalidInput { context }) =
+            validate_row_count(self.point_cells.len() + other.point_cells.len())
+        {
+            return reject(StreamError::InvalidInput { context }, other);
+        }
         if let (Some(mine), Some(theirs)) = (&self.frozen, &other.frozen) {
             if mine.quantizer != theirs.quantizer {
                 return reject(
@@ -496,13 +509,7 @@ impl StreamingAdaWave {
     /// points ingested. This is the grid stage one-shot [`AdaWave::fit`]
     /// runs ([`cluster_grid`]). Errors if no domain has been frozen yet.
     pub fn refit_model(&self) -> Result<GridModel> {
-        let frozen = self
-            .frozen
-            .as_ref()
-            .ok_or_else(|| StreamError::InvalidInput {
-                context: "no domain frozen yet (ingest finite points or use with_domain)"
-                    .to_string(),
-            })?;
+        let frozen = self.frozen()?;
         Ok(cluster_grid(
             &frozen.grid,
             frozen.quantizer.codec(),
@@ -518,8 +525,8 @@ impl StreamingAdaWave {
     /// cell's label by index — `O(n)`, but the cheap part of refitting.
     pub fn refit(&self) -> Result<AdaWaveResult> {
         let model = self.refit_model()?;
-        let assignment = self.assignment_under(&model);
-        Ok(model.into_result(assignment))
+        let ids = self.ids_under(&model);
+        Ok(model.into_result(ids))
     }
 
     /// [`refit`](Self::refit) packaged as the two-stage contract: the
@@ -531,31 +538,54 @@ impl StreamingAdaWave {
     /// point always reproduces its refit label — outliers included.
     pub fn refit_outcome(&self) -> Result<FitOutcome> {
         let grid_model = self.refit_model()?;
-        let frozen = self.frozen.as_ref().expect("checked by refit_model");
-        let assignment = self.assignment_under(&grid_model);
-        let remap = compact_remap(
-            assignment.iter().filter_map(|a| *a),
-            grid_model.cluster_count(),
-        );
-        let serving = AdaWaveModel::from_parts(
-            frozen.quantizer.clone(),
-            &grid_model,
-            &remap,
-            self.adawave.config().precision,
-        );
+        let ids = self.ids_under(&grid_model);
+        let (clustering, remap) = Clustering::from_ids_with_remap(ids, grid_model.cluster_count());
         Ok(FitOutcome {
-            clustering: grid_model.into_result(assignment).into_clustering(),
-            model: Box::new(serving),
+            clustering,
+            model: Box::new(self.serving_model(&grid_model, &remap)?),
         })
     }
 
+    /// The serving [`AdaWaveModel`] of a grid model this session refit
+    /// ([`refit_model`](Self::refit_model)), its component ids mapped
+    /// through `remap` as [`AdaWaveModel::from_parts`] does: the identity
+    /// keeps the raw component ids, and the remap
+    /// [`Clustering::from_ids_with_remap`] returns aligns the model with
+    /// that clustering. The model inherits the session's outlier contract:
+    /// out-of-domain and non-finite points predict noise.
+    pub fn serving_model(&self, model: &GridModel, remap: &[usize]) -> Result<AdaWaveModel> {
+        let frozen = self.frozen()?;
+        Ok(AdaWaveModel::from_parts(
+            frozen.quantizer.clone(),
+            model,
+            remap,
+            self.adawave.config().precision,
+        ))
+    }
+
+    /// The frozen domain's state, or an error before one exists.
+    fn frozen(&self) -> Result<&Frozen> {
+        self.frozen
+            .as_ref()
+            .ok_or_else(|| StreamError::InvalidInput {
+                context: "no domain frozen yet (ingest finite points or use with_domain)"
+                    .to_string(),
+            })
+    }
+
     /// Label every retained point under a refit grid model: one
-    /// [`GridModel::cluster_of_cell`] per occupied cell, then one read by
-    /// index per point ([`GridModel::assign_cells`]; an [`OUTLIER`] is
-    /// past every cell, so noise).
-    fn assignment_under(&self, model: &GridModel) -> Vec<Option<usize>> {
+    /// [`GridModel::cluster_of_cell`] per occupied cell, then each point's
+    /// cell index rewritten into its component id ([`GridModel::assign_cells`];
+    /// an [`OUTLIER`] is past every cell, so noise). The session keeps its
+    /// own indices for later refits and merges, so the rewrite runs on a
+    /// copy.
+    fn ids_under(&self, model: &GridModel) -> Vec<u32> {
         let frozen = self.frozen.as_ref().expect("caller refit the model");
-        model.assign_cells(&frozen.grid, frozen.quantizer.codec(), &self.point_cells)
+        model.assign_cells(
+            &frozen.grid,
+            frozen.quantizer.codec(),
+            self.point_cells.clone(),
+        )
     }
 }
 
@@ -609,13 +639,10 @@ mod hash_reference {
 
     use super::*;
 
-    /// `assignment_under` with the cell → cluster map materialized over
-    /// the `m` occupied cells and one hash lookup per point, every cell's
-    /// cluster itself a hash lookup in the model's labels.
-    pub(crate) fn assignment_under(
-        stream: &StreamingAdaWave,
-        model: &GridModel,
-    ) -> Vec<Option<usize>> {
+    /// `ids_under` with the cell → cluster map materialized over the `m`
+    /// occupied cells and one hash lookup per point, every cell's cluster
+    /// itself a hash lookup in the model's labels.
+    pub(crate) fn ids_under(stream: &StreamingAdaWave, model: &GridModel) -> Vec<u32> {
         let frozen = stream.frozen.as_ref().expect("caller refit the model");
         let codec = frozen.quantizer.codec();
         let labels: HashMap<u128, usize> = model.labels().iter().collect();
@@ -633,6 +660,7 @@ mod hash_reference {
             .map(|&index| {
                 let key = cells.get(index as usize).map(|&(key, _)| key);
                 key.and_then(|key| cell_cluster.get(&key).copied().flatten())
+                    .map_or(Clustering::NOISE, |id| id as u32)
             })
             .collect()
     }
@@ -774,8 +802,8 @@ mod tests {
                             prop_assert_eq!(indexed.key_bits(), width);
 
                             let model = stream.refit_model().unwrap();
-                            let assignment = hash_reference::assignment_under(&stream, &model);
-                            let want = model.into_result(assignment);
+                            let ids = hash_reference::ids_under(&stream, &model);
+                            let want = model.into_result(ids);
                             prop_assert_eq!(&stream.refit().unwrap(), &want, "{}", context);
                             let outcome = stream.refit_outcome().unwrap();
                             let want = want.to_clustering();
@@ -1048,14 +1076,14 @@ mod tests {
                             inside.push_row(points.view().row(i));
                         }
                         let (fit, model) = AdaWave::new(config.clone()).fit_with_model(inside.view()).unwrap();
-                        let mut fitted = fit.assignment().iter();
+                        let mut fitted = fit.labels();
                         let expected: Vec<Option<usize>> = last
                             .order
                             .iter()
-                            .map(|&i| if kinds[i] == Row::Inside { *fitted.next().unwrap() } else { None })
+                            .map(|&i| if kinds[i] == Row::Inside { fitted.next().unwrap() } else { None })
                             .collect();
                         let refit = last.stream.refit().unwrap();
-                        prop_assert_eq!(refit.assignment(), &expected[..], "{}", context);
+                        prop_assert_eq!(&refit.labels().collect::<Vec<_>>(), &expected, "{}", context);
                         prop_assert_eq!(refit.cluster_count(), fit.cluster_count(), "{}", context);
                         prop_assert_eq!(refit.stats(), fit.stats(), "{}", context);
                         let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();

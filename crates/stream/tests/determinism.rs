@@ -96,11 +96,12 @@ fn batch_order_does_not_change_the_accumulated_grid() {
     let bw = backward.refit().unwrap();
     assert_eq!(fw.cluster_count(), bw.cluster_count());
     assert_eq!(fw.stats(), bw.stats());
+    let fw: Vec<Option<usize>> = fw.labels().collect();
     let mut permuted: Vec<Option<usize>> = Vec::with_capacity(points.len());
     for pair in cuts.windows(2).rev() {
-        permuted.extend_from_slice(&fw.assignment()[pair[0]..pair[1]]);
+        permuted.extend_from_slice(&fw[pair[0]..pair[1]]);
     }
-    assert_eq!(bw.assignment(), &permuted[..]);
+    assert_eq!(bw.labels().collect::<Vec<_>>(), permuted);
 }
 
 #[test]

@@ -77,7 +77,7 @@ proptest! {
 
         // And the refit labels (plus stats and density curve) match fit.
         let refit = stream.refit().unwrap();
-        prop_assert_eq!(refit.assignment(), one_shot.assignment());
+        prop_assert!(refit.labels().eq(one_shot.labels()));
         prop_assert_eq!(refit, one_shot);
     }
 

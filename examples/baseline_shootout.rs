@@ -55,7 +55,7 @@ fn main() {
         let result = AdaWave::new(AdaWaveConfig::default())
             .fit(points)
             .expect("adawave");
-        Clustering::new(result.assignment().to_vec())
+        result.into_clustering()
     });
     run("k-means", &|points| {
         kmeans(points, &KMeansConfig::new(5, 7)).clustering
@@ -95,10 +95,10 @@ fn main() {
             .rows()
             .map(|p| {
                 let mut best = (f64::MAX, None);
-                for (s, l) in sample.rows().zip(clustering.assignment().iter()) {
+                for (s, l) in sample.rows().zip(clustering.labels()) {
                     let d: f64 = p.iter().zip(s.iter()).map(|(a, b)| (a - b) * (a - b)).sum();
                     if d < best.0 {
-                        best = (d, *l);
+                        best = (d, l);
                     }
                 }
                 best.1

@@ -103,7 +103,7 @@ fn internal_indices_are_computable_on_adawave_results_without_ground_truth() {
     // A user without labels can still rate the clustering: the indices must
     // be finite and consistent with a sensible clustering (positive CH,
     // moderate DB).
-    let assignment = result.assignment().to_vec();
+    let assignment: Vec<Option<usize>> = result.labels().collect();
     let ch = calinski_harabasz(points.view(), &assignment);
     let db = davies_bouldin(points.view(), &assignment);
     let sil = silhouette_score(points.view(), &assignment);

@@ -42,7 +42,7 @@ fn points_as_csv(points: &PointMatrix) -> String {
 fn offline_csv(model: &dyn adawave::Model, points: &PointMatrix) -> String {
     let clustering = model.predict(points.view()).unwrap();
     let mut out = String::from("label\n");
-    for label in clustering.assignment() {
+    for label in clustering.labels() {
         if let Some(l) = label {
             out.push_str(&l.to_string());
         }
